@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from .errors import AddressError, ConfigurationError
-from .engine import detect_consensus_partition
+from .engine import _default_gap, detect_consensus_partition
 from .output import (
     build_summary,
     format_prediction_lines,
@@ -63,6 +63,8 @@ def _build_parser() -> _Parser:
 def _run_command(args) -> int:
     if args.seed is not None and not 0 <= args.seed < 2**64:
         raise ConfigurationError("--seed must fit in 64 bits")
+    if args.stride < 1:
+        raise ConfigurationError("--stride must be >= 1")
     config = parse_scenario(args.scenario)
     run = execute_scenario(config, seed=args.seed)
     out_dir = Path(args.out)
@@ -96,9 +98,7 @@ def _predict_command(args) -> int:
 
 def _clusters_command(args) -> int:
     record = read_trajectory_csv(args.trajectory)
-    gap = args.gap
-    if gap is None:
-        gap = 0.05 * float(record.centers[0].max() - record.centers[0].min())
+    gap = _default_gap(record) if args.gap is None else args.gap
     blocks = detect_consensus_partition(record.centers[-1], gap)
     final = record.centers[-1]
     print(f"t={int(record.times[-1])} clusters={len(blocks)} gap={gap!r}")

@@ -170,6 +170,11 @@ def steps_to_target(record: TrajectoryRecord, target: float, fraction: float = 0
     return int(record.times[hits[0]]) if hits.size else None
 
 
+def _default_gap(record: TrajectoryRecord) -> float:
+    """Cluster gap used when none is given: 5% of the record's initial center range."""
+    return 0.05 * float(record.centers[0].max() - record.centers[0].min())
+
+
 def detect_consensus_partition(state_or_centers, gap: float) -> list[np.ndarray]:
     """Split agents into opinion clusters by sorted center gaps.
 

@@ -8,7 +8,9 @@ so information still travels one level per step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -47,22 +49,19 @@ class HierarchySpec:
     def n_groups(self, level: int) -> int:
         """Groups at a level; level n_levels has exactly one."""
         self._check_level(level)
-        count = 1
-        for size in self.group_sizes[level:]:
-            count *= size
-        return count
+        return self._levels[level - 1][1][0]
 
     def level_count(self, level: int) -> int:
         return self.n_groups(level) * self.group_sizes[level - 1]
 
     @property
     def n_agents(self) -> int:
-        return sum(self.level_count(l) for l in range(1, self.n_levels + 1))
+        return self._levels[-1][0].stop
 
     def level_offset(self, level: int) -> int:
         """Index of the level's first agent in the flattened layout (level 1 first)."""
         self._check_level(level)
-        return sum(self.level_count(l) for l in range(1, level))
+        return self._levels[level - 1][0].start
 
     def group_slice(self, level: int, group: int) -> slice:
         self._check_level(level)
@@ -88,11 +87,23 @@ class HierarchySpec:
         """Per-agent (level, group) arrays in flattened order."""
         levels = np.empty(self.n_agents, dtype=np.intp)
         groups = np.empty(self.n_agents, dtype=np.intp)
-        for level, group in self.groups():
-            sl = self.group_slice(level, group)
+        for level, (sl, (g, k), _) in enumerate(self._levels, start=1):
             levels[sl] = level
-            groups[sl] = group
+            groups[sl] = np.repeat(np.arange(g), k)
         return levels, groups
+
+    @cached_property
+    def _levels(self) -> tuple[tuple[slice, tuple[int, int], slice | None], ...]:
+        """Per level, bottom first: its agents' slice, its (G, k) block shape, and the slice
+        of the next level up, whose G agents lead its groups in order (None at the top)."""
+        out, start = [], 0
+        for level, k in enumerate(self.group_sizes, start=1):
+            g = math.prod(self.group_sizes[level:])
+            stop = start + g * k
+            above = slice(stop, stop + g) if level < self.n_levels else None
+            out.append((slice(start, stop), (g, k), above))
+            start = stop
+        return tuple(out)
 
     def _check_level(self, level: int):
         if not (isinstance(level, (int, np.integer)) and 1 <= level <= self.n_levels):
@@ -117,32 +128,23 @@ class TdState:
                 f"hierarchy expects {self.spec.n_agents} agents, state has {self.state.n}"
             )
 
-    def group_state(self, level: int, group: int) -> NetworkState:
-        sl = self.spec.group_slice(level, group)
-        return NetworkState(
-            self.state.centers[sl], self.state.sigmas[sl], self.state.d[sl], self.state.b[sl]
-        )
-
-    def leader_center(self, level: int, group: int) -> float:
-        idx = self.spec.leader_index(level, group)
-        if idx is None:
-            return self.spec.top_center
-        return float(self.state.centers[idx])
-
 
 def step_td(td: TdState, scheme: ReferenceScheme) -> TdState:
-    """One synchronous update of every group from one frozen whole-tree snapshot."""
+    """One synchronous update of every group from one frozen whole-tree snapshot.
+
+    Each level is one (G, k) block update led by the level above.
+    """
     _check_group_scheme(scheme)
     _check_group_thresholds(td.state.d)
     old = td.state
     new_centers = np.empty_like(old.centers)
     new_sigmas = np.empty_like(old.sigmas)
-    for level, group in td.spec.groups():
-        sl = td.spec.group_slice(level, group)
-        leader_center = td.leader_center(level, group)
-        new_centers[sl], new_sigmas[sl] = group_update(
-            old.centers[sl], old.sigmas[sl], old.d[sl], old.b[sl], leader_center, scheme
-        )
+    for sl, shape, above in td.spec._levels:
+        leader = td.spec.top_center if above is None else old.centers[above, None]
+        blocks = (a[sl].reshape(shape) for a in (old.centers, old.sigmas, old.d, old.b))
+        centers, sigmas = group_update(*blocks, leader, scheme)
+        new_centers[sl] = centers.ravel()
+        new_sigmas[sl] = sigmas.ravel()
     return TdState(td.spec, NetworkState(new_centers, new_sigmas, old.d, old.b))
 
 

@@ -17,19 +17,21 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .engine import LeaderReference, LocalReference, ReferenceScheme, TrajectoryRecord, _allocate
-from .opinions import NetworkState, neighbor_mask
+from .opinions import NetworkState, closeness_matrix, neighbor_mask
 
 
 def group_update(centers, sigmas, d, b, leader_center, scheme):
     """One synchronous follower update with the leader mixed into every average.
 
-    Neighbor sets are taken among followers only; the leader is appended to
-    every agent's average with weight 1/(|N_i| + 1).  Returns new (centers, sigmas).
+    Inputs are (k,) vectors for one group or (G, k) blocks, one row per group;
+    leader_center is a scalar or a (G, 1) column.  Neighbor sets are taken
+    among a group's followers only; the leader is appended to every agent's
+    average with weight 1/(|N_i| + 1).  Returns new (centers, sigmas).
     """
-    adj = neighbor_mask(centers, sigmas, d)
-    counts = adj.sum(axis=1).astype(np.float64)
-    center_sums = np.where(adj, centers[None, :], 0.0).sum(axis=1)
-    sigma_sums = np.where(adj, sigmas[None, :], 0.0).sum(axis=1)
+    adj = closeness_matrix(centers, sigmas) >= np.asarray(d)[..., None]
+    counts = adj.sum(axis=-1).astype(np.float64)
+    center_sums = np.where(adj, centers[..., None, :], 0.0).sum(axis=-1)
+    sigma_sums = np.where(adj, sigmas[..., None, :], 0.0).sum(axis=-1)
     new_centers = (center_sums + leader_center) / (counts + 1.0)
     if isinstance(scheme, LocalReference):
         reference = center_sums / counts  # follower neighborhood mean, leader excluded
@@ -214,13 +216,11 @@ def steps_to_error_fraction(n: int, epsilon: float) -> float:
     return math.log(epsilon) / (math.log(n) - math.log(n + 1))
 
 
-def leader_weight_matrix(state: NetworkState, leader_center: float | None = None) -> np.ndarray:
+def leader_weight_matrix(state: NetworkState) -> np.ndarray:
     """Stacked update weights of the group with the leader as last row and column.
 
     Row i <= n-1 places 1/(|N_i| + 1) on each of i's follower neighbors and on
     the leader column, zero elsewhere; the leader row keeps the leader fixed.
-    leader_center is accepted for symmetry with the steppers but does not
-    affect the weights.
     """
     n = state.n
     adj = neighbor_mask(state.centers, state.sigmas, state.d)

@@ -148,9 +148,9 @@ def closeness(a: FuzzyOpinion, b: FuzzyOpinion) -> float:
 
 
 def closeness_matrix(centers: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
-    """All pairwise closeness values as a symmetric (n, n) matrix with unit diagonal."""
-    diff = centers[:, None] - centers[None, :]
-    ssum = sigmas[:, None] + sigmas[None, :]
+    """Pairwise closeness over the last axis: (..., n) gives symmetric unit-diagonal (..., n, n)."""
+    diff = centers[..., :, None] - centers[..., None, :]
+    ssum = sigmas[..., :, None] + sigmas[..., None, :]
     positive = ssum > 0.0
     with np.errstate(over="ignore"):
         ratio = np.divide(diff, ssum, out=np.zeros_like(diff), where=positive)
@@ -173,15 +173,7 @@ def neighbor_mask(centers: np.ndarray, sigmas: np.ndarray, d: np.ndarray) -> np.
 def neighbor_set(state: NetworkState, i: int) -> np.ndarray:
     """Ids of the agents i listens to, ascending; always contains i."""
     state._check_id(i)
-    diff = state.centers - state.centers[i]
-    ssum = state.sigmas + state.sigmas[i]
-    positive = ssum > 0.0
-    with np.errstate(over="ignore"):
-        ratio = np.divide(diff, ssum, out=np.zeros_like(diff), where=positive)
-        row = np.exp(-np.square(ratio))
-    if not positive.all():
-        row[~positive] = (diff[~positive] == 0.0).astype(np.float64)
-    return np.nonzero(row >= state.d[i])[0]
+    return np.nonzero(neighbor_mask(state.centers, state.sigmas, state.d)[i])[0]
 
 
 def confidence_weights(state: NetworkState, i: int) -> np.ndarray:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import TrajectoryRecord, detect_consensus_partition, steps_to_target
+from .engine import TrajectoryRecord, _default_gap, detect_consensus_partition, steps_to_target
 from .leader import (
     detect_consensus_time,
     predict_sigma_leader_ref,
@@ -65,6 +65,9 @@ def read_trajectory_csv(path) -> TrajectoryRecord:
         rows = list(reader)
     if not rows:
         raise ValueError("trajectory file has no data rows")
+    if set(map(len, rows)) != {len(CSV_HEADER)}:
+        line, r = next((k, r) for k, r in enumerate(rows, start=2) if len(r) != len(CSV_HEADER))
+        raise ValueError(f"line {line}: expected {len(CSV_HEADER)} fields, got {len(r)}")
     times = sorted({int(r[0]) for r in rows})
     agents = sorted({int(r[1]) for r in rows})
     n = len(agents)
@@ -156,8 +159,7 @@ def _group_tracking_checks(record: TrajectoryRecord, leader: float, scheme: str,
 
 
 def _final_cluster_report(record: TrajectoryRecord, gap: float | None) -> list[dict]:
-    if gap is None:
-        gap = 0.05 * float(record.centers[0].max() - record.centers[0].min())
+    gap = _default_gap(record) if gap is None else gap
     clusters = detect_consensus_partition(record.centers[-1], gap)
     final_sigmas = record.sigmas[-1]
     return [
@@ -196,11 +198,9 @@ def build_summary(run: ScenarioRun, gap: float | None = None, tol: float | None 
         checks = [
             {**c, "name": f"top_group_{c['name']}"} for c in checks
         ]
-        spread = 0.0
-        for level, group in spec.groups():
-            sl = spec.group_slice(level, group)
-            block = run.record.sigmas[-1, sl]
-            spread = max(spread, float(block.max() - block.min()))
+        final = run.record.sigmas[-1]
+        spread = max(float(np.ptp(final[sl].reshape(shape), axis=1).max())
+                     for sl, shape, _ in spec._levels)
         checks.append(_check("max_group_sigma_spread_final", 0.0, spread, 1e-9))
         target_steps = steps_to_target(run.record, config.leader)
     elif config.kind == "bottomup":

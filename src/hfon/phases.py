@@ -17,6 +17,7 @@ from .engine import (
     LocalReference,
     PhaseSpan,
     TrajectoryRecord,
+    _default_gap,
     detect_consensus_partition,
     step_bcfon,
 )
@@ -107,8 +108,7 @@ def phase_summary(record: TrajectoryRecord, gap: float | None = None) -> list[Cl
     """
     if not record.phases:
         raise ValueError("record has no phase annotations")
-    if gap is None:
-        gap = 0.05 * float(record.centers[0].max() - record.centers[0].min())
+    gap = _default_gap(record) if gap is None else gap
     reports = []
     for p, span in enumerate(record.phases):
         k = record.index_of(span.t_end)

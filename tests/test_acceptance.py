@@ -22,7 +22,7 @@ from hfon.leader import (
     run_blfg,
     steps_to_error_fraction,
 )
-from hfon.opinions import NetworkState
+from hfon.opinions import NetworkState, closeness_matrix
 from hfon.output import first_exact_consensus_index
 from hfon.phases import Phase, PhaseSchedule, distinct_state_counts, phase_summary, run_bu
 from hfon.scenarios import (
@@ -200,36 +200,62 @@ def test_criterion_06_deep_tree_consensus_profile(td_runs):
     _verdict(6, ok, "; ".join(details))
 
 
+def _stacked_weights(centers, sigmas, d):
+    """(G, k+1, k+1) stacked weight matrices of G groups given as (G, k) blocks.
+
+    Built from the same block neighbour mask the group update uses; each
+    slice equals leader_weight_matrix of that group.
+    """
+    adj = closeness_matrix(centers, sigmas) >= d
+    g, k = centers.shape
+    share = 1.0 / (adj.sum(axis=-1) + 1.0)
+    w = np.zeros((g, k + 1, k + 1))
+    w[:, :k, :k] = adj * share[..., None]
+    w[:, :k, k] = share
+    w[:, k, k] = 1.0
+    return w
+
+
 def test_criterion_07_stacked_weight_matrix_conditions(flat_runs, td_runs):
-    # every per-step (n+1) x (n+1) matrix over every run used above
+    # every per-step (n+1) x (n+1) matrix over every run used above; a tree
+    # level's groups are checked as one stack per recorded row
     checked = 0
     worst_row_err = 0.0
     min_diag = np.inf
     min_scaled_col = np.inf  # leader-column minimum times (n + 2)
 
-    def check(centers, sigmas, d, b):
+    def check(w):
         nonlocal checked, worst_row_err, min_diag, min_scaled_col
-        state = NetworkState(centers, sigmas, d, b)
-        w = leader_weight_matrix(state)
-        n = state.n
-        worst_row_err = max(worst_row_err, float(np.abs(w.sum(axis=1) - 1.0).max()))
-        min_diag = min(min_diag, float(np.diagonal(w).min()))
-        min_scaled_col = min(min_scaled_col, float(w[:n, n].min()) * (n + 2))
-        checked += 1
+        n = w.shape[-1] - 1
+        worst_row_err = max(worst_row_err, float(np.abs(w.sum(axis=-1) - 1.0).max()))
+        min_diag = min(min_diag, float(np.diagonal(w, axis1=-2, axis2=-1).min()))
+        min_scaled_col = min(min_scaled_col, float(w[:, :n, n].min()) * (n + 2))
+        checked += w.shape[0]
 
     for run in flat_runs.values():
         record, cfg = run.record, run.config
         for row in range(record.n_samples):
-            check(record.centers[row], record.sigmas[row], cfg.d, cfg.b)
+            check(leader_weight_matrix(
+                NetworkState(record.centers[row], record.sigmas[row], cfg.d, cfg.b))[None])
     for run in td_runs.values():
         record, cfg = run.record, run.config
         spec = run.td_state.spec
-        slices = [spec.group_slice(level, group) for level, group in spec.groups()]
+        levels = []
+        for level in range(1, spec.n_levels + 1):
+            start = spec.level_offset(level)
+            levels.append((slice(start, start + spec.level_count(level)),
+                           (spec.n_groups(level), spec.group_sizes[level - 1])))
         for row in range(record.n_samples):
-            c = record.centers[row]
-            s = record.sigmas[row]
-            for sl in slices:
-                check(c[sl], s[sl], cfg.d, cfg.b)
+            for sl, shape in levels:
+                c = record.centers[row, sl].reshape(shape)
+                s = record.sigmas[row, sl].reshape(shape)
+                stack = _stacked_weights(c, s, cfg.d)
+                check(stack)
+                if row in (0, record.n_samples - 1):
+                    # the stack holds exactly the per-group matrices
+                    for g in range(shape[0]):
+                        single = leader_weight_matrix(NetworkState(c[g], s[g], cfg.d, cfg.b))
+                        assert np.array_equal(stack[g], single), (row, sl, g)
 
     ok = (worst_row_err <= 1e-12
           and min_diag > 0.0

@@ -81,6 +81,17 @@ class TestRunCommand:
         assert len(full) == 1 + 11 * 2
         assert len(thin) == 1 + 4 * 2  # t = 0, 4, 8 plus the final step 10
 
+    @pytest.mark.parametrize("stride", ["0", "-3"])
+    def test_bad_stride_rejected_before_simulating(self, tmp_path, monkeypatch, capsys, stride):
+        def no_run(*args, **kwargs):
+            raise AssertionError("simulated before checking --stride")
+
+        monkeypatch.setattr(hfon.cli, "execute_scenario", no_run)
+        out = tmp_path / "never"
+        assert main(["run", "example1-local", "--out", str(out), "--stride", stride]) == 1
+        assert not out.exists()
+        assert "--stride" in capsys.readouterr().err
+
     def test_same_seed_same_bytes(self, tmp_path):
         src = write_doc(tmp_path, drop_nones(seeded_doc()))
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
@@ -206,6 +217,19 @@ class TestClustersCommand:
         traj = str(out / "tiny.trajectory.csv")
         assert main(["clusters", traj, "--gap", "1000"]) == 0
         assert "clusters=1" in capsys.readouterr().out.splitlines()[0]
+
+    @pytest.mark.parametrize("width", [3, 7])
+    def test_row_width_is_input_error(self, tmp_path, capsys, width):
+        src = write_doc(tmp_path, scenario_doc())
+        out = tmp_path / "out"
+        assert main(["run", src, "--out", str(out)]) == 0
+        capsys.readouterr()
+        traj = out / "tiny.trajectory.csv"
+        lines = traj.read_text().splitlines()
+        lines[5] = ",".join((lines[5].split(",") + ["1.0"])[:width])
+        traj.write_text("\n".join(lines) + "\n")
+        assert main(["clusters", str(traj)]) == 1
+        assert f"line 6: expected 6 fields, got {width}" in capsys.readouterr().err
 
     def test_missing_trajectory(self, tmp_path, capsys):
         assert main(["clusters", str(tmp_path / "nope.csv")]) == 1

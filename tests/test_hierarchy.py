@@ -18,6 +18,7 @@ from hfon import (
     run_td,
     step_td,
 )
+from hfon.leader import group_update
 
 
 def tiny_tree(b=0.1, d=0.0):
@@ -113,12 +114,31 @@ class TestStepping:
             1.0 + 0.1 * 5.0,
         ]
 
-    def test_group_state_and_leader_center(self):
+    def test_group_slice_and_leader_index(self):
         td = tiny_tree()
-        block = td.group_state(1, 1)
-        assert block.centers.tolist() == [2.0, 3.0]
-        assert td.leader_center(1, 1) == 5.0
-        assert td.leader_center(2, 0) == 10.0
+        assert td.state.centers[td.spec.group_slice(1, 1)].tolist() == [2.0, 3.0]
+        assert td.state.centers[td.spec.leader_index(1, 1)] == 5.0
+        assert td.spec.leader_index(2, 0) is None
+        assert td.spec.top_center == 10.0
+
+    @pytest.mark.parametrize("scheme", [LocalReference(), LeaderReference()])
+    def test_level_blocks_match_per_group_updates(self, scheme):
+        spec = build_uniform_hierarchy((3, 2, 4), 10.0)
+        rng = np.random.default_rng(5)
+        state = NetworkState(
+            rng.uniform(0.0, 20.0, spec.n_agents), rng.uniform(0.0, 2.0, spec.n_agents),
+            rng.uniform(0.0, 0.9, spec.n_agents), 0.1,
+        )
+        stepped = step_td(TdState(spec, state), scheme).state
+        for level, group in spec.groups():
+            sl = spec.group_slice(level, group)
+            idx = spec.leader_index(level, group)
+            leader = spec.top_center if idx is None else float(state.centers[idx])
+            centers, sigmas = group_update(
+                state.centers[sl], state.sigmas[sl], state.d[sl], state.b[sl], leader, scheme
+            )
+            assert np.array_equal(stepped.centers[sl], centers), (level, group)
+            assert np.array_equal(stepped.sigmas[sl], sigmas), (level, group)
 
     def test_scheme_and_threshold_guards(self):
         td = tiny_tree()

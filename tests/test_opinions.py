@@ -113,6 +113,16 @@ class TestClosenessMatrix:
         assert np.array_equal(np.diagonal(m), np.ones(20))
         assert np.array_equal(m, m.T)
 
+    def test_blocks_over_last_axis(self):
+        rng = np.random.default_rng(9)
+        centers = rng.uniform(-5, 5, (3, 6))
+        sigmas = rng.uniform(0, 2, (3, 6))
+        sigmas[1, :2] = 0.0
+        m = closeness_matrix(centers, sigmas)
+        assert m.shape == (3, 6, 6)
+        for g in range(3):
+            assert np.array_equal(m[g], closeness_matrix(centers[g], sigmas[g]))
+
     def test_all_zero_sigmas(self):
         m = closeness_matrix(np.array([1.0, 1.0, 2.0]), np.zeros(3))
         expected = np.array([[1.0, 1, 0], [1, 1, 0], [0, 0, 1]])
@@ -195,8 +205,12 @@ class TestNeighborhood:
         rng = np.random.default_rng(3)
         state = NetworkState(rng.uniform(0, 10, 12), rng.uniform(0.1, 2, 12), 0.5, 0.2)
         mask = neighbor_mask(state.centers, state.sigmas, state.d)
+        c, s = state.centers, state.sigmas
         for i in range(12):
             assert np.array_equal(neighbor_set(state, i), np.nonzero(mask[i])[0])
+            # independent scalar reference for the same row
+            expected = [j for j in range(12) if ref_closeness(c[i], s[i], c[j], s[j]) >= 0.5]
+            assert neighbor_set(state, i).tolist() == expected
 
     def test_per_agent_thresholds(self):
         # same geometry, different ears: agent 0 hears agent 1, not vice versa
