@@ -3,11 +3,14 @@
 A refactor that claims "same behaviour" proves it here: the trajectory CSV
 and the summary JSON of each built-in must stay byte-identical.  The
 example1 and example2 pins equal the ones the benchmark checks (stride 1
-for example1, stride 10 for example2).  If a pin ever has to change,
-CHANGES.md must say why.
+for example1, stride 10 for example2).  A generated 1000-agent bottom-up
+run, where agents merge layer by layer, is pinned too; its pins equal the
+benchmark's `emergence-seed0`.  If a pin ever has to change, CHANGES.md
+must say why.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -54,6 +57,24 @@ GOLDEN = {
 }
 
 
+# 1000 uniform agents on [5, 25], five falling thresholds of 40 steps each
+EMERGENCE = {
+    "schema_version": 1,
+    "name": "emergence",
+    "kind": "bottomup",
+    "n": 1000,
+    "b": 0.5,
+    "phases": [{"d": d, "steps": 40} for d in (0.95, 0.7, 0.45, 0.2, 0.05)],
+    "initial": {"centers": "uniform", "low": 5.0, "high": 25.0, "sigma": "uniform"},
+    "seed": 0,
+}
+EMERGENCE_PINS = (
+    10,
+    "8f0943cf7dc781de9785ee910828ae2fd6f564f9d12294247d7301b0cee614b0",
+    "4f35c731490084d3388829e4475d8c2f8fa1d9fb19de177a5a96ffdb46614b36",
+)
+
+
 def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -68,3 +89,13 @@ def test_builtin_outputs_match_pins(name, tmp_path, capsys):
     assert main(["run", name, "--out", str(tmp_path), "--stride", str(stride)]) == 0
     assert _sha256(tmp_path / f"{name}.trajectory.csv") == csv_sha
     assert _sha256(tmp_path / f"{name}.summary.json") == json_sha
+
+
+def test_emergence_outputs_match_pins(tmp_path, capsys):
+    stride, csv_sha, json_sha = EMERGENCE_PINS
+    doc = tmp_path / "emergence.json"
+    doc.write_text(json.dumps(EMERGENCE, indent=2) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", str(doc), "--out", str(out), "--stride", str(stride)]) == 0
+    assert _sha256(out / "emergence.trajectory.csv") == csv_sha
+    assert _sha256(out / "emergence.summary.json") == json_sha
