@@ -7,6 +7,7 @@ failed, 3 unexpected internal failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -60,11 +61,18 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _check_nonnegative(value: float | None, flag: str):
+    if value is not None and not (math.isfinite(value) and value >= 0.0):
+        raise ConfigurationError(f"{flag} must be finite and >= 0, got {value!r}")
+
+
 def _run_command(args) -> int:
     if args.seed is not None and not 0 <= args.seed < 2**64:
         raise ConfigurationError("--seed must fit in 64 bits")
     if args.stride < 1:
         raise ConfigurationError("--stride must be >= 1")
+    _check_nonnegative(args.gap, "--gap")
+    _check_nonnegative(args.tol, "--tol")
     config = parse_scenario(args.scenario)
     run = execute_scenario(config, seed=args.seed)
     out_dir = Path(args.out)
@@ -97,6 +105,7 @@ def _predict_command(args) -> int:
 
 
 def _clusters_command(args) -> int:
+    _check_nonnegative(args.gap, "--gap")
     record = read_trajectory_csv(args.trajectory)
     gap = _default_gap(record) if args.gap is None else args.gap
     blocks = detect_consensus_partition(record.centers[-1], gap)

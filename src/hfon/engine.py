@@ -14,7 +14,10 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import ConfigurationError
-from .opinions import NetworkState, neighbor_mask
+from .opinions import NetworkState, distinct_agents, neighbor_mask, neighborhood_sums  # noqa: F401
+
+# neighbor_mask is unused here but stays importable as hfon.engine.neighbor_mask:
+# bench/tracing.py wraps the name at this lookup site.
 
 
 @dataclass(frozen=True)
@@ -62,10 +65,9 @@ def step_bcfon(state: NetworkState, scheme: ReferenceScheme = LocalReference(), 
     """One synchronous update of every agent from the frozen time-t state."""
     if isinstance(scheme, LeaderReference):
         raise ConfigurationError("a flat network has no leader; use a leader-follower group")
-    adj = neighbor_mask(state.centers, state.sigmas, state.d)
-    counts = adj.sum(axis=1).astype(np.float64)  # >= 1, every agent hears itself
-    center_sums = np.where(adj, state.centers[None, :], 0.0).sum(axis=1)
-    sigma_sums = np.where(adj, state.sigmas[None, :], 0.0).sum(axis=1)
+    counts, center_sums, sigma_sums = neighborhood_sums(
+        state.centers, state.sigmas, state.d, distinct_agents(state)
+    )
     neigh_mean = center_sums / counts
     if isinstance(scheme, LocalReference):
         reference = neigh_mean

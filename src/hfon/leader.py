@@ -17,21 +17,19 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .engine import LeaderReference, LocalReference, ReferenceScheme, TrajectoryRecord, _allocate
-from .opinions import NetworkState, closeness_matrix, neighbor_mask
+from .opinions import NetworkState, distinct_agents, neighbor_mask, neighborhood_sums
 
 
-def group_update(centers, sigmas, d, b, leader_center, scheme):
+def group_update(centers, sigmas, d, b, leader_center, scheme, rows=None):
     """One synchronous follower update with the leader mixed into every average.
 
     Inputs are (k,) vectors for one group or (G, k) blocks, one row per group;
     leader_center is a scalar or a (G, 1) column.  Neighbor sets are taken
     among a group's followers only; the leader is appended to every agent's
-    average with weight 1/(|N_i| + 1).  Returns new (centers, sigmas).
+    average with weight 1/(|N_i| + 1).  rows is passed on to
+    neighborhood_sums.  Returns new (centers, sigmas).
     """
-    adj = closeness_matrix(centers, sigmas) >= np.asarray(d)[..., None]
-    counts = adj.sum(axis=-1).astype(np.float64)
-    center_sums = np.where(adj, centers[..., None, :], 0.0).sum(axis=-1)
-    sigma_sums = np.where(adj, sigmas[..., None, :], 0.0).sum(axis=-1)
+    counts, center_sums, sigma_sums = neighborhood_sums(centers, sigmas, d, rows)
     new_centers = (center_sums + leader_center) / (counts + 1.0)
     if isinstance(scheme, LocalReference):
         reference = center_sums / counts  # follower neighborhood mean, leader excluded
@@ -98,7 +96,8 @@ def step_blfg(state: NetworkState, leader_center: float, scheme: ReferenceScheme
     _check_group_scheme(scheme)
     _check_group_thresholds(state.d)
     new_centers, new_sigmas = group_update(
-        state.centers, state.sigmas, state.d, state.b, leader_center, scheme
+        state.centers, state.sigmas, state.d, state.b, leader_center, scheme,
+        distinct_agents(state),
     )
     return NetworkState(new_centers, new_sigmas, state.d, state.b)
 

@@ -147,10 +147,16 @@ def closeness(a: FuzzyOpinion, b: FuzzyOpinion) -> float:
         return float(np.exp(-np.square((a.center - b.center) / ssum)))
 
 
-def closeness_matrix(centers: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
-    """Pairwise closeness over the last axis: (..., n) gives symmetric unit-diagonal (..., n, n)."""
-    diff = centers[..., :, None] - centers[..., None, :]
-    ssum = sigmas[..., :, None] + sigmas[..., None, :]
+def closeness_matrix(centers, sigmas, col_centers=None, col_sigmas=None) -> np.ndarray:
+    """Closeness of every row agent to every column agent over the last axis.
+
+    Rows (..., m) against columns (..., n) give (..., m, n).  The columns
+    default to the rows, which gives a symmetric unit-diagonal (..., n, n).
+    """
+    if col_centers is None:
+        col_centers, col_sigmas = centers, sigmas
+    diff = centers[..., :, None] - col_centers[..., None, :]
+    ssum = sigmas[..., :, None] + col_sigmas[..., None, :]
     positive = ssum > 0.0
     with np.errstate(over="ignore"):
         ratio = np.divide(diff, ssum, out=np.zeros_like(diff), where=positive)
@@ -159,6 +165,45 @@ def closeness_matrix(centers: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
     if not positive.all():
         out[~positive] = (diff[~positive] == 0.0).astype(np.float64)
     return out
+
+
+def distinct_agents(state: NetworkState) -> tuple[np.ndarray, np.ndarray]:
+    """Agents grouped by identical state: (first, inverse).
+
+    first holds the lowest id of each distinct state and inverse maps every
+    agent to its state's position in first.  States are compared by the exact
+    bits of (center, sigma, d, b), so -0.0 and 0.0 stay apart.
+    """
+    keys = np.stack([state.centers, state.sigmas, state.d, state.b], axis=1)
+    rows = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
+    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    return first, inverse
+
+
+def neighborhood_sums(centers, sigmas, d, rows=None):
+    """Per agent: its neighbor count and the sums of its neighbors' centers and sigmas.
+
+    Works over the last axis: (n,) vectors for one population, or (G, k)
+    blocks with neighbors taken within each block.  Every row is reduced over
+    all of its columns in id order.  rows = (first, inverse) from
+    distinct_agents computes a row only for the first agent of each distinct
+    state and copies it to the agents that share that state; a row depends
+    only on the agent's own (center, sigma, d) and the frozen columns, so the
+    result is the same bit for bit.
+    """
+    row_c, row_s, row_d = centers, sigmas, np.asarray(d)
+    if rows is not None:
+        first, inverse = rows
+        row_c, row_s, row_d = centers[first], sigmas[first], row_d[first]
+    adj = closeness_matrix(row_c, row_s, centers, sigmas) >= row_d[..., None]
+    sums = (
+        adj.sum(axis=-1).astype(np.float64),  # >= 1, every agent hears itself
+        np.where(adj, centers[..., None, :], 0.0).sum(axis=-1),
+        np.where(adj, sigmas[..., None, :], 0.0).sum(axis=-1),
+    )
+    if rows is not None:
+        return tuple(a[inverse] for a in sums)
+    return sums
 
 
 def neighbor_mask(centers: np.ndarray, sigmas: np.ndarray, d: np.ndarray) -> np.ndarray:

@@ -41,18 +41,20 @@ def write_trajectory_csv(record: TrajectoryRecord, path, stride: int = 1):
     keep = list(range(0, record.n_samples, stride))
     if keep[-1] != record.n_samples - 1:
         keep.append(record.n_samples - 1)
-    has_address = record.levels is not None
+    ids = range(record.n_agents)
+    if record.levels is None:
+        addresses = [f"{i},,," for i in ids]
+    else:
+        addresses = [f"{i},{int(lv)},{int(g)}," for i, lv, g in zip(ids, record.levels, record.groups)]
+    row = f"%s%s{_FLOAT_FORMAT},{_FLOAT_FORMAT}\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
+        fh.write(",".join(CSV_HEADER) + "\n")
         for k in keep:
-            t = int(record.times[k])
-            for i in range(record.n_agents):
-                level = str(int(record.levels[i])) if has_address else ""
-                group = str(int(record.groups[i])) if has_address else ""
-                writer.writerow(
-                    [t, i, level, group, _fmt(record.centers[k, i]), _fmt(record.sigmas[k, i])]
-                )
+            t = f"{int(record.times[k])},"
+            fh.writelines(
+                row % (t, a, c, s)
+                for a, c, s in zip(addresses, record.centers[k].tolist(), record.sigmas[k].tolist())
+            )
 
 
 def read_trajectory_csv(path) -> TrajectoryRecord:

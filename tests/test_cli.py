@@ -92,6 +92,25 @@ class TestRunCommand:
         assert not out.exists()
         assert "--stride" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "name,flag", [("example1-local", "--gap"), ("example1-leader", "--tol"), ("example3", "--gap")]
+    )
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+    def test_bad_gap_or_tol_rejected_before_simulating(self, tmp_path, monkeypatch, capsys, name, flag, value):
+        def no_run(*args, **kwargs):
+            raise AssertionError(f"simulated before checking {flag}")
+
+        monkeypatch.setattr(hfon.cli, "execute_scenario", no_run)
+        out = tmp_path / "never"
+        assert main(["run", name, "--out", str(out), flag, value]) == 1
+        assert not out.exists()
+        assert f"{flag} must be finite and >= 0" in capsys.readouterr().err
+
+    def test_zero_gap_and_tol_accepted(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["run", write_doc(tmp_path, scenario_doc()), "--out", str(out), "--gap", "0", "--tol", "0"]) == 0
+        assert (out / "tiny.summary.json").exists()
+
     def test_same_seed_same_bytes(self, tmp_path):
         src = write_doc(tmp_path, drop_nones(seeded_doc()))
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
@@ -217,6 +236,15 @@ class TestClustersCommand:
         traj = str(out / "tiny.trajectory.csv")
         assert main(["clusters", traj, "--gap", "1000"]) == 0
         assert "clusters=1" in capsys.readouterr().out.splitlines()[0]
+
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+    def test_bad_gap_rejected_before_reading(self, tmp_path, monkeypatch, capsys, value):
+        def no_read(*args, **kwargs):
+            raise AssertionError("read the trajectory before checking --gap")
+
+        monkeypatch.setattr(hfon.cli, "read_trajectory_csv", no_read)
+        assert main(["clusters", str(tmp_path / "nope.csv"), "--gap", value]) == 1
+        assert "--gap must be finite and >= 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("width", [3, 7])
     def test_row_width_is_input_error(self, tmp_path, capsys, width):

@@ -123,6 +123,14 @@ class TestClosenessMatrix:
         for g in range(3):
             assert np.array_equal(m[g], closeness_matrix(centers[g], sigmas[g]))
 
+    def test_rows_against_columns(self):
+        rng = np.random.default_rng(3)
+        centers, sigmas = rng.uniform(-5, 5, 9), rng.uniform(0, 2, 9)
+        sigmas[[2, 5]] = 0.0
+        rows = np.array([5, 0, 2])
+        m = closeness_matrix(centers[rows], sigmas[rows], centers, sigmas)
+        assert m.tobytes() == closeness_matrix(centers, sigmas)[rows].tobytes()
+
     def test_all_zero_sigmas(self):
         m = closeness_matrix(np.array([1.0, 1.0, 2.0]), np.zeros(3))
         expected = np.array([[1.0, 1, 0], [1, 1, 0], [0, 0, 1]])
