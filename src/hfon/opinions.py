@@ -174,7 +174,11 @@ def distinct_agents(state: NetworkState) -> tuple[np.ndarray, np.ndarray]:
     agent to its state's position in first.  States are compared by the exact
     bits of (center, sigma, d, b), so -0.0 and 0.0 stay apart.
     """
-    keys = np.stack([state.centers, state.sigmas, state.d, state.b], axis=1)
+    return distinct_rows(np.stack([state.centers, state.sigmas, state.d, state.b], axis=1))
+
+
+def distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of a C-contiguous (n, m) array grouped by their exact bits: (first, inverse)."""
     rows = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
     _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
     return first, inverse

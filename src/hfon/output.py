@@ -8,7 +8,7 @@ produce byte-identical files.
 
 from __future__ import annotations
 
-import csv
+import io
 import json
 from pathlib import Path
 
@@ -21,13 +21,16 @@ from .leader import (
     predict_sigma_limit,
     steps_to_error_fraction,
 )
+from .opinions import distinct_rows
 from .phases import phase_summary
 from .scenarios import SCHEMA_VERSION, ScenarioRun
 
 CSV_HEADER = ["t", "agent", "level", "group", "center", "sigma"]
+_HEADER_LINE = (",".join(CSV_HEADER) + "\n").encode()
 
 # enough significant digits that parsing the text reproduces the exact double
 _FLOAT_FORMAT = "%.17g"
+_PAIR_FORMAT = f"{_FLOAT_FORMAT},{_FLOAT_FORMAT}\n"
 
 
 def _fmt(x: float) -> str:
@@ -35,7 +38,12 @@ def _fmt(x: float) -> str:
 
 
 def write_trajectory_csv(record: TrajectoryRecord, path, stride: int = 1):
-    """Write the record, keeping every stride-th step plus always the last one."""
+    """Write the record, keeping every stride-th step plus always the last one.
+
+    Within a step, each distinct (center, sigma) pair, keyed on its exact bits
+    so that -0.0 and 0.0 stay apart, is formatted once and shared by every
+    agent holding it.
+    """
     if not (isinstance(stride, int) and stride >= 1):
         raise ValueError("stride must be an integer >= 1")
     keep = list(range(0, record.n_samples, stride))
@@ -46,57 +54,107 @@ def write_trajectory_csv(record: TrajectoryRecord, path, stride: int = 1):
         addresses = [f"{i},,," for i in ids]
     else:
         addresses = [f"{i},{int(lv)},{int(g)}," for i, lv, g in zip(ids, record.levels, record.groups)]
-    row = f"%s%s{_FLOAT_FORMAT},{_FLOAT_FORMAT}\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(CSV_HEADER) + "\n")
         for k in keep:
+            pairs = np.stack([record.centers[k], record.sigmas[k]], axis=1)
+            first, inverse = distinct_rows(pairs)
+            values = [_PAIR_FORMAT % cs for cs in map(tuple, pairs[first].tolist())]
             t = f"{int(record.times[k])},"
-            fh.writelines(
-                row % (t, a, c, s)
-                for a, c, s in zip(addresses, record.centers[k].tolist(), record.sigmas[k].tolist())
-            )
+            fh.writelines(t + a + values[j] for a, j in zip(addresses, inverse.tolist()))
+
+
+def _check_layout(raw: bytes) -> bool:
+    """Check a trajectory CSV's bytes line by line; True for a flat file.
+
+    Every line must be printable ASCII ending in LF and hold exactly six
+    fields; level and group must be empty on every row (flat) or set on every
+    row (addressed).  Raises ValueError naming the first offending line.
+    """
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))  # line k + 1 ends at ends[k]
+    # bytes outside printable ASCII wrap past "~" when shifted down by " "; LF is one of them
+    outside = buf - ord(" ") > ord("~") - ord(" ")
+    if np.count_nonzero(outside) != ends.size:
+        bad = np.flatnonzero(outside & (buf != ord("\n")))[0]
+        line = int(np.searchsorted(ends, bad)) + 1
+        raise ValueError(f"line {line}: unexpected byte {raw[bad:bad + 1]!r}")
+    if not raw.endswith(b"\n"):
+        raise ValueError(f"line {ends.size + 1}: no line end (truncated file?)")
+    commas = np.flatnonzero(buf == ord(","))
+    fields = np.diff(np.searchsorted(commas, ends), prepend=0) + (np.diff(ends, prepend=-1) > 1)
+    wrong = np.flatnonzero(fields != len(CSV_HEADER))
+    if wrong.size:
+        line = int(wrong[0])
+        raise ValueError(f"line {line + 1}: expected {len(CSV_HEADER)} fields, got {fields[line]}")
+    # a level or group field is empty when its two commas are adjacent
+    empty = np.diff(commas.reshape(-1, len(CSV_HEADER) - 1)[1:, 1:4], axis=1) == 1
+    flat, addressed = empty.all(axis=1), ~empty.any(axis=1)
+    mixed = np.flatnonzero(~(flat if flat[0] else addressed))
+    if mixed.size:
+        raise ValueError(
+            f"line {mixed[0] + 2}: level and group must be empty on every row "
+            "(flat) or set on every row (addressed)"
+        )
+    return bool(flat[0])
 
 
 def read_trajectory_csv(path) -> TrajectoryRecord:
-    """Parse a trajectory CSV back into a record (phase annotations are not stored in CSV)."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != CSV_HEADER:
-            raise ValueError(f"unexpected trajectory header {header!r}")
-        rows = list(reader)
-    if not rows:
+    """Parse a trajectory CSV back into a record (phase annotations are not stored in CSV).
+
+    The whole file is checked: see README's "Reading a trajectory back" for
+    what is accepted.  Any malformed input raises ValueError.
+    """
+    raw = Path(path).read_bytes()
+    if not raw.startswith(_HEADER_LINE):
+        header = raw[:80].split(b"\n")[0].decode("ascii", "backslashreplace")
+        raise ValueError(f"unexpected trajectory header {header!r}")
+    if len(raw) == len(_HEADER_LINE):
         raise ValueError("trajectory file has no data rows")
-    if set(map(len, rows)) != {len(CSV_HEADER)}:
-        line, r = next((k, r) for k, r in enumerate(rows, start=2) if len(r) != len(CSV_HEADER))
-        raise ValueError(f"line {line}: expected {len(CSV_HEADER)} fields, got {len(r)}")
-    times = sorted({int(r[0]) for r in rows})
-    agents = sorted({int(r[1]) for r in rows})
-    n = len(agents)
-    if agents != list(range(n)):
+    flat = _check_layout(raw)
+    names = ["t", "agent", "center", "sigma"] if flat else CSV_HEADER
+    rows = np.loadtxt(
+        io.BytesIO(raw),
+        dtype=[(name, np.float64 if name in ("center", "sigma") else np.int64) for name in names],
+        delimiter=",",
+        comments=None,
+        skiprows=1,
+        usecols=(0, 1, 4, 5) if flat else None,
+        ndmin=1,
+    )
+    del raw
+    nan = np.flatnonzero(np.isnan(rows["center"]) | np.isnan(rows["sigma"]))
+    if nan.size:
+        raise ValueError(f"line {nan[0] + 2}: center or sigma is NaN")
+    times, t_row = np.unique(rows["t"], return_inverse=True)
+    agents, a_row = np.unique(rows["agent"], return_inverse=True)
+    n = agents.size
+    if agents[0] != 0 or agents[-1] != n - 1:
         raise ValueError("agent ids must be contiguous from 0")
-    t_index = {t: k for k, t in enumerate(times)}
-    centers = np.full((len(times), n), np.nan)
-    sigmas = np.full((len(times), n), np.nan)
-    levels = np.full(n, -1, dtype=np.intp)
-    groups = np.full(n, -1, dtype=np.intp)
-    has_address = False
-    for r in rows:
-        k, i = t_index[int(r[0])], int(r[1])
-        centers[k, i] = float(r[4])
-        sigmas[k, i] = float(r[5])
-        if r[2] != "":
-            has_address = True
-            levels[i] = int(r[2])
-            groups[i] = int(r[3])
-    if np.isnan(centers).any() or np.isnan(sigmas).any():
+    cell = t_row * n + a_row
+    counts = np.bincount(cell, minlength=times.size * n)
+    if not counts.all():
         raise ValueError("trajectory file is missing some (t, agent) rows")
+    if counts.size != rows.size:
+        raise ValueError("trajectory file repeats some (t, agent) rows")
+    centers = np.empty(counts.size)
+    sigmas = np.empty(counts.size)
+    centers[cell] = rows["center"]
+    sigmas[cell] = rows["sigma"]
+    levels = groups = None
+    if not flat:
+        levels = np.empty(n, dtype=np.intp)
+        groups = np.empty(n, dtype=np.intp)
+        levels[a_row] = rows["level"]
+        groups[a_row] = rows["group"]
+        if (levels[a_row] != rows["level"]).any() or (groups[a_row] != rows["group"]).any():
+            raise ValueError("an agent's level or group differs between rows")
     return TrajectoryRecord(
-        times=np.asarray(times, dtype=np.intp),
-        centers=centers,
-        sigmas=sigmas,
-        levels=levels if has_address else None,
-        groups=groups if has_address else None,
+        times=times.astype(np.intp),
+        centers=centers.reshape(times.size, n),
+        sigmas=sigmas.reshape(times.size, n),
+        levels=levels,
+        groups=groups,
     )
 
 

@@ -118,6 +118,12 @@ class ScenarioConfig:
     seed: int | None = None
 
     def __post_init__(self):
+        # the name becomes the stem of both output files, which must land inside --out
+        if not self.name or self.name.startswith(".") or any(c in self.name for c in "/\\\0"):
+            raise ConfigurationError(
+                f"scenario name must be a plain file stem (not empty, no leading dot, "
+                f"no path separator), got {self.name!r}"
+            )
         if self.kind not in _KINDS:
             raise ConfigurationError(f"unknown scenario kind {self.kind!r}")
         if self.b is None:
@@ -278,6 +284,13 @@ _TOP_KEYS = {
 _INITIAL_KEYS = {"centers", "low", "high", "sigma"}
 
 
+def _integer(value, key: str) -> int:
+    """value if it is a JSON integer; a bool, a float (2.7 or 3.0) or a string names the key."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigurationError(f"key {key!r} must be an integer, got {value!r}")
+    return value
+
+
 def _scenario_from_dict(doc: dict, fallback_name: str) -> ScenarioConfig:
     if not isinstance(doc, dict):
         raise ConfigurationError("scenario document must be a JSON object")
@@ -302,24 +315,29 @@ def _scenario_from_dict(doc: dict, fallback_name: str) -> ScenarioConfig:
     for key in _INITIAL_KEYS:
         if key not in init_doc:
             raise ConfigurationError(f"initial is missing key {key!r}")
-    phases = None
-    if doc.get("phases") is not None:
-        if not isinstance(doc["phases"], list) or not doc["phases"]:
-            raise ConfigurationError("key 'phases' must be a non-empty list")
-        rows = []
-        for row in doc["phases"]:
-            if not isinstance(row, dict) or set(row) != {"d", "steps"}:
-                raise ConfigurationError("each phase needs exactly the keys 'd' and 'steps'")
-            rows.append(Phase(d=float(row["d"]), steps=int(row["steps"])))
-        phases = tuple(rows)
-    group_sizes = None
-    if doc.get("group_sizes") is not None:
-        if not isinstance(doc["group_sizes"], list):
-            raise ConfigurationError("key 'group_sizes' must be a list of integers")
-        group_sizes = tuple(int(s) for s in doc["group_sizes"])
+    # float() and the dataclasses raise TypeError or OverflowError on wrong JSON types
     try:
+        phases = None
+        if doc.get("phases") is not None:
+            if not isinstance(doc["phases"], list) or not doc["phases"]:
+                raise ConfigurationError("key 'phases' must be a non-empty list")
+            rows = []
+            for k, row in enumerate(doc["phases"]):
+                if not isinstance(row, dict) or set(row) != {"d", "steps"}:
+                    raise ConfigurationError("each phase needs exactly the keys 'd' and 'steps'")
+                rows.append(Phase(d=float(row["d"]), steps=_integer(row["steps"], f"phases[{k}].steps")))
+            phases = tuple(rows)
+        name = doc.get("name", fallback_name)
+        if not isinstance(name, str):
+            raise ConfigurationError(f"key 'name' must be a string, got {name!r}")
+        group_sizes = None
+        if doc.get("group_sizes") is not None:
+            if not isinstance(doc["group_sizes"], list):
+                raise ConfigurationError("key 'group_sizes' must be a list of integers")
+            sizes = enumerate(doc["group_sizes"])
+            group_sizes = tuple(_integer(s, f"group_sizes[{k}]") for k, s in sizes)
         return ScenarioConfig(
-            name=str(doc.get("name", fallback_name)),
+            name=name,
             kind=doc["kind"],
             initial=InitialSpec(
                 centers=init_doc["centers"],
@@ -328,16 +346,16 @@ def _scenario_from_dict(doc: dict, fallback_name: str) -> ScenarioConfig:
                 sigma=init_doc["sigma"] if isinstance(init_doc["sigma"], str) else float(init_doc["sigma"]),
             ),
             b=float(doc["b"]) if "b" in doc else None,
-            steps=int(doc["steps"]) if doc.get("steps") is not None else None,
-            n=int(doc["n"]) if doc.get("n") is not None else None,
+            steps=_integer(doc["steps"], "steps") if doc.get("steps") is not None else None,
+            n=_integer(doc["n"], "n") if doc.get("n") is not None else None,
             d=float(doc["d"]) if doc.get("d") is not None else None,
             scheme=doc.get("scheme"),
             leader=float(doc["leader"]) if doc.get("leader") is not None else None,
             group_sizes=group_sizes,
             phases=phases,
-            seed=int(doc["seed"]) if doc.get("seed") is not None else None,
+            seed=_integer(doc["seed"], "seed") if doc.get("seed") is not None else None,
         )
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:
         raise ConfigurationError(f"malformed scenario: {exc}") from exc
 
 

@@ -1,6 +1,10 @@
 """CLI behavior: run/predict/clusters, flags, exit codes, file outputs."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -142,6 +146,30 @@ class TestRunCommand:
         assert not out.exists()
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["../escaped", "a/b", "a\\b", "", ".hidden", "/abs"])
+    def test_name_must_be_a_plain_stem(self, tmp_path, monkeypatch, capsys, name):
+        def no_run(*args, **kwargs):
+            raise AssertionError("simulated a scenario whose name escapes --out")
+
+        monkeypatch.setattr(hfon.cli, "execute_scenario", no_run)
+        src = write_doc(tmp_path, scenario_doc(name=name))
+        out = tmp_path / "out" / "inner"
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["run", src, "--out", str(out)]) == 1
+        assert "plain file stem" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before  # nothing written anywhere
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("n", True), ("n", 3.0), ("steps", 2.7), ("steps", "8"), ("seed", False), ("seed", 1.5)],
+    )
+    def test_integer_keys_are_strict(self, tmp_path, capsys, key, value):
+        src = write_doc(tmp_path, scenario_doc(**{key: value}))
+        out = tmp_path / "out"
+        assert main(["run", src, "--out", str(out)]) == 1
+        assert f"key '{key}' must be an integer, got {value!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_builtin_name(self, tmp_path, capsys):
         assert main(["run", "example9", "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
@@ -271,6 +299,24 @@ class TestParsing:
     def test_unknown_flag(self, tmp_path):
         src = write_doc(tmp_path, scenario_doc())
         assert main(["run", src, "--frobnicate"]) == 1
+
+    @pytest.mark.parametrize("module", ["hfon", "hfon.cli"])
+    def test_python_dash_m(self, tmp_path, module):
+        src = str(Path(hfon.cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        bad = subprocess.run(
+            [sys.executable, "-m", module, "run", "example1-leader", "--tol", "nan", "--out", str(tmp_path / "bad")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert bad.returncode == 1
+        assert "--tol must be finite" in bad.stderr
+        assert not (tmp_path / "bad").exists()
+        ok = subprocess.run(
+            [sys.executable, "-m", module, "run", "example1-leader", "--out", str(tmp_path / "ok"), "--stride", "100"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert ok.returncode == 0, ok.stderr
+        assert (tmp_path / "ok" / "example1-leader.summary.json").is_file()
 
     def test_console_main_raises_system_exit(self, monkeypatch, capsys):
         import sys

@@ -1,0 +1,324 @@
+"""The trajectory CSV reader and writer against the row-by-row versions they replaced.
+
+`reference_read` is the `csv`-module reader that `read_trajectory_csv` used
+to be, and `reference_write` the one-format-per-row writer.  On every file the
+writer produces, in file order or shuffled, the vectorised reader must return
+the reference's record bit for bit, and the writer must produce the
+reference's bytes.  On mutated files the reader must either return the
+reference's record or raise ValueError; it rejects some files the reference
+accepted (see `NEWLY_REJECTED`), never the other way round.
+"""
+
+import csv
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hfon import (
+    LocalReference,
+    NetworkState,
+    TdState,
+    TrajectoryRecord,
+    build_uniform_hierarchy,
+    read_trajectory_csv,
+    run_bcfon,
+    run_td,
+    write_trajectory_csv,
+)
+
+HEADER = ["t", "agent", "level", "group", "center", "sigma"]
+
+
+def reference_read(path) -> TrajectoryRecord:
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != HEADER:
+            raise ValueError(f"unexpected trajectory header {header!r}")
+        rows = list(reader)
+    if not rows:
+        raise ValueError("trajectory file has no data rows")
+    if set(map(len, rows)) != {len(HEADER)}:
+        line, r = next((k, r) for k, r in enumerate(rows, start=2) if len(r) != len(HEADER))
+        raise ValueError(f"line {line}: expected {len(HEADER)} fields, got {len(r)}")
+    times = sorted({int(r[0]) for r in rows})
+    agents = sorted({int(r[1]) for r in rows})
+    n = len(agents)
+    if agents != list(range(n)):
+        raise ValueError("agent ids must be contiguous from 0")
+    t_index = {t: k for k, t in enumerate(times)}
+    centers = np.full((len(times), n), np.nan)
+    sigmas = np.full((len(times), n), np.nan)
+    levels = np.full(n, -1, dtype=np.intp)
+    groups = np.full(n, -1, dtype=np.intp)
+    has_address = False
+    for r in rows:
+        k, i = t_index[int(r[0])], int(r[1])
+        centers[k, i] = float(r[4])
+        sigmas[k, i] = float(r[5])
+        if r[2] != "":
+            has_address = True
+            levels[i] = int(r[2])
+            groups[i] = int(r[3])
+    if np.isnan(centers).any() or np.isnan(sigmas).any():
+        raise ValueError("trajectory file is missing some (t, agent) rows")
+    return TrajectoryRecord(
+        times=np.asarray(times, dtype=np.intp),
+        centers=centers,
+        sigmas=sigmas,
+        levels=levels if has_address else None,
+        groups=groups if has_address else None,
+    )
+
+
+def reference_write(record, stride=1) -> bytes:
+    keep = list(range(0, record.n_samples, stride))
+    if keep[-1] != record.n_samples - 1:
+        keep.append(record.n_samples - 1)
+    lines = [",".join(HEADER)]
+    for k in keep:
+        for i in range(record.n_agents):
+            address = "," if record.levels is None else f"{record.levels[i]},{record.groups[i]}"
+            lines.append("%d,%d,%s,%.17g,%.17g" % (
+                record.times[k], i, address, record.centers[k, i], record.sigmas[k, i]))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def assert_same_record(got, expected):
+    for name in ("times", "centers", "sigmas", "levels", "groups"):
+        a, b = getattr(got, name), getattr(expected, name)
+        if b is None:
+            assert a is None, name
+        else:
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
+
+
+def flat_record():
+    state = NetworkState([0.0, -0.0, 1.0, 5.0, 5.0], [1.0, 1.0, 0.5, 2.0, 2.0], 0.5, 0.3)
+    return run_bcfon(state, 7)
+
+
+def tree_record():
+    spec = build_uniform_hierarchy((2, 2), 10.0)
+    td = TdState(spec, NetworkState([0.0, 1.0, 2.0, 3.0, 4.0, 5.0], [1.0] * 6, 0.0, 0.1))
+    return run_td(td, 5, LocalReference())
+
+
+RECORDS = {"flat": flat_record(), "tree": tree_record()}
+
+
+@pytest.fixture(scope="module")
+def work_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv")
+
+
+def read_both(path):
+    """(reference record or None if it raised, new record or None if it raised ValueError)."""
+    try:
+        expected = reference_read(path)
+    except Exception:  # the old reader also failed with UnicodeDecodeError, OverflowError, ...
+        expected = None
+    try:
+        got = read_trajectory_csv(path)
+    except ValueError:
+        got = None
+    return expected, got
+
+
+class TestEquivalence:
+    @pytest.mark.parametrize("kind", sorted(RECORDS))
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_writer_output(self, work_dir, kind, stride):
+        record = RECORDS[kind]
+        path = work_dir / f"{kind}-{stride}.csv"
+        write_trajectory_csv(record, path, stride=stride)
+        assert path.read_bytes() == reference_write(record, stride)
+        got = read_trajectory_csv(path)
+        assert_same_record(got, reference_read(path))
+        if stride == 1:
+            assert_same_record(got, TrajectoryRecord(record.times, record.centers, record.sigmas,
+                                                     record.levels, record.groups))
+
+    @pytest.mark.parametrize("kind", sorted(RECORDS))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_shuffled_rows(self, work_dir, kind, seed):
+        path = work_dir / f"{kind}-shuffled.csv"
+        write_trajectory_csv(RECORDS[kind], path, stride=2)
+        header, *rows = path.read_bytes().splitlines(keepends=True)
+        np.random.default_rng(seed).shuffle(rows)
+        path.write_bytes(header + b"".join(rows))
+        assert_same_record(read_trajectory_csv(path), reference_read(path))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        steps=st.integers(1, 4),
+        n=st.integers(1, 5),
+        stride=st.integers(1, 3),
+    )
+    def test_round_trip_of_any_doubles(self, work_dir, data, steps, n, stride):
+        # signed zeros, subnormals, huge and infinite values all survive the
+        # writer's per-state formatting and the reader's parse
+        value = st.sampled_from([0.0, -0.0, 5e-324, 1.0, 1e308, float("inf"), -float("inf")]) | st.floats(
+            allow_nan=False)
+        grid = st.lists(st.lists(value, min_size=n, max_size=n), min_size=steps + 1, max_size=steps + 1)
+        record = TrajectoryRecord(
+            times=np.arange(steps + 1, dtype=np.intp),
+            centers=np.array(data.draw(grid), dtype=np.float64),
+            sigmas=np.array(data.draw(grid), dtype=np.float64),
+        )
+        path = work_dir / "any.csv"
+        write_trajectory_csv(record, path, stride=stride)
+        assert path.read_bytes() == reference_write(record, stride)
+        assert_same_record(read_trajectory_csv(path), reference_read(path))
+
+
+def _edit_line(line_no, edit):
+    """Apply edit to the bytes of one line (1-based, header is line 1)."""
+
+    def mutate(raw):
+        lines = raw.split(b"\n")
+        lines[line_no - 1] = edit(lines[line_no - 1])
+        return b"\n".join(lines)
+
+    return mutate
+
+
+# inputs the csv-based reader accepted and the vectorised reader rejects, with
+# the message it gives
+NEWLY_REJECTED = {
+    "quoted field": (_edit_line(3, lambda s: b'"' + s.replace(b",", b'",', 1)), "could not convert"),
+    "quoted header": (_edit_line(1, lambda s: b'"t"' + s[1:]), "header"),
+    "CRLF line ends": (lambda raw: raw.replace(b"\n", b"\r\n"), "header"),
+    "CR on a data line": (_edit_line(3, lambda s: s + b"\r"), "unexpected byte"),
+    "no final line end": (lambda raw: raw[:-1], "no line end"),
+    "non-ASCII digit": (_edit_line(3, lambda s: "\u0660".encode() + s[1:]), "unexpected byte"),
+    "tab before a number": (_edit_line(3, lambda s: b"\t" + s), "unexpected byte"),
+    "duplicate row": (lambda raw: raw + raw.split(b"\n")[2] + b"\n", "repeats"),
+    "mixed flat and addressed rows": (_edit_line(3, lambda s: s.replace(b",,,", b",1,0,", 1)), "level and group"),
+    "group without level": (_edit_line(3, lambda s: s.replace(b",,,", b",,1,", 1)), "level and group"),
+}
+
+
+class TestRejections:
+    @pytest.mark.parametrize("case", sorted(NEWLY_REJECTED))
+    def test_newly_rejected(self, work_dir, case):
+        mutate, message = NEWLY_REJECTED[case]
+        path = work_dir / "case.csv"
+        write_trajectory_csv(RECORDS["flat"], path)
+        path.write_bytes(mutate(path.read_bytes()))
+        reference_read(path)  # accepted before
+        with pytest.raises(ValueError, match=message):
+            read_trajectory_csv(path)
+
+    def test_inconsistent_address(self, work_dir):
+        path = work_dir / "moved.csv"
+        write_trajectory_csv(RECORDS["tree"], path)
+        raw = path.read_bytes().split(b"\n")
+        last = raw[-2].split(b",")
+        last[2] = b"7"
+        raw[-2] = b",".join(last)
+        path.write_bytes(b"\n".join(raw))
+        reference_read(path)  # took the last row's level
+        with pytest.raises(ValueError, match="level or group differs"):
+            read_trajectory_csv(path)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            (b"", "line 3: expected 6 fields, got 0"),
+            (b"1,0,,,1.5", "line 3: expected 6 fields, got 5"),
+            (b"1,0,,,1.5,1,", "line 3: expected 6 fields, got 7"),
+            (b"1,0,,,nan,1", "line 3: center or sigma is NaN"),
+            (b"1.0,0,,,1,1", "could not convert string '1.0' to int64"),
+            (b"99999999999999999999,0,,,1,1", "could not convert"),
+            (b"#1,0,,,1,1", "could not convert"),
+            (b"1,0,,,1,1\xff", "line 3: unexpected byte"),
+        ],
+    )
+    def test_bad_row(self, work_dir, row, message):
+        path = work_dir / "bad.csv"
+        path.write_bytes(b"t,agent,level,group,center,sigma\n0,0,,,1,1\n" + row + b"\n")
+        with pytest.raises(ValueError, match=message):
+            read_trajectory_csv(path)
+        with pytest.raises(Exception):
+            reference_read(path)
+
+
+_MUTATIONS = st.sampled_from(
+    [
+        b"",
+        b"\n",
+        b",",
+        b'"',
+        b"#",
+        b"\r",
+        b"\r\n",
+        b" ",
+        b"\xff",
+        b"\x85",
+        b"\xa0",
+        b"\x00",
+        "\u0663".encode(),
+        b"nan",
+        b"inf",
+        b"-",
+        b"+",
+        b".",
+        b"e",
+        b"0",
+        b"9",
+        b"99999999999999999999",
+        b"-9223372036854775809",
+    ]
+)
+
+
+@st.composite
+def mutated_csv(draw):
+    record = RECORDS[draw(st.sampled_from(sorted(RECORDS)))]
+    raw = reference_write(record, draw(st.integers(1, 3)))
+    for _ in range(draw(st.integers(1, 4))):
+        lines = raw.split(b"\n")
+        op = draw(st.sampled_from(["insert", "replace", "truncate", "duplicate", "drop", "swap", "field"]))
+        if op == "insert":
+            pos = draw(st.integers(0, len(raw)))
+            raw = raw[:pos] + draw(_MUTATIONS | st.binary(min_size=1, max_size=3)) + raw[pos:]
+        elif op == "replace":
+            pos = draw(st.integers(0, max(len(raw) - 1, 0)))
+            end = draw(st.integers(pos, min(len(raw), pos + 4)))
+            raw = raw[:pos] + draw(_MUTATIONS) + raw[end:]
+        elif op == "truncate":
+            raw = raw[: draw(st.integers(0, len(raw)))]
+        elif op == "duplicate":
+            k = draw(st.integers(0, len(lines) - 1))
+            raw = b"\n".join(lines[:k + 1] + [lines[k]] + lines[k + 1:])
+        elif op == "drop":
+            k = draw(st.integers(0, len(lines) - 1))
+            raw = b"\n".join(lines[:k] + lines[k + 1:])
+        elif op == "swap":
+            i, j = draw(st.integers(0, len(lines) - 1)), draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+            raw = b"\n".join(lines)
+        else:  # rewrite one field of one line
+            k = draw(st.integers(0, len(lines) - 1))
+            fields = lines[k].split(b",")
+            f = draw(st.integers(0, len(fields) - 1))
+            fields[f] = draw(_MUTATIONS | st.integers(-(2**70), 2**70).map(lambda v: str(v).encode()))
+            lines[k] = b",".join(fields)
+            raw = b"\n".join(lines)
+    return raw
+
+
+@settings(max_examples=400, deadline=None)
+@given(raw=mutated_csv())
+def test_mutated_csv_is_read_as_before_or_rejected(work_dir, raw):
+    path = work_dir / "fuzz.csv"
+    path.write_bytes(raw)
+    expected, got = read_both(path)  # anything but ValueError escapes and fails the test
+    if got is not None:
+        assert expected is not None, "accepted a file the csv-based reader rejected"
+        assert_same_record(got, expected)

@@ -1,9 +1,12 @@
 """Scenario configs: initials, validation, JSON files, built-ins, execution dispatch."""
 
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hfon import (
     ConfigurationError,
@@ -16,6 +19,7 @@ from hfon import (
     ramp_initials,
     seeded_initials,
 )
+from hfon.scenarios import _scenario_from_dict
 
 BUILTIN_NAMES = [
     "example1-leader",
@@ -222,6 +226,27 @@ class TestParseScenario:
         with pytest.raises(ConfigurationError, match=fragment):
             parse_scenario(path)
 
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            ({"kind": "topdown", "group_sizes": [3, True], "n": None}, "group_sizes[1]"),
+            ({"kind": "topdown", "group_sizes": [3, 2.5], "n": None}, "group_sizes[1]"),
+            ({"kind": "bottomup", "phases": [{"d": 0.5, "steps": 2}, {"d": 0.2, "steps": 1.5}],
+              "d": None, "steps": None}, "phases[1].steps"),
+        ],
+    )
+    def test_integer_lists_are_strict(self, tmp_path, overrides, key):
+        doc = {k: v for k, v in small_blfg_doc(**overrides).items() if v is not None}
+        path = write_scenario(tmp_path, doc)
+        with pytest.raises(ConfigurationError, match=rf"key '{re.escape(key)}' must be an integer"):
+            parse_scenario(path)
+
+    @pytest.mark.parametrize("name", [123, None])
+    def test_name_must_be_a_string(self, tmp_path, name):
+        path = write_scenario(tmp_path, small_blfg_doc(name=name))
+        with pytest.raises(ConfigurationError, match="'name' must be a string"):
+            parse_scenario(path)
+
     def test_malformed_phases(self, tmp_path):
         doc = {
             "schema_version": 1,
@@ -238,6 +263,39 @@ class TestParseScenario:
         path = write_scenario(tmp_path, doc)
         with pytest.raises(ConfigurationError, match="phases"):
             parse_scenario(path)
+
+
+_JSON_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers(-(10**30), 10**400) | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=5,
+)
+_KEYS = st.sampled_from(sorted(
+    {"schema_version", "name", "kind", "n", "steps", "d", "b", "scheme", "leader",
+     "group_sizes", "phases", "initial", "seed"}))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(["blfg", "bcfon", "topdown", "bottomup"]),
+    edits=st.lists(st.tuples(_KEYS, _JSON_VALUE), max_size=3),
+)
+def test_any_json_values_give_a_config_or_a_value_error(kind, edits):
+    # ValueError covers ConfigurationError: the CLI exits 1 on both and 3 on
+    # anything else, such as OverflowError from a huge integer in a float key
+    doc = small_blfg_doc(kind=kind)
+    for key, value in edits:
+        doc[key] = value
+    try:
+        _scenario_from_dict(doc, "fallback")
+    except ValueError:
+        pass
+
+
+def test_huge_integer_float_key_is_malformed(tmp_path):
+    path = write_scenario(tmp_path, small_blfg_doc(d=10**400))
+    with pytest.raises(ConfigurationError, match="malformed scenario"):
+        parse_scenario(path)
 
 
 class TestExecute:
