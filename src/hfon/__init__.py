@@ -9,15 +9,9 @@ bottom-up emergence under falling confidence thresholds.
 
 from .errors import AddressError, ConfigurationError
 from .opinions import (
-    AgentParams,
-    FuzzyOpinion,
     NetworkState,
-    closeness,
     closeness_matrix,
-    confidence_weights,
-    membership,
     neighbor_mask,
-    neighbor_set,
 )
 from .engine import (
     ExternalReference,
@@ -70,7 +64,6 @@ from .scenarios import (
     execute_scenario,
     parse_scenario,
     ramp_initials,
-    seeded_initials,
 )
 from .output import (
     build_summary,
@@ -84,13 +77,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AddressError",
-    "AgentParams",
     "BlfgConfig",
     "ClusterReport",
     "ConfigurationError",
     "ConsensusReport",
     "ExternalReference",
-    "FuzzyOpinion",
     "GroupSigmaRow",
     "HierarchySpec",
     "InitialSpec",
@@ -108,9 +99,7 @@ __all__ = [
     "build_summary",
     "build_uniform_hierarchy",
     "builtin_scenarios",
-    "closeness",
     "closeness_matrix",
-    "confidence_weights",
     "detect_consensus_partition",
     "detect_consensus_time",
     "distinct_state_counts",
@@ -119,9 +108,7 @@ __all__ = [
     "group_sigma_report",
     "convergence_conditions",
     "leader_weight_matrix",
-    "membership",
     "neighbor_mask",
-    "neighbor_set",
     "parse_scenario",
     "phase_summary",
     "predict_center",
@@ -134,7 +121,6 @@ __all__ = [
     "run_bu",
     "run_td",
     "saturated_closure",
-    "seeded_initials",
     "step_bcfon",
     "step_blfg",
     "step_td",

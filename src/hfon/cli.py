@@ -12,14 +12,10 @@ import sys
 from pathlib import Path
 
 from .errors import AddressError, ConfigurationError
-from .engine import _default_gap, detect_consensus_partition
-from .output import (
-    build_summary,
-    format_prediction_lines,
-    read_trajectory_csv,
-    write_summary_json,
-    write_trajectory_csv,
-)
+from .engine import _default_gap
+from .leader import predict_center, predict_sigma_leader_ref, predict_sigma_limit, steps_to_error_fraction
+from .output import build_summary, read_trajectory_csv, write_summary_json, write_trajectory_csv
+from .phases import _cluster_report
 from .scenarios import builtin_scenarios, execute_scenario, parse_scenario
 
 
@@ -96,11 +92,21 @@ def _run_command(args) -> int:
     return 0
 
 
+def _fmt(x: float) -> str:
+    return "%.17g" % x
+
+
 def _predict_command(args) -> int:
-    for line in format_prediction_lines(
-        args.n, args.epsilon, args.center, args.sigma, args.leader, args.b, args.t_offset
-    ):
-        print(line)
+    """Closed-form predictions only, no simulation."""
+    n, center, sigma, leader, b, t = args.n, args.center, args.sigma, args.leader, args.b, args.t_offset
+    print(f"steps_to_error_fraction(n={n}, epsilon={_fmt(args.epsilon)}): "
+          f"{_fmt(steps_to_error_fraction(n, args.epsilon))}")
+    if center is not None and leader is not None:
+        print(f"predicted_center(t_offset={t}): {_fmt(predict_center(center, leader, n, t))}")
+        if sigma is not None and b is not None:
+            print(f"predicted_sigma_leader_ref(t_offset={t}): "
+                  f"{_fmt(predict_sigma_leader_ref(sigma, center, leader, n, b, t))}")
+            print(f"sigma_limit: {_fmt(predict_sigma_limit(sigma, center, leader, n, b))}")
     return 0
 
 
@@ -108,11 +114,10 @@ def _clusters_command(args) -> int:
     _check_nonnegative(args.gap, "--gap")
     record = read_trajectory_csv(args.trajectory)
     gap = _default_gap(record) if args.gap is None else args.gap
-    blocks = detect_consensus_partition(record.centers[-1], gap)
-    final = record.centers[-1]
-    print(f"t={int(record.times[-1])} clusters={len(blocks)} gap={gap!r}")
-    for ids in blocks:
-        print(f"center={float(final[ids].mean())!r} size={ids.size}")
+    report = _cluster_report(record, -1, gap)
+    print(f"t={report.t_end} clusters={report.cluster_count} gap={gap!r}")
+    for center, size in zip(report.representatives, report.cluster_sizes):
+        print(f"center={center!r} size={size}")
     return 0
 
 

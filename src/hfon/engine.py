@@ -133,12 +133,19 @@ class TrajectoryRecord:
         )
 
 
-def _allocate(initial: NetworkState, steps: int):
-    centers = np.empty((steps + 1, initial.n), dtype=np.float64)
-    sigmas = np.empty((steps + 1, initial.n), dtype=np.float64)
-    centers[0] = initial.centers
-    sigmas[0] = initial.sigmas
-    return centers, sigmas
+def _run(step, state: NetworkState, steps: int, t0: int = 0) -> TrajectoryRecord:
+    """Trajectory of state = step(state, t) for t = t0 .. t0 + steps - 1, initial state included."""
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
+    centers = np.empty((steps + 1, state.n), dtype=np.float64)
+    sigmas = np.empty((steps + 1, state.n), dtype=np.float64)
+    centers[0] = state.centers
+    sigmas[0] = state.sigmas
+    for k in range(steps):
+        state = step(state, t0 + k)
+        centers[k + 1] = state.centers
+        sigmas[k + 1] = state.sigmas
+    return TrajectoryRecord(times=np.arange(t0, t0 + steps + 1), centers=centers, sigmas=sigmas)
 
 
 def run_bcfon(
@@ -148,15 +155,7 @@ def run_bcfon(
     t0: int = 0,
 ) -> TrajectoryRecord:
     """Trajectory of `steps` synchronous updates, initial state included."""
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
-    centers, sigmas = _allocate(initial, steps)
-    state = initial
-    for k in range(steps):
-        state = step_bcfon(state, scheme, t0 + k)
-        centers[k + 1] = state.centers
-        sigmas[k + 1] = state.sigmas
-    return TrajectoryRecord(times=np.arange(t0, t0 + steps + 1), centers=centers, sigmas=sigmas)
+    return _run(lambda state, t: step_bcfon(state, scheme, t), initial, steps, t0)
 
 
 def steps_to_target(record: TrajectoryRecord, target: float, fraction: float = 0.01) -> int | None:

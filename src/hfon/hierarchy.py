@@ -16,7 +16,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import AddressError, ConfigurationError
-from .engine import ReferenceScheme, TrajectoryRecord
+from .engine import ReferenceScheme, TrajectoryRecord, _run
 from .leader import _check_group_scheme, _check_group_thresholds, group_update
 from .opinions import NetworkState
 
@@ -150,24 +150,12 @@ def step_td(td: TdState, scheme: ReferenceScheme) -> TdState:
 
 def run_td(initial: TdState, steps: int, scheme: ReferenceScheme) -> TrajectoryRecord:
     """Trajectory of all tree agents; columns follow the flattened layout."""
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
     _check_group_scheme(scheme)
     _check_group_thresholds(initial.state.d)
-    n = initial.state.n
-    centers = np.empty((steps + 1, n), dtype=np.float64)
-    sigmas = np.empty((steps + 1, n), dtype=np.float64)
-    centers[0] = initial.state.centers
-    sigmas[0] = initial.state.sigmas
-    td = initial
-    for k in range(steps):
-        td = step_td(td, scheme)
-        centers[k + 1] = td.state.centers
-        sigmas[k + 1] = td.state.sigmas
-    levels, groups = initial.spec.agent_addresses()
-    return TrajectoryRecord(
-        times=np.arange(steps + 1), centers=centers, sigmas=sigmas, levels=levels, groups=groups
-    )
+    spec = initial.spec
+    record = _run(lambda state, t: step_td(TdState(spec, state), scheme).state, initial.state, steps)
+    record.levels, record.groups = spec.agent_addresses()
+    return record
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import ConfigurationError
-from .engine import LeaderReference, LocalReference, ReferenceScheme, TrajectoryRecord, _allocate
+from .engine import LeaderReference, LocalReference, ReferenceScheme, TrajectoryRecord, _run
 from .opinions import NetworkState, distinct_agents, neighbor_mask, neighborhood_sums
 
 
@@ -104,18 +104,10 @@ def step_blfg(state: NetworkState, leader_center: float, scheme: ReferenceScheme
 
 def run_blfg(initial: NetworkState, config: BlfgConfig, steps: int) -> TrajectoryRecord:
     """Follower trajectory over `steps` updates; the exogenous leader is not recorded."""
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
     if initial.n != config.n:
         raise ConfigurationError(f"config expects {config.n} followers, state has {initial.n}")
     _check_group_thresholds(initial.d)
-    centers, sigmas = _allocate(initial, steps)
-    state = initial
-    for k in range(steps):
-        state = step_blfg(state, config.leader_at(k), config.scheme)
-        centers[k + 1] = state.centers
-        sigmas[k + 1] = state.sigmas
-    return TrajectoryRecord(times=np.arange(steps + 1), centers=centers, sigmas=sigmas)
+    return _run(lambda state, t: step_blfg(state, config.leader_at(t), config.scheme), initial, steps)
 
 
 @dataclass(frozen=True)

@@ -8,11 +8,7 @@ similarity that shrinks with center distance and grows with shared uncertainty.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from .errors import AddressError
 
 
 def _as_float_vector(values, name: str) -> np.ndarray:
@@ -22,39 +18,6 @@ def _as_float_vector(values, name: str) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must contain only finite values")
     return arr
-
-
-@dataclass(frozen=True)
-class FuzzyOpinion:
-    """One agent's opinion: center (the opinion itself) and sigma (uncertainty)."""
-
-    center: float
-    sigma: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.center):
-            raise ValueError("center must be finite")
-        if not (np.isfinite(self.sigma) and self.sigma >= 0.0):
-            raise ValueError("sigma must be finite and non-negative")
-
-
-@dataclass(frozen=True)
-class AgentParams:
-    """Per-agent confidence threshold d and uncertainty gain b.
-
-    d in [0, 1]: an agent listens to opinions whose closeness is at least d.
-    b > 0: how strongly disagreement with the agent's reference feeds back
-    into its uncertainty.
-    """
-
-    d: float
-    b: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.d) and 0.0 <= self.d <= 1.0):
-            raise ValueError("confidence threshold d must lie in [0, 1]")
-        if not (np.isfinite(self.b) and self.b > 0.0):
-            raise ValueError("uncertainty gain b must be positive")
 
 
 class NetworkState:
@@ -87,71 +50,17 @@ class NetworkState:
     def n(self) -> int:
         return self.centers.shape[0]
 
-    def opinion(self, i: int) -> FuzzyOpinion:
-        self._check_id(i)
-        return FuzzyOpinion(float(self.centers[i]), float(self.sigmas[i]))
-
-    def params(self, i: int) -> AgentParams:
-        self._check_id(i)
-        return AgentParams(float(self.d[i]), float(self.b[i]))
-
-    def _check_id(self, i: int):
-        if not (isinstance(i, (int, np.integer)) and 0 <= i < self.n):
-            raise AddressError(f"agent id {i!r} out of range for {self.n} agents")
-
-    @classmethod
-    def from_opinions(cls, opinions, params) -> "NetworkState":
-        """Build a state from FuzzyOpinion and AgentParams sequences of equal length."""
-        opinions = list(opinions)
-        params = list(params)
-        if len(params) != len(opinions):
-            raise ValueError("need exactly one AgentParams per opinion")
-        return cls(
-            [o.center for o in opinions],
-            [o.sigma for o in opinions],
-            [p.d for p in params],
-            [p.b for p in params],
-        )
-
     def __repr__(self):
         return f"NetworkState(n={self.n})"
 
 
-def membership(opinion: FuzzyOpinion, x):
-    """Degree in [0, 1] to which value x agrees with the opinion.
-
-    exp(-((x - center) / sigma)^2).  A zero-sigma opinion accepts exactly its
-    own center and nothing else.  Accepts scalars or arrays for x.
-    """
-    xa = np.asarray(x, dtype=np.float64)
-    if opinion.sigma == 0.0:
-        out = np.where(xa == opinion.center, 1.0, 0.0)
-    else:
-        # the ratio may overflow to inf for tiny sigma; exp(-inf) = 0 is the right limit
-        with np.errstate(over="ignore"):
-            out = np.exp(-np.square((xa - opinion.center) / opinion.sigma))
-    return float(out) if out.ndim == 0 else out
-
-
-def closeness(a: FuzzyOpinion, b: FuzzyOpinion) -> float:
-    """Similarity of two opinions in [0, 1].
-
-    exp(-((center_a - center_b) / (sigma_a + sigma_b))^2): equal centers give 1,
-    and more shared uncertainty makes the same center gap more forgivable.
-    Two zero-sigma opinions agree fully at the same center and not at all otherwise.
-    """
-    ssum = a.sigma + b.sigma
-    if ssum == 0.0:
-        return 1.0 if a.center == b.center else 0.0
-    with np.errstate(over="ignore"):
-        return float(np.exp(-np.square((a.center - b.center) / ssum)))
-
-
 def closeness_matrix(centers, sigmas, col_centers=None, col_sigmas=None) -> np.ndarray:
-    """Closeness of every row agent to every column agent over the last axis.
+    """Closeness exp(-((c_i - c_j) / (s_i + s_j))^2) of every row agent i to every column agent j.
 
-    Rows (..., m) against columns (..., n) give (..., m, n).  The columns
-    default to the rows, which gives a symmetric unit-diagonal (..., n, n).
+    Works over the last axis: rows (..., m) against columns (..., n) give
+    (..., m, n).  The columns default to the rows, which gives a symmetric
+    unit-diagonal (..., n, n).  A zero-sigma column j gives row i's
+    membership degree of the crisp value c_j.
     """
     if col_centers is None:
         col_centers, col_sigmas = centers, sigmas
@@ -217,20 +126,3 @@ def neighbor_mask(centers: np.ndarray, sigmas: np.ndarray, d: np.ndarray) -> np.
     always qualifies because closeness(i, i) = 1 >= d_i.
     """
     return closeness_matrix(centers, sigmas) >= np.asarray(d, dtype=np.float64)[:, None]
-
-
-def neighbor_set(state: NetworkState, i: int) -> np.ndarray:
-    """Ids of the agents i listens to, ascending; always contains i."""
-    state._check_id(i)
-    return np.nonzero(neighbor_mask(state.centers, state.sigmas, state.d)[i])[0]
-
-
-def confidence_weights(state: NetworkState, i: int) -> np.ndarray:
-    """Agent i's averaging weights: equal on its neighbor set, zero elsewhere.
-
-    The returned length-n vector sums to 1.
-    """
-    ids = neighbor_set(state, i)
-    w = np.zeros(state.n, dtype=np.float64)
-    w[ids] = 1.0 / ids.size
-    return w

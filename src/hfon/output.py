@@ -10,19 +10,19 @@ from __future__ import annotations
 
 import io
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 
-from .engine import TrajectoryRecord, _default_gap, detect_consensus_partition, steps_to_target
+from .engine import TrajectoryRecord, steps_to_target
 from .leader import (
     detect_consensus_time,
     predict_sigma_leader_ref,
     predict_sigma_limit,
-    steps_to_error_fraction,
 )
 from .opinions import distinct_rows
-from .phases import phase_summary
+from .phases import ClusterReport, _cluster_report, phase_summary
 from .scenarios import SCHEMA_VERSION, ScenarioRun
 
 CSV_HEADER = ["t", "agent", "level", "group", "center", "sigma"]
@@ -31,10 +31,6 @@ _HEADER_LINE = (",".join(CSV_HEADER) + "\n").encode()
 # enough significant digits that parsing the text reproduces the exact double
 _FLOAT_FORMAT = "%.17g"
 _PAIR_FORMAT = f"{_FLOAT_FORMAT},{_FLOAT_FORMAT}\n"
-
-
-def _fmt(x: float) -> str:
-    return _FLOAT_FORMAT % x
 
 
 def write_trajectory_csv(record: TrajectoryRecord, path, stride: int = 1):
@@ -113,15 +109,22 @@ def read_trajectory_csv(path) -> TrajectoryRecord:
         raise ValueError("trajectory file has no data rows")
     flat = _check_layout(raw)
     names = ["t", "agent", "center", "sigma"] if flat else CSV_HEADER
-    rows = np.loadtxt(
-        io.BytesIO(raw),
-        dtype=[(name, np.float64 if name in ("center", "sigma") else np.int64) for name in names],
-        delimiter=",",
-        comments=None,
-        skiprows=1,
-        usecols=(0, 1, 4, 5) if flat else None,
-        ndmin=1,
-    )
+    try:
+        rows = np.loadtxt(
+            io.BytesIO(raw),
+            dtype=[(name, np.float64 if name in ("center", "sigma") else np.int64) for name in names],
+            delimiter=",",
+            comments=None,
+            skiprows=1,
+            usecols=(0, 1, 4, 5) if flat else None,
+            ndmin=1,
+        )
+    except ValueError as exc:
+        # loadtxt counts data rows from 0 and the file's columns from 1
+        where = re.fullmatch(r"(.*) at row (\d+), column (\d+)\.", str(exc))
+        if where is None:
+            raise
+        raise ValueError(f"line {int(where[2]) + 2}, field {where[3]}: {where[1]}") from exc
     del raw
     nan = np.flatnonzero(np.isnan(rows["center"]) | np.isnan(rows["sigma"]))
     if nan.size:
@@ -218,22 +221,17 @@ def _group_tracking_checks(record: TrajectoryRecord, leader: float, scheme: str,
     return consensus, checks
 
 
-def _final_cluster_report(record: TrajectoryRecord, gap: float | None) -> list[dict]:
-    gap = _default_gap(record) if gap is None else gap
-    clusters = detect_consensus_partition(record.centers[-1], gap)
-    final_sigmas = record.sigmas[-1]
-    return [
-        {
-            "phase": None,
-            "d": None,
-            "t_end": int(record.times[-1]),
-            "count": len(clusters),
-            "representatives": [float(record.centers[-1][ids].mean()) for ids in clusters],
-            "sizes": [int(ids.size) for ids in clusters],
-            "mean_sigma": float(final_sigmas.mean()),
-            "max_sigma": float(final_sigmas.max()),
-        }
-    ]
+def _cluster_dict(report: ClusterReport) -> dict:
+    return {
+        "phase": report.phase,
+        "d": report.d,
+        "t_end": report.t_end,
+        "count": report.cluster_count,
+        "representatives": list(report.representatives),
+        "sizes": list(report.cluster_sizes),
+        "mean_sigma": report.mean_sigma,
+        "max_sigma": report.max_sigma,
+    }
 
 
 def build_summary(run: ScenarioRun, gap: float | None = None, tol: float | None = None) -> dict:
@@ -264,21 +262,9 @@ def build_summary(run: ScenarioRun, gap: float | None = None, tol: float | None 
         checks.append(_check("max_group_sigma_spread_final", 0.0, spread, 1e-9))
         target_steps = steps_to_target(run.record, config.leader)
     elif config.kind == "bottomup":
-        clusters = [
-            {
-                "phase": r.phase,
-                "d": r.d,
-                "t_end": r.t_end,
-                "count": r.cluster_count,
-                "representatives": list(r.representatives),
-                "sizes": list(r.cluster_sizes),
-                "mean_sigma": r.mean_sigma,
-                "max_sigma": r.max_sigma,
-            }
-            for r in phase_summary(run.record, gap)
-        ]
+        clusters = [_cluster_dict(r) for r in phase_summary(run.record, gap)]
     else:  # bcfon
-        clusters = _final_cluster_report(run.record, gap)
+        clusters = [_cluster_dict(_cluster_report(run.record, -1, gap))]
     summary = {
         "schema_version": SCHEMA_VERSION,
         "scenario": config.echo(),
@@ -293,26 +279,3 @@ def build_summary(run: ScenarioRun, gap: float | None = None, tol: float | None 
 
 def write_summary_json(summary: dict, path):
     Path(path).write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
-
-
-def format_prediction_lines(n: int, epsilon: float, center: float | None, sigma: float | None,
-                            leader: float | None, b: float | None, t_offset: int) -> list[str]:
-    """Text lines for the predict command; closed forms only, no simulation."""
-    from .leader import predict_center  # local import keeps module load light
-
-    lines = [f"steps_to_error_fraction(n={n}, epsilon={_fmt(epsilon)}): "
-             f"{_fmt(steps_to_error_fraction(n, epsilon))}"]
-    if center is not None and leader is not None:
-        lines.append(
-            f"predicted_center(t_offset={t_offset}): "
-            f"{_fmt(predict_center(center, leader, n, t_offset))}"
-        )
-        if sigma is not None and b is not None:
-            lines.append(
-                f"predicted_sigma_leader_ref(t_offset={t_offset}): "
-                f"{_fmt(predict_sigma_leader_ref(sigma, center, leader, n, b, t_offset))}"
-            )
-            lines.append(
-                f"sigma_limit: {_fmt(predict_sigma_limit(sigma, center, leader, n, b))}"
-            )
-    return lines

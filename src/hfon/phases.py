@@ -18,6 +18,7 @@ from .engine import (
     PhaseSpan,
     TrajectoryRecord,
     _default_gap,
+    _run,
     detect_consensus_partition,
     step_bcfon,
 )
@@ -66,39 +67,57 @@ def run_bu(initial: NetworkState, schedule: PhaseSchedule) -> TrajectoryRecord:
     first state of each phase is exactly the last state of the previous one.
     """
     scheme = LocalReference()
-    centers = np.empty((schedule.total_steps + 1, initial.n), dtype=np.float64)
-    sigmas = np.empty((schedule.total_steps + 1, initial.n), dtype=np.float64)
-    centers[0] = initial.centers
-    sigmas[0] = initial.sigmas
-    spans: list[PhaseSpan] = []
-    state = initial
-    t = 0
+    spans, t = [], 0
     for phase in schedule.phases:
-        state = NetworkState(state.centers, state.sigmas, phase.d, schedule.b)
-        start = t
-        for _ in range(phase.steps):
-            state = step_bcfon(state, scheme, t)
-            t += 1
-            centers[t] = state.centers
-            sigmas[t] = state.sigmas
-        spans.append(PhaseSpan(d=phase.d, t_start=start, t_end=t))
-    return TrajectoryRecord(
-        times=np.arange(schedule.total_steps + 1), centers=centers, sigmas=sigmas, phases=spans
-    )
+        spans.append(PhaseSpan(d=phase.d, t_start=t, t_end=t + phase.steps))
+        t += phase.steps
+    # every step lies in exactly one non-empty span; its (d, b) apply from the span's first step
+    starts = {span.t_start: span.d for span in spans if span.t_end > span.t_start}
+
+    def step(state: NetworkState, t: int) -> NetworkState:
+        if t in starts:
+            state = NetworkState(state.centers, state.sigmas, starts[t], schedule.b)
+        return step_bcfon(state, scheme, t)
+
+    record = _run(step, initial, schedule.total_steps)
+    record.phases = spans
+    return record
 
 
 @dataclass(frozen=True)
 class ClusterReport:
-    """End-of-phase cluster structure: count, representative centers, sigma summary."""
+    """Cluster structure at one recorded step: count, representative centers, sigma summary.
 
-    phase: int
-    d: float
+    phase and d name the phase the step ends; both are None outside a phased run.
+    """
+
+    phase: int | None
+    d: float | None
     t_end: int
     cluster_count: int
     representatives: tuple[float, ...]
     cluster_sizes: tuple[int, ...]
     mean_sigma: float
     max_sigma: float
+
+
+def _cluster_report(record, k: int, gap: float | None, phase=None, d=None) -> ClusterReport:
+    """Partition row k of the record by gap; each cluster is its mean center and size.
+
+    gap defaults to 5% of the record's initial center range.
+    """
+    centers, sigmas = record.centers[k], record.sigmas[k]
+    clusters = detect_consensus_partition(centers, _default_gap(record) if gap is None else gap)
+    return ClusterReport(
+        phase=phase,
+        d=d,
+        t_end=int(record.times[k]),
+        cluster_count=len(clusters),
+        representatives=tuple(float(centers[ids].mean()) for ids in clusters),
+        cluster_sizes=tuple(int(ids.size) for ids in clusters),
+        mean_sigma=float(sigmas.mean()),
+        max_sigma=float(sigmas.max()),
+    )
 
 
 def phase_summary(record: TrajectoryRecord, gap: float | None = None) -> list[ClusterReport]:
@@ -108,26 +127,10 @@ def phase_summary(record: TrajectoryRecord, gap: float | None = None) -> list[Cl
     """
     if not record.phases:
         raise ValueError("record has no phase annotations")
-    gap = _default_gap(record) if gap is None else gap
-    reports = []
-    for p, span in enumerate(record.phases):
-        k = record.index_of(span.t_end)
-        centers = record.centers[k]
-        sigmas = record.sigmas[k]
-        clusters = detect_consensus_partition(centers, gap)
-        reports.append(
-            ClusterReport(
-                phase=p,
-                d=span.d,
-                t_end=span.t_end,
-                cluster_count=len(clusters),
-                representatives=tuple(float(centers[ids].mean()) for ids in clusters),
-                cluster_sizes=tuple(int(ids.size) for ids in clusters),
-                mean_sigma=float(sigmas.mean()),
-                max_sigma=float(sigmas.max()),
-            )
-        )
-    return reports
+    return [
+        _cluster_report(record, record.index_of(span.t_end), gap, phase=p, d=span.d)
+        for p, span in enumerate(record.phases)
+    ]
 
 
 def distinct_state_counts(record: TrajectoryRecord) -> np.ndarray:

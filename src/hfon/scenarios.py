@@ -24,6 +24,9 @@ from .phases import Phase, PhaseSchedule, run_bu
 SCHEMA_VERSION = 1
 
 _KINDS = ("blfg", "bcfon", "topdown", "bottomup")
+# largest (steps + 1) x agents a scenario may record: each of the two trajectory
+# arrays then takes at most 800 MB
+_MAX_RECORDED = 10**8
 _SCHEMES = {"local": LocalReference(), "leader": LeaderReference()}
 
 
@@ -34,20 +37,6 @@ def ramp_initials(n: int, low: float = 5.0, high: float = 25.0) -> np.ndarray:
     if n == 1:
         return np.array([float(low)])
     return low + (high - low) * np.arange(n, dtype=np.float64) / (n - 1)
-
-
-def seeded_initials(n: int, seed: int, low: float = 5.0, high: float = 25.0):
-    """Random initial (centers, sigmas): centers uniform on [low, high], sigmas on (0, 1).
-
-    Fixed draw order (all centers, then all sigmas, ascending id) from a
-    64-bit-seeded PCG64 generator; exact-zero sigma draws are rejected and
-    redrawn so sigmas stay strictly positive.
-    """
-    if not (isinstance(n, int) and n >= 1):
-        raise ConfigurationError("need an integer agent count >= 1")
-    rng = np.random.default_rng(seed)
-    centers = rng.uniform(low, high, n)
-    return centers, _positive_uniform_sigmas(rng, n)
 
 
 def _positive_uniform_sigmas(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -147,6 +136,16 @@ class ScenarioConfig:
             raise ConfigurationError("threshold d must lie in [0, 1]")
         if not (np.isfinite(self.b) and self.b > 0.0):
             raise ConfigurationError("uncertainty gain b must be positive")
+        if self.kind == "topdown":
+            agents = build_uniform_hierarchy(self.group_sizes, self.leader).n_agents
+        else:
+            agents = self.n
+        steps = sum(p.steps for p in self.phases) if self.kind == "bottomup" else self.steps
+        if (steps + 1) * agents > _MAX_RECORDED:
+            raise ConfigurationError(
+                f"(steps + 1) x agents = {(steps + 1) * agents} recorded values "
+                f"is over the limit of {_MAX_RECORDED}"
+            )
 
     def echo(self) -> dict:
         """Scenario as a JSON-ready dict with a fixed key order."""
@@ -291,6 +290,13 @@ def _integer(value, key: str) -> int:
     return value
 
 
+def _number(value, key: str) -> float:
+    """float(value), except that a bool, a string or null names the key instead of being coerced."""
+    if value is None or isinstance(value, (bool, str)):
+        raise ConfigurationError(f"key {key!r} must be a number, got {value!r}")
+    return float(value)
+
+
 def _scenario_from_dict(doc: dict, fallback_name: str) -> ScenarioConfig:
     if not isinstance(doc, dict):
         raise ConfigurationError("scenario document must be a JSON object")
@@ -325,7 +331,8 @@ def _scenario_from_dict(doc: dict, fallback_name: str) -> ScenarioConfig:
             for k, row in enumerate(doc["phases"]):
                 if not isinstance(row, dict) or set(row) != {"d", "steps"}:
                     raise ConfigurationError("each phase needs exactly the keys 'd' and 'steps'")
-                rows.append(Phase(d=float(row["d"]), steps=_integer(row["steps"], f"phases[{k}].steps")))
+                d = _number(row["d"], f"phases[{k}].d")
+                rows.append(Phase(d=d, steps=_integer(row["steps"], f"phases[{k}].steps")))
             phases = tuple(rows)
         name = doc.get("name", fallback_name)
         if not isinstance(name, str):
@@ -336,21 +343,22 @@ def _scenario_from_dict(doc: dict, fallback_name: str) -> ScenarioConfig:
                 raise ConfigurationError("key 'group_sizes' must be a list of integers")
             sizes = enumerate(doc["group_sizes"])
             group_sizes = tuple(_integer(s, f"group_sizes[{k}]") for k, s in sizes)
+        sigma = init_doc["sigma"]
         return ScenarioConfig(
             name=name,
             kind=doc["kind"],
             initial=InitialSpec(
                 centers=init_doc["centers"],
-                low=float(init_doc["low"]),
-                high=float(init_doc["high"]),
-                sigma=init_doc["sigma"] if isinstance(init_doc["sigma"], str) else float(init_doc["sigma"]),
+                low=_number(init_doc["low"], "initial.low"),
+                high=_number(init_doc["high"], "initial.high"),
+                sigma=sigma if isinstance(sigma, str) else _number(sigma, "initial.sigma"),
             ),
-            b=float(doc["b"]) if "b" in doc else None,
+            b=_number(doc["b"], "b") if "b" in doc else None,
             steps=_integer(doc["steps"], "steps") if doc.get("steps") is not None else None,
             n=_integer(doc["n"], "n") if doc.get("n") is not None else None,
-            d=float(doc["d"]) if doc.get("d") is not None else None,
+            d=_number(doc["d"], "d") if doc.get("d") is not None else None,
             scheme=doc.get("scheme"),
-            leader=float(doc["leader"]) if doc.get("leader") is not None else None,
+            leader=_number(doc["leader"], "leader") if doc.get("leader") is not None else None,
             group_sizes=group_sizes,
             phases=phases,
             seed=_integer(doc["seed"], "seed") if doc.get("seed") is not None else None,

@@ -31,7 +31,6 @@ from hfon.scenarios import (
     builtin_scenarios,
     execute_scenario,
     ramp_initials,
-    seeded_initials,
 )
 
 LEADER_VALUE = 10.0
@@ -322,7 +321,7 @@ def test_criterion_10_reduction_laws():
         ok = ok and same
         details.append(f"2-level tree == group run ({name}): {'exact' if same else 'DIFFERS'}")
 
-    c0, s0 = seeded_initials(50, 3)
+    c0, s0 = InitialSpec("uniform", 5.0, 25.0, "uniform").build(50, 3)
     base = NetworkState(c0, s0, 0.5, 0.3)
     flat = run_bcfon(base, 60, LocalReference())
     phased = run_bu(base, PhaseSchedule(phases=(Phase(d=0.5, steps=60),), b=0.3))

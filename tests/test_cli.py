@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import hfon.cli
-from hfon import steps_to_error_fraction
+from hfon import predict_center, predict_sigma_leader_ref, predict_sigma_limit, steps_to_error_fraction
 from hfon.cli import main
 
 
@@ -170,6 +170,25 @@ class TestRunCommand:
         assert f"key '{key}' must be an integer, got {value!r}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("b", True, "key 'b' must be a number, got True"),
+            ("leader", "10", "key 'leader' must be a number, got '10'"),
+            ("steps", 10**12, "(steps + 1) x agents = 3000000000003 recorded values"),
+        ],
+    )
+    def test_rejected_before_simulating(self, tmp_path, monkeypatch, capsys, key, value, message):
+        def no_run(*args, **kwargs):
+            raise AssertionError("simulated a scenario that should have been rejected")
+
+        monkeypatch.setattr(hfon.cli, "execute_scenario", no_run)
+        src = write_doc(tmp_path, scenario_doc(**{key: value}))
+        out = tmp_path / "out"
+        assert main(["run", src, "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_builtin_name(self, tmp_path, capsys):
         assert main(["run", "example9", "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
@@ -230,11 +249,14 @@ class TestPredictCommand:
         )
         assert code == 0
         lines = capsys.readouterr().out.strip().splitlines()
-        assert len(lines) == 4
-        assert lines[0].startswith("steps_to_error_fraction(n=12,")
-        assert lines[1].startswith("predicted_center(t_offset=30):")
-        assert lines[2].startswith("predicted_sigma_leader_ref(t_offset=30):")
-        assert lines[3].startswith("sigma_limit: ")
+        fmt = "%.17g"
+        assert lines == [
+            f"steps_to_error_fraction(n=12, epsilon={fmt % 0.01}): {fmt % steps_to_error_fraction(12, 0.01)}",
+            f"predicted_center(t_offset=30): {fmt % predict_center(15.0, 10.0, 12, 30)}",
+            "predicted_sigma_leader_ref(t_offset=30): "
+            f"{fmt % predict_sigma_leader_ref(1.0, 15.0, 10.0, 12, 0.01, 30)}",
+            f"sigma_limit: {fmt % predict_sigma_limit(1.0, 15.0, 10.0, 12, 0.01)}",
+        ]
         assert float(lines[3].split(": ")[1]) == 1.65
 
     def test_bad_epsilon(self, capsys):

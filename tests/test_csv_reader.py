@@ -247,6 +247,16 @@ class TestRejections:
         with pytest.raises(Exception):
             reference_read(path)
 
+    def test_unparsable_field_names_line_and_field(self, work_dir):
+        # flat files are parsed without the level/group columns; fields still count from 1
+        path = work_dir / "field.csv"
+        path.write_bytes(b"t,agent,level,group,center,sigma\n0,0,,,1,1\n0,1,,,x,1\n")
+        with pytest.raises(ValueError, match=r"^line 3, field 5: could not convert string 'x' to float64$"):
+            read_trajectory_csv(path)
+        path.write_bytes(b"t,agent,level,group,center,sigma\n0,0,1,0,1,1\n0,1,1,0,1,1\n0,2,1,z,1,1\n")
+        with pytest.raises(ValueError, match=r"^line 4, field 4: could not convert string 'z' to int64$"):
+            read_trajectory_csv(path)
+
 
 _MUTATIONS = st.sampled_from(
     [

@@ -1,4 +1,4 @@
-"""Opinion primitives: membership, closeness, neighbor sets, confidence weights.
+"""Opinion primitives: the closeness kernel, neighbor sets, neighborhood averages.
 
 Frozen numeric literals were computed with an independent pure-python
 reference (math.exp, per-pair loops) before the package existed.
@@ -11,18 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hfon import (
-    AddressError,
-    AgentParams,
-    FuzzyOpinion,
-    NetworkState,
-    closeness,
-    closeness_matrix,
-    confidence_weights,
-    membership,
-    neighbor_mask,
-    neighbor_set,
-)
+from hfon import NetworkState, closeness_matrix, neighbor_mask
+from hfon.opinions import neighborhood_sums
 
 
 def ref_closeness(c1, s1, c2, s2):
@@ -40,51 +30,57 @@ _finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 _sigma = st.floats(min_value=0.0, max_value=1e3, allow_nan=False)
 
 
+def pair(c1, s1, c2, s2):
+    """Closeness of opinion (c1, s1) to opinion (c2, s2), read off the kernel."""
+    return float(closeness_matrix(*(np.array([v], dtype=np.float64) for v in (c1, s1, c2, s2)))[0, 0])
+
+
 class TestMembership:
+    # membership of a crisp value x is the closeness to a zero-sigma opinion at x:
+    # exp(-((x - center) / sigma)^2)
+
     def test_one_sigma_away(self):
-        assert membership(FuzzyOpinion(0.0, 1.0), 1.0) == 0.36787944117144233
+        assert pair(0.0, 1.0, 1.0, 0.0) == 0.36787944117144233
 
     def test_peak_at_center(self):
-        assert membership(FuzzyOpinion(3.5, 0.25), 3.5) == 1.0
+        assert pair(3.5, 0.25, 3.5, 0.0) == 1.0
 
     def test_zero_sigma_is_indicator(self):
-        crisp = FuzzyOpinion(2.0, 0.0)
-        assert membership(crisp, 2.0) == 1.0
-        assert membership(crisp, 2.0 + 1e-12) == 0.0
+        assert pair(2.0, 0.0, 2.0, 0.0) == 1.0
+        assert pair(2.0, 0.0, 2.0 + 1e-12, 0.0) == 0.0
 
     def test_array_argument(self):
-        out = membership(FuzzyOpinion(0.0, 2.0), np.array([0.0, 2.0, -2.0]))
-        assert out.shape == (3,)
-        assert out[0] == 1.0
-        assert out[1] == out[2] == math.exp(-1.0)
+        out = closeness_matrix(np.array([0.0]), np.array([2.0]), np.array([0.0, 2.0, -2.0]), np.zeros(3))
+        assert out.shape == (1, 3)
+        assert out[0, 0] == 1.0
+        assert out[0, 1] == out[0, 2] == math.exp(-1.0)
 
     @given(center=_finite, sigma=_sigma, x=_finite)
     def test_bounded(self, center, sigma, x):
-        value = membership(FuzzyOpinion(center, sigma), x)
+        value = pair(center, sigma, x, 0.0)
         assert 0.0 <= value <= 1.0
 
 
 class TestCloseness:
     def test_known_values(self):
-        assert closeness(FuzzyOpinion(0, 2), FuzzyOpinion(2, 2)) == 0.7788007830714049
-        assert closeness(FuzzyOpinion(0, 1), FuzzyOpinion(0.5, 1)) == 0.9394130628134758
-        assert closeness(FuzzyOpinion(0, 1), FuzzyOpinion(10, 1)) == 1.3887943864964021e-11
+        assert pair(0, 2, 2, 2) == 0.7788007830714049
+        assert pair(0, 1, 0.5, 1) == 0.9394130628134758
+        assert pair(0, 1, 10, 1) == 1.3887943864964021e-11
 
     def test_equal_centers_give_one(self):
-        assert closeness(FuzzyOpinion(7.0, 0.1), FuzzyOpinion(7.0, 30.0)) == 1.0
+        assert pair(7.0, 0.1, 7.0, 30.0) == 1.0
 
     def test_degenerate_pair(self):
         # zero combined uncertainty: indicator of equal centers
-        assert closeness(FuzzyOpinion(1.0, 0.0), FuzzyOpinion(1.0, 0.0)) == 1.0
-        assert closeness(FuzzyOpinion(1.0, 0.0), FuzzyOpinion(1.0 + 1e-9, 0.0)) == 0.0
+        assert pair(1.0, 0.0, 1.0, 0.0) == 1.0
+        assert pair(1.0, 0.0, 1.0 + 1e-9, 0.0) == 0.0
 
     @given(c1=_finite, s1=_sigma, c2=_finite, s2=_sigma)
     def test_matches_reference_and_symmetric(self, c1, s1, c2, s2):
-        a, b = FuzzyOpinion(c1, s1), FuzzyOpinion(c2, s2)
-        value = closeness(a, b)
+        value = pair(c1, s1, c2, s2)
         # numpy's exp and libm's exp may disagree in the last ulp
         assert math.isclose(value, ref_closeness(c1, s1, c2, s2), rel_tol=1e-15, abs_tol=1e-307)
-        assert value == closeness(b, a)
+        assert value == pair(c2, s2, c1, s1)
         assert 0.0 <= value <= 1.0
 
     @given(c1=_finite, s1=_sigma, c2=_finite, s2=_sigma)
@@ -92,7 +88,7 @@ class TestCloseness:
         # separation comparable to the shared width, so exp cannot round to 1
         if abs(c1 - c2) < 1e-3 * max(s1 + s2, 1e-300):
             return
-        assert closeness(FuzzyOpinion(c1, s1), FuzzyOpinion(c2, s2)) < 1.0 or c1 == c2
+        assert pair(c1, s1, c2, s2) < 1.0 or c1 == c2
 
 
 class TestClosenessMatrix:
@@ -146,26 +142,10 @@ class TestNetworkState:
 
     def test_accessors(self):
         state = NetworkState([1.0, 2.0], [0.5, 0.25], [0.4, 0.6], [0.1, 0.2])
-        assert state.opinion(1) == FuzzyOpinion(2.0, 0.25)
-        assert state.params(0) == AgentParams(0.4, 0.1)
-
-    def test_bad_agent_id(self):
-        state = NetworkState([1.0], [0.5], 0.4, 0.1)
-        with pytest.raises(AddressError):
-            state.opinion(1)
-        with pytest.raises(AddressError):
-            state.params(-1)
-
-    def test_from_opinions(self):
-        state = NetworkState.from_opinions(
-            [FuzzyOpinion(1, 2), FuzzyOpinion(3, 4)],
-            [AgentParams(0.5, 1.0), AgentParams(0.25, 2.0)],
-        )
-        assert np.array_equal(state.centers, [1.0, 3.0])
-        assert np.array_equal(state.sigmas, [2.0, 4.0])
-        assert np.array_equal(state.d, [0.5, 0.25])
-        with pytest.raises(ValueError):
-            NetworkState.from_opinions([FuzzyOpinion(1, 2)], [])
+        assert state.centers.tolist() == [1.0, 2.0]
+        assert state.sigmas.tolist() == [0.5, 0.25]
+        assert state.d.tolist() == [0.4, 0.6]
+        assert state.b.tolist() == [0.1, 0.2]
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -183,16 +163,6 @@ class TestNetworkState:
         with pytest.raises(ValueError):
             NetworkState(**kwargs)
 
-    def test_validation_of_opinion_and_params(self):
-        with pytest.raises(ValueError):
-            FuzzyOpinion(np.inf, 1.0)
-        with pytest.raises(ValueError):
-            FuzzyOpinion(0.0, -1.0)
-        with pytest.raises(ValueError):
-            AgentParams(1.1, 1.0)
-        with pytest.raises(ValueError):
-            AgentParams(0.5, 0.0)
-
 
 class TestNeighborhood:
     def test_threshold_is_inclusive(self):
@@ -206,8 +176,7 @@ class TestNeighborhood:
 
     def test_self_always_neighbor_even_at_d_one(self):
         state = NetworkState([0.0, 100.0], [1.0, 1.0], 1.0, 0.5)
-        assert list(neighbor_set(state, 0)) == [0]
-        assert list(neighbor_set(state, 1)) == [1]
+        assert np.array_equal(neighbor_mask(state.centers, state.sigmas, state.d), np.eye(2, dtype=bool))
 
     def test_neighbor_set_matches_mask_row(self):
         rng = np.random.default_rng(3)
@@ -215,22 +184,23 @@ class TestNeighborhood:
         mask = neighbor_mask(state.centers, state.sigmas, state.d)
         c, s = state.centers, state.sigmas
         for i in range(12):
-            assert np.array_equal(neighbor_set(state, i), np.nonzero(mask[i])[0])
-            # independent scalar reference for the same row
+            # independent scalar reference for agent i's neighbor set
             expected = [j for j in range(12) if ref_closeness(c[i], s[i], c[j], s[j]) >= 0.5]
-            assert neighbor_set(state, i).tolist() == expected
+            assert np.nonzero(mask[i])[0].tolist() == expected
 
     def test_per_agent_thresholds(self):
         # same geometry, different ears: agent 0 hears agent 1, not vice versa
         state = NetworkState([0.0, 2.0], [2.0, 2.0], [0.5, 0.9], 0.5)
-        assert list(neighbor_set(state, 0)) == [0, 1]
-        assert list(neighbor_set(state, 1)) == [1]
+        mask = neighbor_mask(state.centers, state.sigmas, state.d)
+        assert mask.tolist() == [[True, True], [False, True]]
 
     def test_confidence_weights(self):
+        # equal weights on the neighbor set: counts and the plain neighborhood mean
         state = NetworkState([0.0, 2.0, 50.0], [2.0, 2.0, 1.0], 0.5, 0.5)
-        w = confidence_weights(state, 0)
-        assert np.array_equal(w, [0.5, 0.5, 0.0])
-        assert confidence_weights(state, 2).tolist() == [0.0, 0.0, 1.0]
+        counts, center_sums, sigma_sums = neighborhood_sums(state.centers, state.sigmas, state.d)
+        assert counts.tolist() == [2.0, 2.0, 1.0]
+        assert (center_sums / counts).tolist() == [1.0, 1.0, 50.0]
+        assert (sigma_sums / counts).tolist() == [2.0, 2.0, 1.0]
 
     @given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=2**32))
     @settings(max_examples=40)
@@ -239,7 +209,10 @@ class TestNeighborhood:
         state = NetworkState(
             rng.uniform(-5, 5, n), rng.uniform(0.0, 2.0, n), rng.uniform(0, 1), 0.3
         )
-        for i in range(n):
-            w = confidence_weights(state, i)
-            assert w[i] > 0.0
-            assert abs(w.sum() - 1.0) <= 1e-12
+        mask = neighbor_mask(state.centers, state.sigmas, state.d)
+        counts, center_sums, _ = neighborhood_sums(state.centers, state.sigmas, state.d)
+        assert np.diagonal(mask).all()
+        assert np.array_equal(counts, mask.sum(axis=1))
+        weights = mask / counts[:, None]
+        assert np.abs(weights.sum(axis=1) - 1.0).max() <= 1e-12
+        assert np.allclose(center_sums / counts, weights @ state.centers, rtol=1e-12, atol=1e-12)

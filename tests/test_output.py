@@ -229,21 +229,3 @@ class TestBuildSummary:
         assert a.read_bytes().endswith(b"\n")
         assert json.loads(a.read_text(encoding="utf-8"))["seed"] is None
 
-
-class TestPredictionLines:
-    def test_formula_only(self):
-        from hfon.output import format_prediction_lines
-        from hfon import steps_to_error_fraction
-
-        lines = format_prediction_lines(156, 0.01, None, None, None, None, 0)
-        assert len(lines) == 1
-        assert ("%.17g" % steps_to_error_fraction(156, 0.01)) in lines[0]
-
-    def test_full_output(self):
-        from hfon.output import format_prediction_lines
-
-        lines = format_prediction_lines(12, 0.01, 15.0, 1.0, 10.0, 0.01, 30)
-        assert len(lines) == 4
-        assert lines[1].startswith("predicted_center")
-        assert lines[2].startswith("predicted_sigma_leader_ref")
-        assert lines[3].startswith("sigma_limit")

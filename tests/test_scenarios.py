@@ -17,7 +17,6 @@ from hfon import (
     execute_scenario,
     parse_scenario,
     ramp_initials,
-    seeded_initials,
 )
 from hfon.scenarios import _scenario_from_dict
 
@@ -71,15 +70,16 @@ class TestInitials:
             ramp_initials(0)
 
     def test_seeded_reproducible(self):
-        c1, s1 = seeded_initials(50, seed=123)
-        c2, s2 = seeded_initials(50, seed=123)
+        spec = InitialSpec("uniform", 5.0, 25.0, "uniform")
+        c1, s1 = spec.build(50, 123)
+        c2, s2 = spec.build(50, 123)
         assert np.array_equal(c1, c2)
         assert np.array_equal(s1, s2)
-        c3, _ = seeded_initials(50, seed=124)
+        c3, _ = spec.build(50, 124)
         assert not np.array_equal(c1, c3)
 
     def test_seeded_ranges(self):
-        centers, sigmas = seeded_initials(500, seed=0)
+        centers, sigmas = InitialSpec("uniform", 5.0, 25.0, "uniform").build(500, 0)
         assert centers.min() >= 5.0 and centers.max() <= 25.0
         assert sigmas.min() > 0.0 and sigmas.max() < 1.0
 
@@ -112,9 +112,9 @@ class TestInitialSpec:
     def test_draw_order_matches_seeded_initials(self):
         # uniform centers then uniform sigmas, one generator, ascending ids
         centers, sigmas = InitialSpec("uniform", 5.0, 25.0, "uniform").build(30, 77)
-        ref_c, ref_s = seeded_initials(30, 77)
-        assert np.array_equal(centers, ref_c)
-        assert np.array_equal(sigmas, ref_s)
+        rng = np.random.default_rng(77)
+        assert np.array_equal(centers, rng.uniform(5.0, 25.0, 30))
+        assert np.array_equal(sigmas, rng.uniform(0.0, 1.0, 30))
 
     def test_ramp_with_seeded_sigmas(self):
         centers, sigmas = InitialSpec("ramp", 5.0, 25.0, "uniform").build(8, 5)
@@ -217,6 +217,17 @@ class TestParseScenario:
             (lambda d: d["initial"].pop("low"), "'low'"),
             (lambda d: d["initial"].update(shape=1), "'shape'"),
             (lambda d: d.update(b={}), "malformed"),
+            (lambda d: d.update(b=True), "key 'b' must be a number, got True"),
+            (lambda d: d.update(b=None), "key 'b' must be a number, got None"),
+            (lambda d: d.update(d="0.6"), "key 'd' must be a number, got '0.6'"),
+            (lambda d: d.update(leader="10"), "key 'leader' must be a number, got '10'"),
+            (lambda d: d.update(leader=10**400), "malformed scenario"),
+            (lambda d: d["initial"].update(low=False), "key 'initial.low' must be a number"),
+            (lambda d: d["initial"].update(high="25"), "key 'initial.high' must be a number"),
+            (lambda d: d["initial"].update(sigma=True), "key 'initial.sigma' must be a number"),
+            (lambda d: d["initial"].update(sigma=None), "key 'initial.sigma' must be a number"),
+            (lambda d: d.update(kind="bottomup", phases=[{"d": "0.5", "steps": 2}]),
+             r"key 'phases\[0\].d' must be a number"),
         ],
     )
     def test_malformed_documents_name_the_problem(self, tmp_path, mutate, fragment):
@@ -292,6 +303,29 @@ def test_any_json_values_give_a_config_or_a_value_error(kind, edits):
         pass
 
 
+@pytest.mark.parametrize(
+    "overrides, recorded",
+    [
+        ({"steps": 10**12}, 3 * (10**12 + 1)),
+        ({"kind": "bcfon", "n": 1, "steps": 10**8, "scheme": None, "leader": None}, 10**8 + 1),
+        ({"kind": "topdown", "group_sizes": [1000, 1000, 1000], "n": None}, 3 * (10**9 + 10**6 + 10**3)),
+        ({"kind": "bottomup", "n": 10**6, "phases": [{"d": 0.5, "steps": 50}, {"d": 0.2, "steps": 50}]},
+         101 * 10**6),
+    ],
+)
+def test_size_limit_is_checked_before_allocation(overrides, recorded):
+    # only parsed, never executed: each of these would allocate gigabytes
+    doc = {k: v for k, v in small_blfg_doc(**overrides).items() if v is not None}
+    with pytest.raises(ConfigurationError, match=rf"\(steps \+ 1\) x agents = {recorded} "):
+        _scenario_from_dict(doc, "fallback")
+
+
+def test_size_limit_boundary():
+    doc = small_blfg_doc(kind="bcfon", n=1, steps=10**8 - 1, scheme=None, leader=None)
+    config = _scenario_from_dict({k: v for k, v in doc.items() if v is not None}, "fallback")
+    assert (config.steps + 1) * config.n == 10**8
+
+
 def test_huge_integer_float_key_is_malformed(tmp_path):
     path = write_scenario(tmp_path, small_blfg_doc(d=10**400))
     with pytest.raises(ConfigurationError, match="malformed scenario"):
@@ -317,9 +351,9 @@ class TestExecute:
         assert execute_scenario(config).seed == 7
         run = execute_scenario(config, seed=9)
         assert run.seed == 9
-        ref_c, ref_s = seeded_initials(10, 9)
-        assert np.array_equal(run.initial.centers, ref_c)
-        assert np.array_equal(run.initial.sigmas, ref_s)
+        rng = np.random.default_rng(9)
+        assert np.array_equal(run.initial.centers, rng.uniform(5.0, 25.0, 10))
+        assert np.array_equal(run.initial.sigmas, rng.uniform(0.0, 1.0, 10))
 
     def test_topdown_builds_per_group_profiles(self):
         config = ScenarioConfig(
