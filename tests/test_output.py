@@ -229,3 +229,33 @@ class TestBuildSummary:
         assert a.read_bytes().endswith(b"\n")
         assert json.loads(a.read_text(encoding="utf-8"))["seed"] is None
 
+
+
+class TestPredictionLines:
+    """The predict command's text lines; which lines appear depends on the inputs given."""
+
+    def test_formula_only(self, capsys):
+        from hfon import steps_to_error_fraction
+        from hfon.cli import main
+
+        # center and sigma without a leader add no tracking lines
+        assert main(["predict", "--n", "156", "--epsilon", "0.01", "--center", "15", "--sigma", "1"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == 1
+        assert ("%.17g" % steps_to_error_fraction(156, 0.01)) in lines[0]
+
+    def test_full_output(self, capsys):
+        from hfon.cli import main
+
+        # without --b only the center line follows the formula line
+        assert main(["predict", "--n", "12", "--epsilon", "0.01", "--center", "15", "--sigma", "1",
+                     "--leader", "10", "--t-offset", "30"]) == 0
+        assert [line.split("(")[0] for line in capsys.readouterr().out.strip().splitlines()] == [
+            "steps_to_error_fraction", "predicted_center"]
+        assert main(["predict", "--n", "12", "--epsilon", "0.01", "--center", "15", "--sigma", "1",
+                     "--leader", "10", "--b", "0.01", "--t-offset", "30"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == 4
+        assert lines[1].startswith("predicted_center")
+        assert lines[2].startswith("predicted_sigma_leader_ref")
+        assert lines[3].startswith("sigma_limit")
