@@ -40,11 +40,7 @@ from .leader import (
     steps_to_error_fraction,
 )
 from .hierarchy import (
-    GroupSigmaRow,
     HierarchySpec,
-    TdState,
-    build_uniform_hierarchy,
-    group_sigma_report,
     run_td,
     step_td,
 )
@@ -82,7 +78,6 @@ __all__ = [
     "ConfigurationError",
     "ConsensusReport",
     "ExternalReference",
-    "GroupSigmaRow",
     "HierarchySpec",
     "InitialSpec",
     "ConvergenceConditions",
@@ -94,10 +89,8 @@ __all__ = [
     "PhaseSpan",
     "ScenarioConfig",
     "ScenarioRun",
-    "TdState",
     "TrajectoryRecord",
     "build_summary",
-    "build_uniform_hierarchy",
     "builtin_scenarios",
     "closeness_matrix",
     "detect_consensus_partition",
@@ -105,7 +98,6 @@ __all__ = [
     "distinct_state_counts",
     "execute_scenario",
     "first_exact_consensus_index",
-    "group_sigma_report",
     "convergence_conditions",
     "leader_weight_matrix",
     "neighbor_mask",

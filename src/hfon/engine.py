@@ -61,20 +61,20 @@ def _external_values(scheme: ExternalReference, t: int, n: int) -> np.ndarray:
     return out
 
 
-def step_bcfon(state: NetworkState, scheme: ReferenceScheme = LocalReference(), t: int = 0) -> NetworkState:
-    """One synchronous update of every agent from the frozen time-t state."""
-    if isinstance(scheme, LeaderReference):
-        raise ConfigurationError("a flat network has no leader; use a leader-follower group")
+def step_bcfon(centers, sigmas, d, b, scheme: ReferenceScheme = LocalReference(), t: int = 0):
+    """One synchronous update of every agent from frozen time-t (n,) arrays: new (centers, sigmas).
+
+    Checks nothing (run_bcfon checks once); scheme is local or external.
+    """
     counts, center_sums, sigma_sums = neighborhood_sums(
-        state.centers, state.sigmas, state.d, distinct_agents(state)
+        centers, sigmas, d, distinct_agents(centers, sigmas, d, b)
     )
     neigh_mean = center_sums / counts
     if isinstance(scheme, LocalReference):
         reference = neigh_mean
     else:
-        reference = _external_values(scheme, t, state.n)
-    u = state.b * np.abs(state.centers - reference)
-    return NetworkState(neigh_mean, sigma_sums / counts + u, state.d, state.b)
+        reference = _external_values(scheme, t, centers.shape[0])
+    return neigh_mean, sigma_sums / counts + b * np.abs(centers - reference)
 
 
 @dataclass(frozen=True)
@@ -134,17 +134,22 @@ class TrajectoryRecord:
 
 
 def _run(step, state: NetworkState, steps: int, t0: int = 0) -> TrajectoryRecord:
-    """Trajectory of state = step(state, t) for t = t0 .. t0 + steps - 1, initial state included."""
+    """Trajectory of centers, sigmas = step(centers, sigmas, t) for t = t0 .. t0 + steps - 1.
+
+    The initial state, row 0, is the run's only validated object.  A step keeps
+    sigmas non-negative but its sums can overflow, so each result must be finite.
+    """
     if steps < 0:
         raise ValueError("steps must be >= 0")
     centers = np.empty((steps + 1, state.n), dtype=np.float64)
     sigmas = np.empty((steps + 1, state.n), dtype=np.float64)
     centers[0] = state.centers
     sigmas[0] = state.sigmas
-    for k in range(steps):
-        state = step(state, t0 + k)
-        centers[k + 1] = state.centers
-        sigmas[k + 1] = state.sigmas
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below, naming the step
+        for k, t in enumerate(range(t0, t0 + steps)):
+            centers[k + 1], sigmas[k + 1] = step(centers[k], sigmas[k], t)
+            if not (np.isfinite(centers[k + 1]).all() and np.isfinite(sigmas[k + 1]).all()):
+                raise ValueError(f"step {t} -> {t + 1} overflowed: a center or sigma is not finite")
     return TrajectoryRecord(times=np.arange(t0, t0 + steps + 1), centers=centers, sigmas=sigmas)
 
 
@@ -155,7 +160,9 @@ def run_bcfon(
     t0: int = 0,
 ) -> TrajectoryRecord:
     """Trajectory of `steps` synchronous updates, initial state included."""
-    return _run(lambda state, t: step_bcfon(state, scheme, t), initial, steps, t0)
+    if isinstance(scheme, LeaderReference):
+        raise ConfigurationError("a flat network has no leader; use a leader-follower group")
+    return _run(lambda c, s, t: step_bcfon(c, s, initial.d, initial.b, scheme, t), initial, steps, t0)
 
 
 def steps_to_target(record: TrajectoryRecord, target: float, fraction: float = 0.01) -> int | None:

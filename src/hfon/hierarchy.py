@@ -110,74 +110,29 @@ class HierarchySpec:
             raise AddressError(f"level {level!r} out of range (1..{self.n_levels})")
 
 
-def build_uniform_hierarchy(group_sizes, top_center: float) -> HierarchySpec:
-    """HierarchySpec for uniform group sizes per level, bottom level first."""
-    return HierarchySpec(tuple(int(s) for s in group_sizes), float(top_center))
+def step_td(spec: HierarchySpec, centers, sigmas, d, b, scheme: ReferenceScheme):
+    """One synchronous update of every group from one frozen whole-tree snapshot: new (centers, sigmas).
 
-
-@dataclass
-class TdState:
-    """Whole-tree snapshot: the spec plus a flattened follower state (level 1 first)."""
-
-    spec: HierarchySpec
-    state: NetworkState
-
-    def __post_init__(self):
-        if self.state.n != self.spec.n_agents:
-            raise ConfigurationError(
-                f"hierarchy expects {self.spec.n_agents} agents, state has {self.state.n}"
-            )
-
-
-def step_td(td: TdState, scheme: ReferenceScheme) -> TdState:
-    """One synchronous update of every group from one frozen whole-tree snapshot.
-
-    Each level is one (G, k) block update led by the level above.
+    An array kernel over (n,) arrays in the spec's layout that checks nothing;
+    run_td checks once.  Each level is one (G, k) block led by the level above.
     """
-    _check_group_scheme(scheme)
-    _check_group_thresholds(td.state.d)
-    old = td.state
-    new_centers = np.empty_like(old.centers)
-    new_sigmas = np.empty_like(old.sigmas)
-    for sl, shape, above in td.spec._levels:
-        leader = td.spec.top_center if above is None else old.centers[above, None]
-        blocks = (a[sl].reshape(shape) for a in (old.centers, old.sigmas, old.d, old.b))
-        centers, sigmas = group_update(*blocks, leader, scheme)
-        new_centers[sl] = centers.ravel()
-        new_sigmas[sl] = sigmas.ravel()
-    return TdState(td.spec, NetworkState(new_centers, new_sigmas, old.d, old.b))
+    new_centers = np.empty_like(centers)
+    new_sigmas = np.empty_like(sigmas)
+    for sl, shape, above in spec._levels:
+        leader = spec.top_center if above is None else centers[above, None]
+        blocks = (a[sl].reshape(shape) for a in (centers, sigmas, d, b))
+        level_centers, level_sigmas = group_update(*blocks, leader, scheme)
+        new_centers[sl] = level_centers.ravel()
+        new_sigmas[sl] = level_sigmas.ravel()
+    return new_centers, new_sigmas
 
 
-def run_td(initial: TdState, steps: int, scheme: ReferenceScheme) -> TrajectoryRecord:
-    """Trajectory of all tree agents; columns follow the flattened layout."""
+def run_td(spec: HierarchySpec, initial: NetworkState, steps: int, scheme: ReferenceScheme) -> TrajectoryRecord:
+    """Trajectory of all tree agents; columns follow the flattened layout (level 1 first)."""
+    if initial.n != spec.n_agents:
+        raise ConfigurationError(f"hierarchy expects {spec.n_agents} agents, state has {initial.n}")
     _check_group_scheme(scheme)
-    _check_group_thresholds(initial.state.d)
-    spec = initial.spec
-    record = _run(lambda state, t: step_td(TdState(spec, state), scheme).state, initial.state, steps)
+    _check_group_thresholds(initial.d)
+    record = _run(lambda c, s, t: step_td(spec, c, s, initial.d, initial.b, scheme), initial, steps)
     record.levels, record.groups = spec.agent_addresses()
     return record
-
-
-@dataclass(frozen=True)
-class GroupSigmaRow:
-    level: int
-    group: int
-    mean_sigma: float
-    sigma_spread: float
-
-
-def group_sigma_report(td: TdState) -> list[GroupSigmaRow]:
-    """Per-group sigma mean and spread (max - min), every level."""
-    rows = []
-    for level, group in td.spec.groups():
-        sl = td.spec.group_slice(level, group)
-        block = td.state.sigmas[sl]
-        rows.append(
-            GroupSigmaRow(
-                level=level,
-                group=group,
-                mean_sigma=float(block.mean()),
-                sigma_spread=float(block.max() - block.min()),
-            )
-        )
-    return rows

@@ -83,23 +83,15 @@ class BlfgConfig:
             raise ConfigurationError(f"leader center must be finite at t={t}, got {value!r}")
         return float(value)
 
-    def initial_state(self, centers, sigmas) -> NetworkState:
-        """Uniform-parameter follower state for this group."""
-        state = NetworkState(centers, sigmas, self.d, self.b)
-        if state.n != self.n:
-            raise ConfigurationError(f"expected {self.n} followers, got {state.n}")
-        return state
 
+def step_blfg(centers, sigmas, d, b, leader_center: float, scheme: ReferenceScheme):
+    """One synchronous update of a follower group under a fixed leader value: new (centers, sigmas).
 
-def step_blfg(state: NetworkState, leader_center: float, scheme: ReferenceScheme) -> NetworkState:
-    """One synchronous update of a follower group under a fixed leader value."""
-    _check_group_scheme(scheme)
-    _check_group_thresholds(state.d)
-    new_centers, new_sigmas = group_update(
-        state.centers, state.sigmas, state.d, state.b, leader_center, scheme,
-        distinct_agents(state),
+    An array kernel over (n,) arrays that checks nothing; run_blfg checks once.
+    """
+    return group_update(
+        centers, sigmas, d, b, leader_center, scheme, distinct_agents(centers, sigmas, d, b)
     )
-    return NetworkState(new_centers, new_sigmas, state.d, state.b)
 
 
 def run_blfg(initial: NetworkState, config: BlfgConfig, steps: int) -> TrajectoryRecord:
@@ -107,7 +99,10 @@ def run_blfg(initial: NetworkState, config: BlfgConfig, steps: int) -> Trajector
     if initial.n != config.n:
         raise ConfigurationError(f"config expects {config.n} followers, state has {initial.n}")
     _check_group_thresholds(initial.d)
-    return _run(lambda state, t: step_blfg(state, config.leader_at(t), config.scheme), initial, steps)
+    return _run(
+        lambda c, s, t: step_blfg(c, s, initial.d, initial.b, config.leader_at(t), config.scheme),
+        initial, steps,
+    )
 
 
 @dataclass(frozen=True)

@@ -21,10 +21,11 @@ def _as_float_vector(values, name: str) -> np.ndarray:
 
 
 class NetworkState:
-    """Synchronous snapshot of a population: centers, sigmas, per-agent (d, b).
+    """Validated initial population of a run: centers, sigmas, per-agent (d, b).
 
-    Engines never mutate a state; each step constructs a new one.  Scalars
-    passed for d or b are broadcast to every agent.
+    Every check runs here, once: a run reads the arrays at entry and steps raw
+    arrays from there, and nothing mutates a state.  Scalars passed for d or b
+    are broadcast to every agent.
     """
 
     __slots__ = ("centers", "sigmas", "d", "b")
@@ -76,14 +77,14 @@ def closeness_matrix(centers, sigmas, col_centers=None, col_sigmas=None) -> np.n
     return out
 
 
-def distinct_agents(state: NetworkState) -> tuple[np.ndarray, np.ndarray]:
-    """Agents grouped by identical state: (first, inverse).
+def distinct_agents(centers, sigmas, d, b) -> tuple[np.ndarray, np.ndarray]:
+    """Agents of (n,) arrays grouped by identical state: (first, inverse).
 
     first holds the lowest id of each distinct state and inverse maps every
     agent to its state's position in first.  States are compared by the exact
     bits of (center, sigma, d, b), so -0.0 and 0.0 stay apart.
     """
-    return distinct_rows(np.stack([state.centers, state.sigmas, state.d, state.b], axis=1))
+    return distinct_rows(np.stack([centers, sigmas, d, b], axis=1))
 
 
 def distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

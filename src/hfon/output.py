@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .engine import TrajectoryRecord, steps_to_target
+from .hierarchy import HierarchySpec
 from .leader import (
     detect_consensus_time,
     predict_sigma_leader_ref,
@@ -247,7 +248,7 @@ def build_summary(run: ScenarioRun, gap: float | None = None, tol: float | None 
         )
         target_steps = steps_to_target(run.record, config.leader)
     elif config.kind == "topdown":
-        spec = run.td_state.spec
+        spec = HierarchySpec(config.group_sizes, config.leader)
         top_slice = spec.group_slice(spec.n_levels, 0)
         top = run.record.select_agents(np.arange(top_slice.start, top_slice.stop))
         consensus, checks = _group_tracking_checks(

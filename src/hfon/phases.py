@@ -71,13 +71,15 @@ def run_bu(initial: NetworkState, schedule: PhaseSchedule) -> TrajectoryRecord:
     for phase in schedule.phases:
         spans.append(PhaseSpan(d=phase.d, t_start=t, t_end=t + phase.steps))
         t += phase.steps
-    # every step lies in exactly one non-empty span; its (d, b) apply from the span's first step
+    # every step lies in exactly one non-empty span; its d applies from the span's first step
     starts = {span.t_start: span.d for span in spans if span.t_end > span.t_start}
+    d, b = None, np.full(initial.n, float(schedule.b))
 
-    def step(state: NetworkState, t: int) -> NetworkState:
+    def step(centers, sigmas, t: int):
+        nonlocal d
         if t in starts:
-            state = NetworkState(state.centers, state.sigmas, starts[t], schedule.b)
-        return step_bcfon(state, scheme, t)
+            d = np.full(initial.n, float(starts[t]))
+        return step_bcfon(centers, sigmas, d, b, scheme, t)
 
     record = _run(step, initial, schedule.total_steps)
     record.phases = spans

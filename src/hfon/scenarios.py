@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .engine import LeaderReference, LocalReference, TrajectoryRecord, run_bcfon
-from .hierarchy import TdState, build_uniform_hierarchy, run_td
+from .hierarchy import HierarchySpec, run_td
 from .leader import BlfgConfig, run_blfg
 from .opinions import NetworkState
 from .phases import Phase, PhaseSchedule, run_bu
@@ -27,6 +27,8 @@ _KINDS = ("blfg", "bcfon", "topdown", "bottomup")
 # largest (steps + 1) x agents a scenario may record: each of the two trajectory
 # arrays then takes at most 800 MB
 _MAX_RECORDED = 10**8
+# seeds, from a document or --seed, are numpy generator seeds of at most 64 bits
+_SEED_LIMIT = 2**64
 _SCHEMES = {"local": LocalReference(), "leader": LeaderReference()}
 
 
@@ -136,8 +138,10 @@ class ScenarioConfig:
             raise ConfigurationError("threshold d must lie in [0, 1]")
         if not (np.isfinite(self.b) and self.b > 0.0):
             raise ConfigurationError("uncertainty gain b must be positive")
+        if self.seed is not None and not 0 <= self.seed < _SEED_LIMIT:
+            raise ConfigurationError(f"key 'seed' must lie in [0, 2**64), got {self.seed}")
         if self.kind == "topdown":
-            agents = build_uniform_hierarchy(self.group_sizes, self.leader).n_agents
+            agents = HierarchySpec(self.group_sizes, self.leader).n_agents
         else:
             agents = self.n
         steps = sum(p.steps for p in self.phases) if self.kind == "bottomup" else self.steps
@@ -175,25 +179,22 @@ class ScenarioRun:
     seed: int | None
     record: TrajectoryRecord
     initial: NetworkState
-    td_state: TdState | None = None  # hierarchical runs keep their tree layout
 
 
 def execute_scenario(config: ScenarioConfig, seed: int | None = None) -> ScenarioRun:
     """Build the initial population and run the scenario to completion."""
     seed = config.seed if seed is None else seed
     if config.kind == "topdown":
-        spec = build_uniform_hierarchy(config.group_sizes, config.leader)
-        centers = np.empty(spec.n_agents)
-        sigmas = np.empty(spec.n_agents)
-        # every group starts from its own copy of the initial profile
-        for level, group in spec.groups():
-            sl = spec.group_slice(level, group)
-            c, s = config.initial.build(spec.group_sizes[level - 1], seed)
-            centers[sl] = c
-            sigmas[sl] = s
-        td = TdState(spec, NetworkState(centers, sigmas, config.d, config.b))
-        record = run_td(td, config.steps, _SCHEMES[config.scheme])
-        return ScenarioRun(config, seed, record, td.state, td_state=td)
+        spec = HierarchySpec(config.group_sizes, config.leader)
+        # every group starts from its own copy of its level's initial profile
+        levels = [
+            np.tile(config.initial.build(k, seed), spec.n_groups(level))  # (2, groups x k)
+            for level, k in enumerate(spec.group_sizes, start=1)
+        ]
+        centers, sigmas = np.concatenate(levels, axis=1)
+        state = NetworkState(centers, sigmas, config.d, config.b)
+        record = run_td(spec, state, config.steps, _SCHEMES[config.scheme])
+        return ScenarioRun(config, seed, record, state)
 
     n = config.n
     centers, sigmas = config.initial.build(n, seed)

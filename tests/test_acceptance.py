@@ -13,7 +13,7 @@ import pytest
 
 from hfon import cli
 from hfon.engine import LocalReference, LeaderReference, run_bcfon, steps_to_target
-from hfon.hierarchy import TdState, build_uniform_hierarchy, run_td
+from hfon.hierarchy import HierarchySpec, run_td
 from hfon.leader import (
     BlfgConfig,
     detect_consensus_time,
@@ -182,7 +182,7 @@ def test_criterion_06_deep_tree_consensus_profile(td_runs):
     details = []
     for scheme in ("local", "leader"):
         run = td_runs[("4level", scheme)]
-        spec = run.td_state.spec
+        spec = HierarchySpec(run.config.group_sizes, run.config.leader)
         record = run.record
         center_err = float(np.abs(record.centers[-1] - LEADER_VALUE).max())
         spreads = []
@@ -238,7 +238,7 @@ def test_criterion_07_stacked_weight_matrix_conditions(flat_runs, td_runs):
                 NetworkState(record.centers[row], record.sigmas[row], cfg.d, cfg.b))[None])
     for run in td_runs.values():
         record, cfg = run.record, run.config
-        spec = run.td_state.spec
+        spec = HierarchySpec(cfg.group_sizes, cfg.leader)
         levels = []
         for level in range(1, spec.n_levels + 1):
             start = spec.level_offset(level)
@@ -311,10 +311,7 @@ def test_criterion_10_reduction_laws():
             200,
         )
         tree = run_td(
-            TdState(build_uniform_hierarchy((12,), LEADER_VALUE),
-                    NetworkState(centers, sigmas, 0.6, 0.01)),
-            200,
-            scheme,
+            HierarchySpec((12,), LEADER_VALUE), NetworkState(centers, sigmas, 0.6, 0.01), 200, scheme
         )
         same = (np.array_equal(flat.centers, tree.centers)
                 and np.array_equal(flat.sigmas, tree.sigmas))

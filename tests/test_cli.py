@@ -176,6 +176,8 @@ class TestRunCommand:
             ("b", True, "key 'b' must be a number, got True"),
             ("leader", "10", "key 'leader' must be a number, got '10'"),
             ("steps", 10**12, "(steps + 1) x agents = 3000000000003 recorded values"),
+            ("seed", -1, "key 'seed' must lie in [0, 2**64), got -1"),
+            ("seed", 2**70, "key 'seed' must lie in [0, 2**64), got 1180591620717411303424"),
         ],
     )
     def test_rejected_before_simulating(self, tmp_path, monkeypatch, capsys, key, value, message):
@@ -187,6 +189,22 @@ class TestRunCommand:
         out = tmp_path / "out"
         assert main(["run", src, "--out", str(out)]) == 1
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"b": 1e308, "d": 0.0},
+            {"kind": "bcfon", "d": 0.0, "scheme": None, "leader": None,
+             "initial": {"centers": "ramp", "low": 1e308, "high": 1.7e308, "sigma": 1.0}},
+        ],
+        ids=["blfg-huge-b", "bcfon-huge-centers"],
+    )
+    def test_overflow_names_the_step(self, tmp_path, capsys, overrides):
+        src = write_doc(tmp_path, drop_nones(scenario_doc(**overrides)))
+        out = tmp_path / "out"
+        assert main(["run", src, "--out", str(out)]) == 1
+        assert "error: step 0 -> 1 overflowed: a center or sigma is not finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unknown_builtin_name(self, tmp_path, capsys):

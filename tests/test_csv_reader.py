@@ -17,11 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hfon import (
+    HierarchySpec,
     LocalReference,
     NetworkState,
-    TdState,
     TrajectoryRecord,
-    build_uniform_hierarchy,
     read_trajectory_csv,
     run_bcfon,
     run_td,
@@ -102,9 +101,9 @@ def flat_record():
 
 
 def tree_record():
-    spec = build_uniform_hierarchy((2, 2), 10.0)
-    td = TdState(spec, NetworkState([0.0, 1.0, 2.0, 3.0, 4.0, 5.0], [1.0] * 6, 0.0, 0.1))
-    return run_td(td, 5, LocalReference())
+    spec = HierarchySpec((2, 2), 10.0)
+    state = NetworkState([0.0, 1.0, 2.0, 3.0, 4.0, 5.0], [1.0] * 6, 0.0, 0.1)
+    return run_td(spec, state, 5, LocalReference())
 
 
 RECORDS = {"flat": flat_record(), "tree": tree_record()}

@@ -25,6 +25,18 @@ from hfon import (
 from hfon.opinions import distinct_agents, neighborhood_sums
 
 
+def distinct(state):
+    return distinct_agents(state.centers, state.sigmas, state.d, state.b)
+
+
+def flat_step(state, scheme=LocalReference(), t=0):
+    return step_bcfon(state.centers, state.sigmas, state.d, state.b, scheme, t)
+
+
+def group_step(state, leader, scheme):
+    return step_blfg(state.centers, state.sigmas, state.d, state.b, leader, scheme)
+
+
 def dense_sums(state):
     adj = closeness_matrix(state.centers, state.sigmas) >= state.d[:, None]
     counts = adj.sum(axis=1).astype(np.float64)
@@ -79,20 +91,20 @@ _group_states = states(max_d=np.nextafter(1.0, 0.0))
 class TestDistinctAgents:
     def test_groups_identical_states(self):
         state = NetworkState([1.0, 2.0, 1.0, 1.0, 2.0], [0.5, 0.5, 0.5, 0.5, 0.5], [0.1, 0.1, 0.1, 0.2, 0.1], 1.0)
-        first, inverse = distinct_agents(state)
+        first, inverse = distinct(state)
         assert sorted(first.tolist()) == [0, 1, 3]
         assert first[inverse].tolist() == [0, 1, 0, 3, 1]
 
     def test_signed_zeros_stay_apart(self):
         state = NetworkState([0.0, -0.0, 0.0], [0.0, 0.0, 0.0], 0.5, 1.0)
-        first, inverse = distinct_agents(state)
+        first, inverse = distinct(state)
         assert sorted(first.tolist()) == [0, 1]
         assert first[inverse].tolist() == [0, 1, 0]
 
     @given(state=states())
     @settings(max_examples=100)
     def test_first_occurrences_cover_every_agent(self, state):
-        first, inverse = distinct_agents(state)
+        first, inverse = distinct(state)
         keys = np.stack([state.centers, state.sigmas, state.d, state.b], axis=1)
         assert_same_bits(keys[first][inverse], keys)
         assert len({row.tobytes() for row in keys[first]}) == first.size
@@ -103,7 +115,7 @@ class TestNeighborhoodSums:
     @given(state=states())
     @settings(max_examples=100)
     def test_distinct_rows_equal_dense_rows(self, state):
-        got = neighborhood_sums(state.centers, state.sigmas, state.d, distinct_agents(state))
+        got = neighborhood_sums(state.centers, state.sigmas, state.d, distinct(state))
         for a, b in zip(got, dense_sums(state)):
             assert_same_bits(a, b)
 
@@ -112,19 +124,19 @@ class TestFlatStep:
     @given(state=states(), t=st.integers(0, 50))
     @settings(max_examples=150)
     def test_local_reference(self, state, t):
-        out = step_bcfon(state, LocalReference(), t)
+        centers, sigmas = flat_step(state, LocalReference(), t)
         ref_c, ref_s = dense_bcfon(state, LocalReference(), t)
-        assert_same_bits(out.centers, ref_c)
-        assert_same_bits(out.sigmas, ref_s)
+        assert_same_bits(centers, ref_c)
+        assert_same_bits(sigmas, ref_s)
 
     @given(state=states(), offsets=st.lists(st.floats(-5.0, 5.0), min_size=12, max_size=12), t=st.integers(0, 50))
     @settings(max_examples=150)
     def test_external_reference_per_agent(self, state, offsets, t):
         scheme = ExternalReference(lambda t, i: offsets[i] + 0.1 * t)
-        out = step_bcfon(state, scheme, t)
+        centers, sigmas = flat_step(state, scheme, t)
         ref_c, ref_s = dense_bcfon(state, scheme, t)
-        assert_same_bits(out.centers, ref_c)
-        assert_same_bits(out.sigmas, ref_s)
+        assert_same_bits(centers, ref_c)
+        assert_same_bits(sigmas, ref_s)
 
 
 class TestGroupStep:
@@ -133,10 +145,10 @@ class TestGroupStep:
     @settings(max_examples=150)
     def test_both_schemes(self, state, leader, local):
         scheme = LocalReference() if local else LeaderReference()
-        out = step_blfg(state, leader, scheme)
+        centers, sigmas = group_step(state, leader, scheme)
         ref_c, ref_s = dense_blfg(state, leader, scheme)
-        assert_same_bits(out.centers, ref_c)
-        assert_same_bits(out.sigmas, ref_s)
+        assert_same_bits(centers, ref_c)
+        assert_same_bits(sigmas, ref_s)
 
 
 @pytest.mark.parametrize("n", [1, 7, 64])
@@ -147,12 +159,10 @@ def test_all_distinct_and_all_equal(n, equal):
     if equal:
         centers, sigmas = np.full(n, centers[0]), np.full(n, sigmas[0])
     state = NetworkState(centers, sigmas, 0.6, 0.4)
-    assert distinct_agents(state)[0].size == (1 if equal else n)
-    flat = step_bcfon(state)
-    group = step_blfg(state, 1.5, LeaderReference())
-    for got, ref in zip((flat.centers, flat.sigmas), dense_bcfon(state, LocalReference(), 0)):
+    assert distinct(state)[0].size == (1 if equal else n)
+    for got, ref in zip(flat_step(state), dense_bcfon(state, LocalReference(), 0)):
         assert_same_bits(got, ref)
-    for got, ref in zip((group.centers, group.sigmas), dense_blfg(state, 1.5, LeaderReference())):
+    for got, ref in zip(group_step(state, 1.5, LeaderReference()), dense_blfg(state, 1.5, LeaderReference())):
         assert_same_bits(got, ref)
 
 
@@ -162,8 +172,8 @@ def test_many_steps_of_a_merging_population():
     state = NetworkState(rng.uniform(5, 25, 200), rng.uniform(0, 1, 200), 0.45, 0.5)
     dense = state
     for t in range(60):
-        state = step_bcfon(state, LocalReference(), t)
+        state = NetworkState(*flat_step(state, LocalReference(), t), state.d, state.b)
         dense = NetworkState(*dense_bcfon(dense, LocalReference(), t), dense.d, dense.b)
         assert_same_bits(state.centers, dense.centers)
         assert_same_bits(state.sigmas, dense.sigmas)
-    assert distinct_agents(state)[0].size < 200
+    assert distinct(state)[0].size < 200

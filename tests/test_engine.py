@@ -8,17 +8,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hfon import (
+    BlfgConfig,
     ConfigurationError,
     ExternalReference,
+    HierarchySpec,
     LeaderReference,
     LocalReference,
     NetworkState,
+    Phase,
+    PhaseSchedule,
     TrajectoryRecord,
     detect_consensus_partition,
     run_bcfon,
+    run_blfg,
+    run_bu,
+    run_td,
     step_bcfon,
     steps_to_target,
 )
+
+
+def step(state, scheme=LocalReference(), t=0):
+    """step_bcfon over a state's arrays: new (centers, sigmas)."""
+    return step_bcfon(state.centers, state.sigmas, state.d, state.b, scheme, t)
 
 
 def ref_step_flat(centers, sigmas, d, b):
@@ -46,34 +58,36 @@ class TestStep:
     def test_two_agent_merge(self):
         # (0, 2) and (2, 2) are mutually close at d = 0.6; both land on the mean
         state = NetworkState([0.0, 2.0], [2.0, 2.0], 0.6, 0.5)
-        out = step_bcfon(state)
-        assert out.centers.tolist() == [1.0, 1.0]
-        assert out.sigmas.tolist() == [2.5, 2.5]
+        centers, sigmas = step(state)
+        assert centers.tolist() == [1.0, 1.0]
+        assert sigmas.tolist() == [2.5, 2.5]
 
     def test_isolated_agents_hold_state(self):
         state = NetworkState([0.0, 100.0], [1.0, 1.0], 0.99, 0.5)
-        out = step_bcfon(state)
-        assert out.centers.tolist() == [0.0, 100.0]
-        assert out.sigmas.tolist() == [1.0, 1.0]  # u = 0 when the reference is the agent itself
+        centers, sigmas = step(state)
+        assert centers.tolist() == [0.0, 100.0]
+        assert sigmas.tolist() == [1.0, 1.0]  # u = 0 when the reference is the agent itself
 
     def test_leader_scheme_rejected(self):
+        # checked once, at run entry, even when nothing is stepped
         state = NetworkState([0.0], [1.0], 0.5, 0.5)
-        with pytest.raises(ConfigurationError):
-            step_bcfon(state, LeaderReference())
+        for steps in (0, 3):
+            with pytest.raises(ConfigurationError):
+                run_bcfon(state, steps, LeaderReference())
 
     def test_external_reference(self):
         state = NetworkState([0.0, 4.0], [1.0, 1.0], 0.99, 0.5)
-        out = step_bcfon(state, ExternalReference(lambda t, i: float(t + i)), t=3)
-        assert out.centers.tolist() == [0.0, 4.0]
+        centers, sigmas = step(state, ExternalReference(lambda t, i: float(t + i)), t=3)
+        assert centers.tolist() == [0.0, 4.0]
         # u_i = 0.5 * |center_i - (3 + i)|
-        assert out.sigmas.tolist() == [2.5, 1.0]
+        assert sigmas.tolist() == [2.5, 1.0]
 
     def test_external_signal_must_be_finite(self):
         state = NetworkState([0.0], [1.0], 0.5, 0.5)
         with pytest.raises(ConfigurationError):
-            step_bcfon(state, ExternalReference(lambda t, i: float("nan")))
+            step(state, ExternalReference(lambda t, i: float("nan")))
         with pytest.raises(ConfigurationError):
-            step_bcfon(state, ExternalReference(lambda t, i: None))
+            step(state, ExternalReference(lambda t, i: None))
 
     def test_external_signal_exception_wrapped(self):
         state = NetworkState([0.0], [1.0], 0.5, 0.5)
@@ -82,29 +96,29 @@ class TestStep:
             raise KeyError("no value")
 
         with pytest.raises(ConfigurationError, match="t=0, agent=0"):
-            step_bcfon(state, ExternalReference(broken))
+            step(state, ExternalReference(broken))
 
     @given(n=st.integers(1, 8), seed=st.integers(0, 2**32), d=st.floats(0.0, 1.0))
     @settings(max_examples=60)
     def test_matches_reference_stepper(self, n, seed, d):
         rng = np.random.default_rng(seed)
         state = NetworkState(rng.uniform(-5, 5, n), rng.uniform(0.1, 2.0, n), d, 0.3)
-        out = step_bcfon(state)
+        centers, sigmas = step(state)
         ref_c, ref_s = ref_step_flat(state.centers.tolist(), state.sigmas.tolist(), d, 0.3)
         # summation order may differ from the reference loop by a few ulp
-        np.testing.assert_allclose(out.centers, ref_c, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(out.sigmas, ref_s, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(centers, ref_c, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(sigmas, ref_s, rtol=1e-12, atol=1e-12)
 
     @given(n=st.integers(1, 10), seed=st.integers(0, 2**32))
     @settings(max_examples=40)
     def test_centers_stay_in_hull(self, n, seed):
         rng = np.random.default_rng(seed)
         state = NetworkState(rng.uniform(-5, 5, n), rng.uniform(0.1, 2.0, n), 0.4, 0.3)
-        out = step_bcfon(state)
+        centers, _ = step(state)
         lo, hi = state.centers.min(), state.centers.max()
         pad = 1e-12 * max(1.0, abs(lo), abs(hi))
-        assert out.centers.min() >= lo - pad
-        assert out.centers.max() <= hi + pad
+        assert centers.min() >= lo - pad
+        assert centers.max() <= hi + pad
 
 
 class TestRun:
@@ -143,11 +157,39 @@ class TestRun:
     def test_run_matches_repeated_steps(self):
         state = NetworkState([0.0, 1.0, 5.0], [1.0, 1.0, 1.0], 0.5, 0.2)
         record = run_bcfon(state, 4)
-        cur = state
+        centers, sigmas = state.centers, state.sigmas
         for k in range(1, 5):
-            cur = step_bcfon(cur)
-            assert np.array_equal(record.centers[k], cur.centers)
-            assert np.array_equal(record.sigmas[k], cur.sigmas)
+            centers, sigmas = step_bcfon(centers, sigmas, state.d, state.b)
+            assert np.array_equal(record.centers[k], centers)
+            assert np.array_equal(record.sigmas[k], sigmas)
+
+    def test_no_state_is_built_inside_a_run(self, monkeypatch):
+        # the initial state is validated once; steps work on raw arrays
+        flat = NetworkState([0.0, 1.0, 5.0], [1.0, 1.0, 1.0], 0.5, 0.2)
+        tree = NetworkState([0.0, 1.0, 2.0, 3.0, 4.0, 5.0], [1.0] * 6, 0.5, 0.2)
+        config = BlfgConfig(n=3, d=0.5, b=0.2, scheme=LeaderReference(), leader=10.0)
+        schedule = PhaseSchedule(phases=(Phase(0.9, 2), Phase(0.3, 2)), b=0.2)
+        built = []
+        original = NetworkState.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(NetworkState, "__init__", counting)
+        records = [
+            run_bcfon(flat, 3),
+            run_blfg(flat, config, 3),
+            run_td(HierarchySpec((2, 2), 10.0), tree, 3, LocalReference()),
+            run_bu(flat, schedule),
+        ]
+        assert [r.n_samples for r in records] == [4, 4, 4, 5]
+        assert built == []
+
+    def test_overflow_names_the_step(self):
+        state = NetworkState([1e308, 1.7e308], [1.0, 1.0], 0.0, 0.5)
+        with pytest.raises(ValueError, match=r"step 7 -> 8 overflowed"):
+            run_bcfon(state, 3, t0=7)
 
     def test_index_of_and_select_agents(self):
         state = NetworkState([0.0, 1.0, 5.0], [1.0, 1.0, 1.0], 0.5, 0.2)

@@ -10,10 +10,8 @@ from hfon import (
     ExternalReference,
     LeaderReference,
     LocalReference,
+    HierarchySpec,
     NetworkState,
-    TdState,
-    build_uniform_hierarchy,
-    group_sigma_report,
     run_blfg,
     run_td,
     step_td,
@@ -23,14 +21,18 @@ from hfon.leader import group_update
 
 def tiny_tree(b=0.1, d=0.0):
     # 2 bottom groups of 2 under one top group of 2; ids 0..3 bottom, 4..5 top
-    spec = build_uniform_hierarchy((2, 2), 10.0)
-    state = NetworkState([0.0, 1.0, 2.0, 3.0, 4.0, 5.0], [1.0] * 6, d, b)
-    return TdState(spec, state)
+    spec = HierarchySpec((2, 2), 10.0)
+    return spec, NetworkState([0.0, 1.0, 2.0, 3.0, 4.0, 5.0], [1.0] * 6, d, b)
+
+
+def step(spec, state, scheme):
+    """step_td over a state's arrays: new (centers, sigmas)."""
+    return step_td(spec, state.centers, state.sigmas, state.d, state.b, scheme)
 
 
 class TestLayout:
     def test_three_level_counts(self):
-        spec = build_uniform_hierarchy((12, 12), 10.0)
+        spec = HierarchySpec((12, 12), 10.0)
         assert spec.n_levels == 2
         assert spec.n_groups(1) == 12
         assert spec.n_groups(2) == 1
@@ -39,13 +41,13 @@ class TestLayout:
         assert spec.n_agents == 156
 
     def test_four_level_counts(self):
-        spec = build_uniform_hierarchy((5, 5, 5), 10.0)
+        spec = HierarchySpec((5, 5, 5), 10.0)
         assert spec.n_agents == 155
         assert [spec.n_groups(l) for l in (1, 2, 3)] == [25, 5, 1]
         assert [spec.level_offset(l) for l in (1, 2, 3)] == [0, 125, 150]
 
     def test_slices_and_leaders(self):
-        spec = build_uniform_hierarchy((5, 5, 5), 10.0)
+        spec = HierarchySpec((5, 5, 5), 10.0)
         assert spec.group_slice(1, 2) == slice(10, 15)
         assert spec.group_slice(2, 3) == slice(140, 145)
         assert spec.leader_index(1, 7) == 132
@@ -53,7 +55,7 @@ class TestLayout:
         assert spec.leader_index(3, 0) is None
 
     def test_every_agent_has_one_address(self):
-        spec = build_uniform_hierarchy((3, 2, 4), 10.0)
+        spec = HierarchySpec((3, 2, 4), 10.0)
         levels, groups = spec.agent_addresses()
         seen = np.zeros(spec.n_agents, dtype=int)
         for level, group in spec.groups():
@@ -64,7 +66,7 @@ class TestLayout:
         assert np.all(seen == 1)
 
     def test_address_errors(self):
-        spec = build_uniform_hierarchy((2, 2), 10.0)
+        spec = HierarchySpec((2, 2), 10.0)
         with pytest.raises(AddressError):
             spec.n_groups(0)
         with pytest.raises(AddressError):
@@ -76,23 +78,24 @@ class TestLayout:
 
     def test_spec_validation(self):
         with pytest.raises(ConfigurationError):
-            build_uniform_hierarchy((), 10.0)
+            HierarchySpec((), 10.0)
         with pytest.raises(ConfigurationError):
-            build_uniform_hierarchy((0, 2), 10.0)
+            HierarchySpec((0, 2), 10.0)
         with pytest.raises(ConfigurationError):
-            build_uniform_hierarchy((2,), float("nan"))
+            HierarchySpec((2,), float("nan"))
 
     def test_state_size_check(self):
-        spec = build_uniform_hierarchy((2, 2), 10.0)
-        with pytest.raises(ConfigurationError):
-            TdState(spec, NetworkState([1.0], [1.0], 0.5, 0.1))
+        spec = HierarchySpec((2, 2), 10.0)
+        for steps in (0, 3):
+            with pytest.raises(ConfigurationError, match="expects 6 agents, state has 1"):
+                run_td(spec, NetworkState([1.0], [1.0], 0.5, 0.1), steps, LocalReference())
 
 
 class TestStepping:
     def test_one_synchronous_step_local(self):
-        td = step_td(tiny_tree(), LocalReference())
+        centers, sigmas = step(*tiny_tree(), LocalReference())
         # bottom groups average themselves plus their OLD level-2 leader center
-        assert td.state.centers.tolist() == [
+        assert centers.tolist() == [
             (0.0 + 1.0 + 4.0) / 3.0,
             (0.0 + 1.0 + 4.0) / 3.0,
             (2.0 + 3.0 + 5.0) / 3.0,
@@ -100,12 +103,12 @@ class TestStepping:
             (4.0 + 5.0 + 10.0) / 3.0,
             (4.0 + 5.0 + 10.0) / 3.0,
         ]
-        assert td.state.sigmas.tolist() == [1.05] * 6
+        assert sigmas.tolist() == [1.05] * 6
 
     def test_one_synchronous_step_leader(self):
-        td = step_td(tiny_tree(), LeaderReference())
+        _, sigmas = step(*tiny_tree(), LeaderReference())
         # u = 0.1 * |center - own group leader center|
-        assert td.state.sigmas.tolist() == [
+        assert sigmas.tolist() == [
             1.0 + 0.1 * 4.0,
             1.0 + 0.1 * 3.0,
             1.0 + 0.1 * 3.0,
@@ -115,21 +118,21 @@ class TestStepping:
         ]
 
     def test_group_slice_and_leader_index(self):
-        td = tiny_tree()
-        assert td.state.centers[td.spec.group_slice(1, 1)].tolist() == [2.0, 3.0]
-        assert td.state.centers[td.spec.leader_index(1, 1)] == 5.0
-        assert td.spec.leader_index(2, 0) is None
-        assert td.spec.top_center == 10.0
+        spec, state = tiny_tree()
+        assert state.centers[spec.group_slice(1, 1)].tolist() == [2.0, 3.0]
+        assert state.centers[spec.leader_index(1, 1)] == 5.0
+        assert spec.leader_index(2, 0) is None
+        assert spec.top_center == 10.0
 
     @pytest.mark.parametrize("scheme", [LocalReference(), LeaderReference()])
     def test_level_blocks_match_per_group_updates(self, scheme):
-        spec = build_uniform_hierarchy((3, 2, 4), 10.0)
+        spec = HierarchySpec((3, 2, 4), 10.0)
         rng = np.random.default_rng(5)
         state = NetworkState(
             rng.uniform(0.0, 20.0, spec.n_agents), rng.uniform(0.0, 2.0, spec.n_agents),
             rng.uniform(0.0, 0.9, spec.n_agents), 0.1,
         )
-        stepped = step_td(TdState(spec, state), scheme).state
+        stepped_centers, stepped_sigmas = step(spec, state, scheme)
         for level, group in spec.groups():
             sl = spec.group_slice(level, group)
             idx = spec.leader_index(level, group)
@@ -137,34 +140,30 @@ class TestStepping:
             centers, sigmas = group_update(
                 state.centers[sl], state.sigmas[sl], state.d[sl], state.b[sl], leader, scheme
             )
-            assert np.array_equal(stepped.centers[sl], centers), (level, group)
-            assert np.array_equal(stepped.sigmas[sl], sigmas), (level, group)
+            assert np.array_equal(stepped_centers[sl], centers), (level, group)
+            assert np.array_equal(stepped_sigmas[sl], sigmas), (level, group)
 
     def test_scheme_and_threshold_guards(self):
-        td = tiny_tree()
-        with pytest.raises(ConfigurationError):
-            step_td(td, ExternalReference(lambda t, i: 0.0))
-        bad = TdState(td.spec, NetworkState(td.state.centers, td.state.sigmas, 1.0, 0.1))
-        with pytest.raises(ConfigurationError):
-            step_td(bad, LocalReference())
+        # checked once, at run entry, even when nothing is stepped
+        spec, state = tiny_tree()
+        bad = NetworkState(state.centers, state.sigmas, 1.0, 0.1)
+        for steps in (0, 3):
+            with pytest.raises(ConfigurationError):
+                run_td(spec, state, steps, ExternalReference(lambda t, i: 0.0))
+            with pytest.raises(ConfigurationError):
+                run_td(spec, bad, steps, LocalReference())
 
     def test_run_records_addresses(self):
-        record = run_td(tiny_tree(), 3, LocalReference())
+        record = run_td(*tiny_tree(), 3, LocalReference())
         assert record.n_samples == 4
         assert record.levels.tolist() == [1, 1, 1, 1, 2, 2]
         assert record.groups.tolist() == [0, 0, 1, 1, 0, 0]
-        stepped = step_td(tiny_tree(), LocalReference())
-        assert np.array_equal(record.centers[1], stepped.state.centers)
+        centers, _ = step(*tiny_tree(), LocalReference())
+        assert np.array_equal(record.centers[1], centers)
 
     def test_run_rejects_negative_steps(self):
         with pytest.raises(ValueError):
-            run_td(tiny_tree(), -1, LocalReference())
-
-    def test_sigma_report(self):
-        rows = group_sigma_report(tiny_tree())
-        assert [(r.level, r.group) for r in rows] == [(1, 0), (1, 1), (2, 0)]
-        assert rows[0].mean_sigma == 1.0
-        assert rows[0].sigma_spread == 0.0
+            run_td(*tiny_tree(), -1, LocalReference())
 
 
 class TestTwoLevelReduction:
@@ -172,9 +171,8 @@ class TestTwoLevelReduction:
     def test_single_group_tree_equals_flat_group(self, scheme):
         centers = [5.0, 10.0, 15.0, 20.0]
         sigmas = [1.0, 1.0, 1.0, 1.0]
-        spec = build_uniform_hierarchy((4,), 10.0)
-        td = TdState(spec, NetworkState(centers, sigmas, 0.6, 0.01))
-        tree = run_td(td, 30, scheme)
+        spec = HierarchySpec((4,), 10.0)
+        tree = run_td(spec, NetworkState(centers, sigmas, 0.6, 0.01), 30, scheme)
         config = BlfgConfig(n=4, d=0.6, b=0.01, scheme=scheme, leader=10.0)
         flat = run_blfg(NetworkState(centers, sigmas, 0.6, 0.01), config, 30)
         assert np.array_equal(tree.centers, flat.centers)

@@ -63,38 +63,46 @@ def make_record(times, centers, sigmas=None):
     )
 
 
+def step(state, leader, scheme):
+    """step_blfg over a state's arrays: new (centers, sigmas)."""
+    return step_blfg(state.centers, state.sigmas, state.d, state.b, leader, scheme)
+
+
 class TestStepBlfg:
     def test_two_isolated_followers(self):
         # mutual closeness exp(-100) is far below d, so each averages with the leader alone
         state = NetworkState([0.0, 20.0], [1.0, 1.0], 0.6, 0.01)
-        out = step_blfg(state, 10.0, LeaderReference())
-        assert out.centers.tolist() == [5.0, 15.0]
-        assert out.sigmas.tolist() == [1.1, 1.1]
+        centers, sigmas = step(state, 10.0, LeaderReference())
+        assert centers.tolist() == [5.0, 15.0]
+        assert sigmas.tolist() == [1.1, 1.1]
 
     def test_three_followers_both_schemes(self):
         state = NetworkState([5.0, 10.0, 25.0], [1.0, 1.0, 1.0], 0.6, 0.01)
-        local = step_blfg(state, 10.0, LocalReference())
-        assert local.centers.tolist() == [7.5, 10.0, 17.5]
-        assert local.sigmas.tolist() == [1.0, 1.0, 1.0]
-        leader = step_blfg(state, 10.0, LeaderReference())
-        assert leader.centers.tolist() == [7.5, 10.0, 17.5]
-        assert leader.sigmas.tolist() == [1.05, 1.0, 1.15]
+        centers, sigmas = step(state, 10.0, LocalReference())
+        assert centers.tolist() == [7.5, 10.0, 17.5]
+        assert sigmas.tolist() == [1.0, 1.0, 1.0]
+        centers, sigmas = step(state, 10.0, LeaderReference())
+        assert centers.tolist() == [7.5, 10.0, 17.5]
+        assert sigmas.tolist() == [1.05, 1.0, 1.15]
 
     def test_five_follower_ramp(self):
         state = NetworkState([5.0, 10.0, 15.0, 20.0, 25.0], [1.0] * 5, 0.6, 0.01)
-        out = step_blfg(state, 10.0, LeaderReference())
-        assert out.centers.tolist() == [7.5, 10.0, 12.5, 15.0, 17.5]
-        assert out.sigmas.tolist() == [1.05, 1.0, 1.05, 1.1, 1.15]
+        centers, sigmas = step(state, 10.0, LeaderReference())
+        assert centers.tolist() == [7.5, 10.0, 12.5, 15.0, 17.5]
+        assert sigmas.tolist() == [1.05, 1.0, 1.05, 1.1, 1.15]
 
     def test_external_scheme_rejected(self):
-        state = NetworkState([0.0], [1.0], 0.5, 0.5)
-        with pytest.raises(ConfigurationError):
-            step_blfg(state, 10.0, ExternalReference(lambda t, i: 0.0))
+        # run_blfg takes its scheme from a BlfgConfig, which refuses this one when built
+        with pytest.raises(ConfigurationError, match="only the local or leader reference scheme"):
+            BlfgConfig(n=1, d=0.5, b=0.5, scheme=ExternalReference(lambda t, i: 0.0), leader=10.0)
 
     def test_threshold_one_rejected(self):
+        # checked once, at run entry, even when nothing is stepped
         state = NetworkState([0.0], [1.0], 1.0, 0.5)
-        with pytest.raises(ConfigurationError):
-            step_blfg(state, 10.0, LocalReference())
+        config = BlfgConfig(n=1, d=0.5, b=0.5, scheme=LocalReference(), leader=10.0)
+        for steps in (0, 3):
+            with pytest.raises(ConfigurationError, match=r"\[0, 1\) inside a group"):
+                run_blfg(state, config, steps)
 
     @given(
         n=st.integers(1, 7),
@@ -108,12 +116,12 @@ class TestStepBlfg:
         rng = np.random.default_rng(seed)
         state = NetworkState(rng.uniform(-5, 5, n), rng.uniform(0.1, 2.0, n), d, 0.3)
         scheme = LocalReference() if local else LeaderReference()
-        out = step_blfg(state, leader, scheme)
+        centers, sigmas = step(state, leader, scheme)
         ref_c, ref_s = ref_step_group(
             state.centers.tolist(), state.sigmas.tolist(), d, 0.3, leader, "local" if local else "leader"
         )
-        np.testing.assert_allclose(out.centers, ref_c, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(out.sigmas, ref_s, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(centers, ref_c, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(sigmas, ref_s, rtol=1e-12, atol=1e-12)
 
 
 class TestConfigAndRun:
@@ -139,13 +147,6 @@ class TestConfigAndRun:
         with pytest.raises(ConfigurationError):
             bad.leader_at(0)
 
-    def test_initial_state_size_check(self):
-        config = BlfgConfig(n=3, d=0.5, b=0.1, scheme=LocalReference(), leader=10.0)
-        state = config.initial_state([1.0, 2.0, 3.0], [1.0, 1.0, 1.0])
-        assert state.n == 3
-        with pytest.raises(ConfigurationError):
-            config.initial_state([1.0], [1.0])
-
     def test_run_size_mismatch(self):
         config = BlfgConfig(n=2, d=0.5, b=0.1, scheme=LocalReference(), leader=10.0)
         with pytest.raises(ConfigurationError):
@@ -156,7 +157,7 @@ class TestConfigAndRun:
         config = BlfgConfig(
             n=2, d=0.99, b=0.5, scheme=LeaderReference(), leader=lambda t: 10.0 + t
         )
-        state = config.initial_state([0.0, 100.0], [1.0, 1.0])
+        state = NetworkState([0.0, 100.0], [1.0, 1.0], 0.99, 0.5)
         record = run_blfg(state, config, 2)
         assert record.centers[1].tolist() == [5.0, 55.0]
         assert record.sigmas[1].tolist() == [6.0, 46.0]
@@ -203,7 +204,7 @@ class TestConsensusDetection:
     def test_symmetric_pair_run(self):
         # two followers mirror-placed around the leader meet it exactly
         config = BlfgConfig(n=2, d=0.9999, b=0.01, scheme=LocalReference(), leader=10.0)
-        state = config.initial_state([5.0, 15.0], [1.0, 1.0])
+        state = NetworkState([5.0, 15.0], [1.0, 1.0], 0.9999, 0.01)
         record = run_blfg(state, config, 12)
         report = detect_consensus_time(record)
         assert report.t_consensus == 10

@@ -7,6 +7,7 @@ import pytest
 
 from hfon import (
     BlfgConfig,
+    HierarchySpec,
     InitialSpec,
     LeaderReference,
     LocalReference,
@@ -14,10 +15,8 @@ from hfon import (
     Phase,
     ScenarioConfig,
     ScenarioRun,
-    TdState,
     TrajectoryRecord,
     build_summary,
-    build_uniform_hierarchy,
     execute_scenario,
     first_exact_consensus_index,
     read_trajectory_csv,
@@ -91,9 +90,9 @@ class TestTrajectoryCsv:
         assert lines[1].startswith("0,0,,,")  # flat runs leave level/group empty
 
     def test_hierarchical_round_trip(self, tmp_path):
-        spec = build_uniform_hierarchy((2, 2), 10.0)
-        td = TdState(spec, NetworkState([0.0, 1.0, 2.0, 3.0, 4.0, 5.0], [1.0] * 6, 0.0, 0.1))
-        record = run_td(td, 3, LocalReference())
+        spec = HierarchySpec((2, 2), 10.0)
+        state = NetworkState([0.0, 1.0, 2.0, 3.0, 4.0, 5.0], [1.0] * 6, 0.0, 0.1)
+        record = run_td(spec, state, 3, LocalReference())
         path = tmp_path / "tree.csv"
         write_trajectory_csv(record, path)
         back = read_trajectory_csv(path)

@@ -63,9 +63,9 @@ class TestRunBu:
         record = run_bu(state, PhaseSchedule(phases=(Phase(0.9, 3), Phase(0.3, 2)), b=0.2))
         # recompute the first phase-2 transition by hand from the recorded boundary row
         boundary = NetworkState(record.centers[3], record.sigmas[3], 0.3, 0.2)
-        out = step_bcfon(boundary)
-        assert np.array_equal(record.centers[4], out.centers)
-        assert np.array_equal(record.sigmas[4], out.sigmas)
+        centers, sigmas = step_bcfon(boundary.centers, boundary.sigmas, boundary.d, boundary.b)
+        assert np.array_equal(record.centers[4], centers)
+        assert np.array_equal(record.sigmas[4], sigmas)
 
     def test_schedule_overrides_state_params(self):
         centers, sigmas = [0.0, 1.0, 5.0], [1.0] * 3

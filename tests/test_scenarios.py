@@ -228,6 +228,9 @@ class TestParseScenario:
             (lambda d: d["initial"].update(sigma=None), "key 'initial.sigma' must be a number"),
             (lambda d: d.update(kind="bottomup", phases=[{"d": "0.5", "steps": 2}]),
              r"key 'phases\[0\].d' must be a number"),
+            (lambda d: d.update(seed=-1), r"key 'seed' must lie in \[0, 2\*\*64\), got -1$"),
+            (lambda d: d.update(seed=2**64), r"key 'seed' must lie in \[0, 2\*\*64\), got 18446744073709551616$"),
+            (lambda d: d.update(seed=2**70), r"key 'seed' must lie in \[0, 2\*\*64\), got 1180591620717411303424$"),
         ],
     )
     def test_malformed_documents_name_the_problem(self, tmp_path, mutate, fragment):
@@ -251,6 +254,10 @@ class TestParseScenario:
         path = write_scenario(tmp_path, doc)
         with pytest.raises(ConfigurationError, match=rf"key '{re.escape(key)}' must be an integer"):
             parse_scenario(path)
+
+    def test_largest_seed_parses(self, tmp_path):
+        config = parse_scenario(write_scenario(tmp_path, small_blfg_doc(seed=2**64 - 1)))
+        assert config.seed == 2**64 - 1
 
     @pytest.mark.parametrize("name", [123, None])
     def test_name_must_be_a_string(self, tmp_path, name):
@@ -341,7 +348,7 @@ class TestExecute:
         assert run.record.centers[1].tolist() == [7.5, 12.5, 17.5]
         assert run.record.sigmas[1].tolist() == [1.0, 1.0, 1.0]
         assert run.seed is None
-        assert run.td_state is None
+        assert run.record.levels is None
 
     def test_seed_argument_overrides_config(self):
         config = ScenarioConfig(
@@ -361,7 +368,6 @@ class TestExecute:
             b=0.01, d=0.6, scheme="local", leader=10.0, steps=2, group_sizes=(2, 2),
         )
         run = execute_scenario(config)
-        assert run.td_state is not None
         ramp2 = ramp_initials(2).tolist()
         assert run.initial.centers.tolist() == ramp2 * 3
         assert run.record.levels.tolist() == [1, 1, 1, 1, 2, 2]
