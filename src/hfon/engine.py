@@ -61,14 +61,13 @@ def _external_values(scheme: ExternalReference, t: int, n: int) -> np.ndarray:
     return out
 
 
-def step_bcfon(centers, sigmas, d, b, scheme: ReferenceScheme = LocalReference(), t: int = 0):
+def step_bcfon(centers, sigmas, d, b, scheme: ReferenceScheme = LocalReference(), t: int = 0, rows=None):
     """One synchronous update of every agent from frozen time-t (n,) arrays: new (centers, sigmas).
 
-    Checks nothing (run_bcfon checks once); scheme is local or external.
+    Checks nothing (run_bcfon checks once); scheme is local or external.  rows
+    is passed on to neighborhood_sums.
     """
-    counts, center_sums, sigma_sums = neighborhood_sums(
-        centers, sigmas, d, distinct_agents(centers, sigmas, d, b)
-    )
+    counts, center_sums, sigma_sums = neighborhood_sums(centers, sigmas, d, rows)
     neigh_mean = center_sums / counts
     if isinstance(scheme, LocalReference):
         reference = neigh_mean
@@ -133,11 +132,19 @@ class TrajectoryRecord:
         )
 
 
-def _run(step, state: NetworkState, steps: int, t0: int = 0) -> TrajectoryRecord:
-    """Trajectory of centers, sigmas = step(centers, sigmas, t) for t = t0 .. t0 + steps - 1.
+def _run(
+    step, state: NetworkState, steps: int, t0: int = 0, partition=None, regroup=False
+) -> TrajectoryRecord:
+    """Trajectory of centers, sigmas = step(centers, sigmas, t, rows) for t = t0 .. t0 + steps - 1.
 
     The initial state, row 0, is the run's only validated object.  A step keeps
     sigmas non-negative but its sums can overflow, so each result must be finite.
+
+    rows is None unless partition gives the step's (d, b); then it is the
+    distinct_agents partition of the step's input.  Agents that share a state
+    get the same update and never split, so after the first step only the
+    previous representatives are regrouped.  regroup recomputes it over all n
+    agents every step, for per-agent inputs under which shared states split.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -145,12 +152,31 @@ def _run(step, state: NetworkState, steps: int, t0: int = 0) -> TrajectoryRecord
     sigmas = np.empty((steps + 1, state.n), dtype=np.float64)
     centers[0] = state.centers
     sigmas[0] = state.sigmas
+    rows = None
     with np.errstate(over="ignore", invalid="ignore"):  # reported below, naming the step
         for k, t in enumerate(range(t0, t0 + steps)):
-            centers[k + 1], sigmas[k + 1] = step(centers[k], sigmas[k], t)
+            if partition is not None:
+                rows = _regroup(None if regroup else rows, centers[k], sigmas[k], *partition)
+            centers[k + 1], sigmas[k + 1] = step(centers[k], sigmas[k], t, rows)
             if not (np.isfinite(centers[k + 1]).all() and np.isfinite(sigmas[k + 1]).all()):
                 raise ValueError(f"step {t} -> {t + 1} overflowed: a center or sigma is not finite")
     return TrajectoryRecord(times=np.arange(t0, t0 + steps + 1), centers=centers, sigmas=sigmas)
+
+
+def _regroup(rows, centers, sigmas, d, b):
+    """Agents grouped by identical (center, sigma, d, b) as (first, inverse), like distinct_agents.
+
+    rows, the partition one step earlier, is regrouped over its k
+    representatives only, O(k log k + n) instead of O(n log n), so first need
+    not hold the lowest ids.  None computes it over all n agents.
+    """
+    if rows is None:
+        return distinct_agents(centers, sigmas, d, b)
+    first, inverse = rows
+    if first.size == 1:
+        return rows
+    sub_first, sub_inverse = distinct_agents(centers[first], sigmas[first], d[first], b[first])
+    return first[sub_first], sub_inverse[inverse]
 
 
 def run_bcfon(
@@ -162,7 +188,11 @@ def run_bcfon(
     """Trajectory of `steps` synchronous updates, initial state included."""
     if isinstance(scheme, LeaderReference):
         raise ConfigurationError("a flat network has no leader; use a leader-follower group")
-    return _run(lambda c, s, t: step_bcfon(c, s, initial.d, initial.b, scheme, t), initial, steps, t0)
+    return _run(
+        lambda c, s, t, rows: step_bcfon(c, s, initial.d, initial.b, scheme, t, rows),
+        initial, steps, t0, partition=(initial.d, initial.b),
+        regroup=isinstance(scheme, ExternalReference),  # per-agent signals split shared states
+    )
 
 
 def steps_to_target(record: TrajectoryRecord, target: float, fraction: float = 0.01) -> int | None:

@@ -87,23 +87,36 @@ class HierarchySpec:
         """Per-agent (level, group) arrays in flattened order."""
         levels = np.empty(self.n_agents, dtype=np.intp)
         groups = np.empty(self.n_agents, dtype=np.intp)
-        for level, (sl, (g, k), _) in enumerate(self._levels, start=1):
+        for level, (sl, (g, k)) in enumerate(self._levels, start=1):
             levels[sl] = level
             groups[sl] = np.repeat(np.arange(g), k)
         return levels, groups
 
     @cached_property
-    def _levels(self) -> tuple[tuple[slice, tuple[int, int], slice | None], ...]:
-        """Per level, bottom first: its agents' slice, its (G, k) block shape, and the slice
-        of the next level up, whose G agents lead its groups in order (None at the top)."""
+    def _levels(self) -> tuple[tuple[slice, tuple[int, int]], ...]:
+        """Per level, bottom first: its agents' slice and its (G, k) block shape.
+
+        The G agents right after a level's slice lead its groups in order: the
+        whole next level up, or the top leader at id n_agents for the top level.
+        """
         out, start = [], 0
         for level, k in enumerate(self.group_sizes, start=1):
             g = math.prod(self.group_sizes[level:])
-            stop = start + g * k
-            above = slice(stop, stop + g) if level < self.n_levels else None
-            out.append((slice(start, stop), (g, k), above))
-            start = stop
+            out.append((slice(start, start + g * k), (g, k)))
+            start += g * k
         return tuple(out)
+
+    @cached_property
+    def _blocks(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per distinct group size k: the agent ids of every such group as one (G, k) array,
+        and their leaders' ids as a (G,) array into [centers..., top_center]."""
+        ids = np.arange(self.n_agents + 1)
+        by_size: dict[int, tuple[list, list]] = {}
+        for sl, (g, k) in self._levels:
+            agents, leaders = by_size.setdefault(k, ([], []))
+            agents.append(ids[sl].reshape(g, k))
+            leaders.append(ids[sl.stop:sl.stop + g])
+        return tuple((np.concatenate(a), np.concatenate(l)) for a, l in by_size.values())
 
     def _check_level(self, level: int):
         if not (isinstance(level, (int, np.integer)) and 1 <= level <= self.n_levels):
@@ -114,16 +127,16 @@ def step_td(spec: HierarchySpec, centers, sigmas, d, b, scheme: ReferenceScheme)
     """One synchronous update of every group from one frozen whole-tree snapshot: new (centers, sigmas).
 
     An array kernel over (n,) arrays in the spec's layout that checks nothing;
-    run_td checks once.  Each level is one (G, k) block led by the level above.
+    run_td checks once.  All groups of one size, at whatever level, step as one
+    (G, k) block, each led by its own leader's center.
     """
     new_centers = np.empty_like(centers)
     new_sigmas = np.empty_like(sigmas)
-    for sl, shape, above in spec._levels:
-        leader = spec.top_center if above is None else centers[above, None]
-        blocks = (a[sl].reshape(shape) for a in (centers, sigmas, d, b))
-        level_centers, level_sigmas = group_update(*blocks, leader, scheme)
-        new_centers[sl] = level_centers.ravel()
-        new_sigmas[sl] = level_sigmas.ravel()
+    leader_pool = np.append(centers, spec.top_center)
+    for agents, leaders in spec._blocks:
+        new_centers[agents], new_sigmas[agents] = group_update(
+            centers[agents], sigmas[agents], d[agents], b[agents], leader_pool[leaders, None], scheme
+        )
     return new_centers, new_sigmas
 
 
@@ -133,6 +146,6 @@ def run_td(spec: HierarchySpec, initial: NetworkState, steps: int, scheme: Refer
         raise ConfigurationError(f"hierarchy expects {spec.n_agents} agents, state has {initial.n}")
     _check_group_scheme(scheme)
     _check_group_thresholds(initial.d)
-    record = _run(lambda c, s, t: step_td(spec, c, s, initial.d, initial.b, scheme), initial, steps)
+    record = _run(lambda c, s, t, rows: step_td(spec, c, s, initial.d, initial.b, scheme), initial, steps)
     record.levels, record.groups = spec.agent_addresses()
     return record

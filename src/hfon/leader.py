@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .engine import LeaderReference, LocalReference, ReferenceScheme, TrajectoryRecord, _run
-from .opinions import NetworkState, distinct_agents, neighbor_mask, neighborhood_sums
+from .opinions import NetworkState, neighbor_mask, neighborhood_sums
 
 
 def group_update(centers, sigmas, d, b, leader_center, scheme, rows=None):
@@ -84,24 +84,32 @@ class BlfgConfig:
         return float(value)
 
 
-def step_blfg(centers, sigmas, d, b, leader_center: float, scheme: ReferenceScheme):
+def step_blfg(centers, sigmas, d, b, leader_center: float, scheme: ReferenceScheme, rows=None):
     """One synchronous update of a follower group under a fixed leader value: new (centers, sigmas).
 
     An array kernel over (n,) arrays that checks nothing; run_blfg checks once.
+    rows is passed on to neighborhood_sums.
     """
-    return group_update(
-        centers, sigmas, d, b, leader_center, scheme, distinct_agents(centers, sigmas, d, b)
-    )
+    return group_update(centers, sigmas, d, b, leader_center, scheme, rows)
 
 
 def run_blfg(initial: NetworkState, config: BlfgConfig, steps: int) -> TrajectoryRecord:
-    """Follower trajectory over `steps` updates; the exogenous leader is not recorded."""
+    """Follower trajectory over `steps` updates; the exogenous leader is not recorded.
+
+    Every follower's d and b must equal the config's.
+    """
     if initial.n != config.n:
         raise ConfigurationError(f"config expects {config.n} followers, state has {initial.n}")
-    _check_group_thresholds(initial.d)
+    for key, values, expected in (("d", initial.d, config.d), ("b", initial.b, config.b)):
+        differs = np.nonzero(values != expected)[0]
+        if differs.size:
+            raise ConfigurationError(
+                f"key {key!r} of the state must equal the config's {expected!r}, "
+                f"got {float(values[differs[0]])!r} for follower {int(differs[0])}"
+            )
     return _run(
-        lambda c, s, t: step_blfg(c, s, initial.d, initial.b, config.leader_at(t), config.scheme),
-        initial, steps,
+        lambda c, s, t, rows: step_blfg(c, s, initial.d, initial.b, config.leader_at(t), config.scheme, rows),
+        initial, steps, partition=(initial.d, initial.b),
     )
 
 

@@ -258,8 +258,7 @@ def build_summary(run: ScenarioRun, gap: float | None = None, tol: float | None 
             {**c, "name": f"top_group_{c['name']}"} for c in checks
         ]
         final = run.record.sigmas[-1]
-        spread = max(float(np.ptp(final[sl].reshape(shape), axis=1).max())
-                     for sl, shape, _ in spec._levels)
+        spread = max(float(np.ptp(final[agents], axis=1).max()) for agents, _ in spec._blocks)
         checks.append(_check("max_group_sigma_spread_final", 0.0, spread, 1e-9))
         target_steps = steps_to_target(run.record, config.leader)
     elif config.kind == "bottomup":

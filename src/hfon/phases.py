@@ -71,17 +71,21 @@ def run_bu(initial: NetworkState, schedule: PhaseSchedule) -> TrajectoryRecord:
     for phase in schedule.phases:
         spans.append(PhaseSpan(d=phase.d, t_start=t, t_end=t + phase.steps))
         t += phase.steps
-    # every step lies in exactly one non-empty span; its d applies from the span's first step
+    # every step lies in exactly one non-empty span; its d applies from the span's first step,
+    # and the first non-empty span starts at 0 whenever anything is stepped
     starts = {span.t_start: span.d for span in spans if span.t_end > span.t_start}
-    d, b = None, np.full(initial.n, float(schedule.b))
+    d = np.full(initial.n, float(starts.get(0, schedule.phases[0].d)))
+    b = np.full(initial.n, float(schedule.b))
 
-    def step(centers, sigmas, t: int):
+    def step(centers, sigmas, t: int, rows):
         nonlocal d
         if t in starts:
             d = np.full(initial.n, float(starts[t]))
-        return step_bcfon(centers, sigmas, d, b, scheme, t)
+        return step_bcfon(centers, sigmas, d, b, scheme, t, rows)
 
-    record = _run(step, initial, schedule.total_steps)
+    # every agent shares each phase's d and b, so a phase change splits no state and the
+    # partition over the first phase's d holds for every phase
+    record = _run(step, initial, schedule.total_steps, partition=(d, b))
     record.phases = spans
     return record
 
@@ -138,8 +142,8 @@ def phase_summary(record: TrajectoryRecord, gap: float | None = None) -> list[Cl
 def distinct_state_counts(record: TrajectoryRecord) -> np.ndarray:
     """Number of distinct (center, sigma) pairs at every recorded step.
 
-    Agents that have merged never split again, so this is non-increasing along
-    any valid trajectory.
+    Agents that have merged never split again under the local or leader
+    reference, so this is non-increasing along such a trajectory.
     """
     counts = np.empty(record.n_samples, dtype=np.intp)
     for k in range(record.n_samples):

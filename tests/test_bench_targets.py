@@ -45,7 +45,7 @@ EXPECTED_CALLS = {
     ("hfon.leader", "step_blfg"): 4,
     ("hfon.leader", "group_update"): 4,
     ("hfon.hierarchy", "step_td"): 3,
-    ("hfon.hierarchy", "group_update"): 3 * 2,  # one call per level
+    ("hfon.hierarchy", "group_update"): 3,  # one call per distinct group size
     ("hfon.phases", "step_bcfon"): 5,
     ("hfon.scenarios", "run_bu"): 1,
 }

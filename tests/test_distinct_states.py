@@ -5,7 +5,9 @@ The 1-D engines compute the neighbourhood sums once per distinct
 dense reference below computes every row, as the engines did before; both
 must give the same bytes for every agent, including duplicate states, agents
 that share (center, sigma) but not (d, b), per-agent external signals, the
-leader scheme, signed zeros and zero sigmas.
+leader scheme, signed zeros and zero sigmas.  A run carries the partition
+from step to step, so whole runs are compared with a dense per-step loop too,
+including states that split under per-agent external signals.
 """
 
 import numpy as np
@@ -14,14 +16,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hfon import (
+    BlfgConfig,
     ExternalReference,
     LeaderReference,
     LocalReference,
     NetworkState,
+    Phase,
+    PhaseSchedule,
     closeness_matrix,
+    run_bcfon,
+    run_blfg,
+    run_bu,
     step_bcfon,
     step_blfg,
 )
+from hfon.engine import _regroup
 from hfon.opinions import distinct_agents, neighborhood_sums
 
 
@@ -30,11 +39,11 @@ def distinct(state):
 
 
 def flat_step(state, scheme=LocalReference(), t=0):
-    return step_bcfon(state.centers, state.sigmas, state.d, state.b, scheme, t)
+    return step_bcfon(state.centers, state.sigmas, state.d, state.b, scheme, t, distinct(state))
 
 
 def group_step(state, leader, scheme):
-    return step_blfg(state.centers, state.sigmas, state.d, state.b, leader, scheme)
+    return step_blfg(state.centers, state.sigmas, state.d, state.b, leader, scheme, distinct(state))
 
 
 def dense_sums(state):
@@ -177,3 +186,89 @@ def test_many_steps_of_a_merging_population():
         assert_same_bits(state.centers, dense.centers)
         assert_same_bits(state.sigmas, dense.sigmas)
     assert distinct(state)[0].size < 200
+
+
+def assert_record_matches(record, state, dense_step, d=None):
+    """Every recorded row equals a dense per-step loop from the same state; d(t) varies d."""
+    centers, sigmas = state.centers, state.sigmas
+    for k, t in enumerate(record.times[:-1]):
+        step_d = state.d if d is None else np.full(state.n, d(t))
+        centers, sigmas = dense_step(NetworkState(centers, sigmas, step_d, state.b), int(t))
+        assert_same_bits(record.centers[k + 1], centers)
+        assert_same_bits(record.sigmas[k + 1], sigmas)
+
+
+def n_states(record, k):
+    """Distinct (center, sigma) pairs at row k of a record."""
+    return np.unique(np.stack([record.centers[k], record.sigmas[k]], axis=1), axis=0).shape[0]
+
+
+def pooled_state(n, seed, d, b):
+    """Centers and sigmas drawn from small pools, so agents start equal and merge further."""
+    rng = np.random.default_rng(seed)
+    return NetworkState(rng.choice([5.0, 6.0, 9.0, 15.0, 25.0], n), rng.choice([0.0, 0.5, 1.5], n), d, b)
+
+
+class TestCarriedPartition:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_flat_run_local(self, seed):
+        rng = np.random.default_rng(seed)
+        state = pooled_state(80, seed, rng.choice([0.3, 0.6], 80), rng.choice([0.2, 0.5], 80))
+        record = run_bcfon(state, 60, LocalReference(), t0=3)
+        assert_record_matches(record, state, lambda s, t: dense_bcfon(s, LocalReference(), t))
+        assert n_states(record, -1) < n_states(record, 0)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_flat_run_external(self, seed):
+        offsets = np.random.default_rng(seed).choice([0.0, 2.0], 80)
+        scheme = ExternalReference(lambda t, i: 10.0 + offsets[i] * (t % 3))
+        state = pooled_state(80, seed, 0.5, 0.3)
+        record = run_bcfon(state, 40, scheme)
+        assert_record_matches(record, state, lambda s, t: dense_bcfon(s, scheme, t))
+
+    def test_shared_state_splits_under_external_signals(self):
+        # agents 0 and 1 share a state at t = 0; their signals differ, so their sigmas part at
+        # t = 1, and at t = 2 only agent 1 is wide enough to hear agent 2
+        signals = [1.0, 3.0, 2.5]
+        scheme = ExternalReference(lambda t, i: signals[i])
+        state = NetworkState([1.0, 1.0, 2.5], [0.5, 0.5, 0.5], 0.5, 1.0)
+        record = run_bcfon(state, 3, scheme)
+        assert record.sigmas[1].tolist() == [0.5, 2.5, 0.5]
+        assert record.centers[1, 0] == record.centers[1, 1]
+        assert record.centers[2, 0] != record.centers[2, 1]
+        assert_record_matches(record, state, lambda s, t: dense_bcfon(s, scheme, t))
+
+    @pytest.mark.parametrize("scheme", [LocalReference(), LeaderReference()])
+    @pytest.mark.parametrize("moving", [False, True])
+    def test_group_run(self, scheme, moving):
+        leader = (lambda t: 10.0 + 0.5 * t) if moving else 10.0
+        config = BlfgConfig(n=60, d=0.4, b=0.3, scheme=scheme, leader=leader)
+        state = pooled_state(60, 7, 0.4, 0.3)
+        record = run_blfg(state, config, 60)
+        assert_record_matches(record, state, lambda s, t: dense_blfg(s, config.leader_at(t), scheme))
+        assert n_states(record, -1) < n_states(record, 0)
+
+    def test_phased_run_across_changes_of_d(self):
+        phases = (Phase(0.2, 0), Phase(0.9, 15), Phase(0.3, 20), Phase(0.0, 0), Phase(0.7, 10))
+        schedule = PhaseSchedule(phases, b=0.4)
+        # the state's own (d, b) differ per agent; the schedule's replace them
+        rng = np.random.default_rng(3)
+        state = pooled_state(90, 3, rng.uniform(0.0, 1.0, 90), rng.uniform(0.1, 1.0, 90))
+        record = run_bu(state, schedule)
+        scheduled = NetworkState(state.centers, state.sigmas, 0.0, schedule.b)
+        d_at = {t: span.d for span in record.phases for t in range(span.t_start, span.t_end)}
+        assert_record_matches(record, scheduled, lambda s, t: dense_bcfon(s, LocalReference(), t), d_at.get)
+
+    def test_carried_partition_equals_a_full_one(self):
+        state = pooled_state(120, 5, 0.45, 0.5)
+        record = run_bcfon(state, 50)
+        rows, sizes = None, []
+        for centers, sigmas in zip(record.centers, record.sigmas):
+            rows = _regroup(rows, centers, sigmas, state.d, state.b)
+            full = distinct_agents(centers, sigmas, state.d, state.b)
+            pairs = np.unique(np.stack([rows[1], full[1]]), axis=1)
+            assert pairs.shape[1] == rows[0].size == full[0].size
+            keys = np.stack([centers, sigmas], axis=1)
+            assert_same_bits(keys[rows[0]][rows[1]], keys)
+            sizes.append(rows[0].size)
+        assert sizes[0] > sizes[-1] >= 1

@@ -166,6 +166,53 @@ class TestStepping:
             run_td(*tiny_tree(), -1, LocalReference())
 
 
+def per_level_step(spec, centers, sigmas, d, b, scheme):
+    """Reference tree step: one group_update per level, each (G, k) level led by the G agents
+    right after it (the whole next level up), the top level by the top leader."""
+    new_centers, new_sigmas = np.empty_like(centers), np.empty_like(sigmas)
+    for level, k in enumerate(spec.group_sizes, start=1):
+        g, start = spec.n_groups(level), spec.level_offset(level)
+        sl = slice(start, start + g * k)
+        leader = spec.top_center if level == spec.n_levels else centers[sl.stop:sl.stop + g, None]
+        level_centers, level_sigmas = group_update(
+            *(a[sl].reshape(g, k) for a in (centers, sigmas, d, b)), leader, scheme
+        )
+        new_centers[sl], new_sigmas[sl] = level_centers.ravel(), level_sigmas.ravel()
+    return new_centers, new_sigmas
+
+
+class TestMixedSizes:
+    @pytest.mark.parametrize("sizes", [(3, 2, 4), (4, 4, 1, 3), (2, 5), (1,)])
+    @pytest.mark.parametrize("scheme", [LocalReference(), LeaderReference()])
+    def test_run_equals_per_level_steps(self, sizes, scheme):
+        spec = HierarchySpec(sizes, 10.0)
+        n = spec.n_agents
+        rng = np.random.default_rng(sum(sizes))
+        # centers from a small pool, so groups reach exact consensus along the run
+        state = NetworkState(
+            rng.choice([0.0, 5.0, 5.5, 20.0], n), rng.uniform(0.0, 2.0, n),
+            rng.uniform(0.0, 0.95, n), rng.uniform(0.01, 0.5, n),
+        )
+        record = run_td(spec, state, 80, scheme)
+        centers, sigmas = state.centers, state.sigmas
+        for k in range(1, record.n_samples):
+            centers, sigmas = per_level_step(spec, centers, sigmas, state.d, state.b, scheme)
+            assert centers.tobytes() == record.centers[k].tobytes(), k
+            assert sigmas.tobytes() == record.sigmas[k].tobytes(), k
+
+    def test_one_block_per_group_size(self):
+        spec = HierarchySpec((4, 4, 1, 3), 10.0)
+        shapes = [(agents.shape, leaders.shape) for agents, leaders in spec._blocks]
+        assert shapes == [((15, 4), (15,)), ((3, 1), (3,)), ((1, 3), (1,))]
+        agents = np.concatenate([a.ravel() for a, _ in spec._blocks])
+        assert sorted(agents.tolist()) == list(range(spec.n_agents))
+        levels, groups = spec.agent_addresses()
+        for block_agents, leaders in spec._blocks:
+            for row, leader in zip(block_agents, leaders):
+                expected = spec.leader_index(int(levels[row[0]]), int(groups[row[0]]))
+                assert leader == (spec.n_agents if expected is None else expected)
+
+
 class TestTwoLevelReduction:
     @pytest.mark.parametrize("scheme", [LocalReference(), LeaderReference()])
     def test_single_group_tree_equals_flat_group(self, scheme):

@@ -97,11 +97,12 @@ class TestStepBlfg:
             BlfgConfig(n=1, d=0.5, b=0.5, scheme=ExternalReference(lambda t, i: 0.0), leader=10.0)
 
     def test_threshold_one_rejected(self):
-        # checked once, at run entry, even when nothing is stepped
+        # checked once, at run entry, even when nothing is stepped; a config's d lies in [0, 1)
+        # and the state's must equal it
         state = NetworkState([0.0], [1.0], 1.0, 0.5)
         config = BlfgConfig(n=1, d=0.5, b=0.5, scheme=LocalReference(), leader=10.0)
         for steps in (0, 3):
-            with pytest.raises(ConfigurationError, match=r"\[0, 1\) inside a group"):
+            with pytest.raises(ConfigurationError, match=r"key 'd' .* config's 0\.5, got 1\.0"):
                 run_blfg(state, config, steps)
 
     @given(
@@ -151,6 +152,17 @@ class TestConfigAndRun:
         config = BlfgConfig(n=2, d=0.5, b=0.1, scheme=LocalReference(), leader=10.0)
         with pytest.raises(ConfigurationError):
             run_blfg(NetworkState([1.0], [1.0], 0.5, 0.1), config, 3)
+
+    def test_state_must_match_config(self):
+        # a state's own (d, b) used to be stepped silently in place of the config's
+        config = BlfgConfig(n=3, d=0.1, b=0.01, scheme=LocalReference(), leader=10.0)
+        for steps in (0, 2):
+            with pytest.raises(ConfigurationError, match=r"key 'd' .* config's 0\.1, got 0\.9 for follower 0"):
+                run_blfg(NetworkState([0.0, 1.0, 5.0], [1.0] * 3, 0.9, 0.5), config, steps)
+            with pytest.raises(ConfigurationError, match=r"key 'b' .* config's 0\.01, got 0\.5 for follower 2"):
+                run_blfg(NetworkState([0.0, 1.0, 5.0], [1.0] * 3, 0.1, [0.01, 0.01, 0.5]), config, steps)
+        record = run_blfg(NetworkState([0.0, 1.0, 5.0], [1.0] * 3, 0.1, 0.01), config, 2)
+        assert record.sigmas[-1].tolist() == [1.005, 1.005, 1.0]
 
     def test_moving_leader(self):
         # far-apart followers never hear each other, so every row is hand-checkable
