@@ -256,6 +256,31 @@ class TestRejections:
         with pytest.raises(ValueError, match=r"^line 4, field 4: could not convert string 'z' to int64$"):
             read_trajectory_csv(path)
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([b"0,1,,,,1"], "line 3, field 5: could not convert string '' to float64"),
+            ([b"0,1,,,1,"], "line 3, field 6: could not convert string '' to float64"),
+            ([b"0,1,,, ,1"], "line 3, field 5: could not convert string ' ' to float64"),
+            ([b"0,1,,,1, "], "line 3, field 6: could not convert string ' ' to float64"),
+            # the first bad value in file order is named, whatever its column
+            ([b"0,1,,,1,y", b"0,2,,,x,1"], "line 3, field 6: could not convert string 'y' to float64"),
+            ([b"0,1,,,x,y"], "line 3, field 5: could not convert string 'x' to float64"),
+            ([b"0,1,,,x,1", b"q,2,,,1,1"], "line 3, field 5: could not convert string 'x' to float64"),
+            ([b"q,1,,,1,1", b"0,2,,,x,1"], "line 3, field 1: could not convert string 'q' to int64"),
+            ([b"0,1,,,1,1", b"0,2,,,x,1", b"0,3,,,1,x", b"0,4,,,1,1", b"q,5,,,1,1"],
+             "line 4, field 5: could not convert string 'x' to float64"),
+            ([b"0,%d,,,x,1" % i for i in range(1, 49)], "line 3, field 5: could not convert string 'x' to float64"),
+            ([b"0,%d,,,1,1" % i for i in range(1, 49)] + [b"0,49,,,1,-", b"0,50,,,-,1"],
+             "line 51, field 6: could not convert string '-' to float64"),
+        ],
+    )
+    def test_first_bad_value_is_named(self, work_dir, rows, message):
+        path = work_dir / "first.csv"
+        path.write_bytes(b"t,agent,level,group,center,sigma\n0,0,,,1,1\n" + b"\n".join(rows) + b"\n")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            read_trajectory_csv(path)
+
 
 _MUTATIONS = st.sampled_from(
     [
