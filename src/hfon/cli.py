@@ -71,13 +71,17 @@ def _run_command(args) -> int:
     _check_nonnegative(args.tol, "--tol")
     config = parse_scenario(args.scenario)
     run = execute_scenario(config, seed=args.seed)
+    summary = build_summary(run, gap=args.gap, tol=args.tol)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{config.name}.trajectory.csv"
     json_path = out_dir / f"{config.name}.summary.json"
     write_trajectory_csv(run.record, csv_path, stride=args.stride)
-    summary = build_summary(run, gap=args.gap, tol=args.tol)
-    write_summary_json(summary, json_path)
+    try:
+        write_summary_json(summary, json_path)
+    except BaseException:
+        csv_path.unlink(missing_ok=True)  # a trajectory without its summary is no run's output
+        raise
     print(f"wrote {csv_path}")
     print(f"wrote {json_path}")
     failed = [c for c in summary["predictor_checks"] if not c["pass"]]

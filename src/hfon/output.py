@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import re
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +34,27 @@ _HEADER_LINE = (",".join(CSV_HEADER) + "\n").encode()
 # enough significant digits that parsing the text reproduces the exact double
 _FLOAT_FORMAT = "%.17g"
 _PAIR_FORMAT = f"{_FLOAT_FORMAT},{_FLOAT_FORMAT}\n"
+# the longest center or sigma text the reader accepts; the writer's longest is 24
+_MAX_FLOAT_FIELD = 64
+
+
+@contextmanager
+def _replacing(path):
+    """A text file open for writing that takes path's place only once the block completes.
+
+    It is written under a hidden temporary name in path's directory and
+    renamed over path, so path never holds a partly written file; on failure
+    the temporary file is removed and path is left as it was.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_trajectory_csv(record: TrajectoryRecord, path, stride: int = 1):
@@ -39,7 +62,7 @@ def write_trajectory_csv(record: TrajectoryRecord, path, stride: int = 1):
 
     Within a step, each distinct (center, sigma) pair, keyed on its exact bits
     so that -0.0 and 0.0 stay apart, is formatted once and shared by every
-    agent holding it.
+    agent holding it.  The file appears at path only once it is complete.
     """
     if not (isinstance(stride, int) and stride >= 1):
         raise ValueError("stride must be an integer >= 1")
@@ -51,7 +74,7 @@ def write_trajectory_csv(record: TrajectoryRecord, path, stride: int = 1):
         addresses = [f"{i},,," for i in ids]
     else:
         addresses = [f"{i},{int(lv)},{int(g)}," for i, lv, g in zip(ids, record.levels, record.groups)]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _replacing(path) as fh:
         fh.write(",".join(CSV_HEADER) + "\n")
         for k in keep:
             pairs = np.stack([record.centers[k], record.sigmas[k]], axis=1)
@@ -61,12 +84,13 @@ def write_trajectory_csv(record: TrajectoryRecord, path, stride: int = 1):
             fh.writelines(t + a + values[j] for a, j in zip(addresses, inverse.tolist()))
 
 
-def _check_layout(raw: bytes) -> bool:
-    """Check a trajectory CSV's bytes line by line; True for a flat file.
+def _check_layout(raw: bytes) -> tuple[bool, int]:
+    """Check a trajectory CSV's bytes line by line; (True for a flat file, widest center or sigma).
 
     Every line must be printable ASCII ending in LF and hold exactly six
     fields; level and group must be empty on every row (flat) or set on every
-    row (addressed).  Raises ValueError naming the first offending line.
+    row (addressed); no center or sigma may be longer than _MAX_FLOAT_FIELD
+    bytes.  Raises ValueError naming the first offending line.
     """
     buf = np.frombuffer(raw, dtype=np.uint8)
     ends = np.flatnonzero(buf == ord("\n"))  # line k + 1 ends at ends[k]
@@ -76,6 +100,7 @@ def _check_layout(raw: bytes) -> bool:
         bad = np.flatnonzero(outside & (buf != ord("\n")))[0]
         line = int(np.searchsorted(ends, bad)) + 1
         raise ValueError(f"line {line}: unexpected byte {raw[bad:bad + 1]!r}")
+    del outside  # one byte per file byte, not to be held while the rows are parsed
     if not raw.endswith(b"\n"):
         raise ValueError(f"line {ends.size + 1}: no line end (truncated file?)")
     commas = np.flatnonzero(buf == ord(","))
@@ -84,8 +109,9 @@ def _check_layout(raw: bytes) -> bool:
     if wrong.size:
         line = int(wrong[0])
         raise ValueError(f"line {line + 1}: expected {len(CSV_HEADER)} fields, got {fields[line]}")
+    data = commas.reshape(-1, len(CSV_HEADER) - 1)[1:]
     # a level or group field is empty when its two commas are adjacent
-    empty = np.diff(commas.reshape(-1, len(CSV_HEADER) - 1)[1:, 1:4], axis=1) == 1
+    empty = np.diff(data[:, 1:4], axis=1) == 1
     flat, addressed = empty.all(axis=1), ~empty.any(axis=1)
     mixed = np.flatnonzero(~(flat if flat[0] else addressed))
     if mixed.size:
@@ -93,7 +119,88 @@ def _check_layout(raw: bytes) -> bool:
             f"line {mixed[0] + 2}: level and group must be empty on every row "
             "(flat) or set on every row (addressed)"
         )
-    return bool(flat[0])
+    # center runs between the fourth and fifth commas, sigma from the fifth to the line end
+    widths = np.stack([data[:, 4] - data[:, 3], ends[1:] - data[:, 4]], axis=1) - 1
+    long = np.flatnonzero(widths > _MAX_FLOAT_FIELD)
+    if long.size:
+        row, column = divmod(int(long[0]), 2)
+        raise ValueError(
+            f"line {row + 2}, field {column + 5}: {widths[row, column]} bytes, "
+            f"more than the {_MAX_FLOAT_FIELD} a center or sigma may have"
+        )
+    return bool(flat[0]), max(int(widths.max()), 1)
+
+
+def _conversion_error(exc: ValueError) -> tuple[int, int, str]:
+    """(row from 0, column from 1, message) of a loadtxt conversion error; re-raises anything else."""
+    where = re.fullmatch(r"(.*) at row (\d+), column (\d+)\.", str(exc))
+    if where is None:
+        raise exc
+    return int(where[2]), int(where[3]), where[1]
+
+
+def _load_rows(raw: bytes, flat: bool, width: int, max_rows: int | None = None) -> np.ndarray:
+    """The data rows: integer columns as int64, center and sigma as their texts (bytes S{width}).
+
+    A value that does not parse raises ValueError naming its line and field;
+    a center or sigma on an earlier line that does not parse either is named
+    instead, so the error is always the file's first bad value.
+    """
+    names = ["t", "agent", "center", "sigma"] if flat else CSV_HEADER
+    try:
+        return np.loadtxt(
+            io.BytesIO(raw),
+            dtype=[(name, f"S{width}" if name in ("center", "sigma") else np.int64) for name in names],
+            delimiter=",",
+            comments=None,
+            skiprows=1,
+            usecols=(0, 1, 4, 5) if flat else None,
+            ndmin=1,
+            max_rows=max_rows,
+        )
+    except ValueError as exc:
+        # loadtxt counts data rows from 0 and the file's columns from 1
+        row, column, message = _conversion_error(exc)
+        if row:
+            _float_columns(_load_rows(raw, flat, width, max_rows=row))
+        raise ValueError(f"line {row + 2}, field {column}: {message}") from exc
+
+
+def _float_columns(rows: np.ndarray) -> list[np.ndarray]:
+    """Center and sigma values of the rows, each distinct text converted once.
+
+    Adjacent equal texts form runs; the distinct run heads go through the
+    loadtxt float64 converter in the order they first occur, and their values
+    are spread back over the rows.  Raises ValueError naming the first line
+    with a text that does not parse, center before sigma.
+    """
+    columns, bad = [], []
+    for field, name in ((5, "center"), (6, "sigma")):
+        texts = rows[name]
+        head = np.ones(texts.size, dtype=bool)
+        np.not_equal(texts[1:], texts[:-1], out=head[1:])
+        starts = np.flatnonzero(head)
+        distinct, first, inverse = np.unique(texts[starts], return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        # a comma after every text keeps an empty one a field, where alone it would be a skipped blank line
+        joined = b",\n".join(distinct[order].tolist()) + b",\n"
+        try:
+            parsed = np.loadtxt(
+                io.BytesIO(joined), dtype=np.float64, delimiter=",", comments=None, usecols=0, ndmin=1
+            )
+        except ValueError as exc:
+            k, _, message = _conversion_error(exc)
+            bad.append((int(starts[first[order[k]]]) + 2, field, message))
+            continue
+        if parsed.size != distinct.size:
+            raise ValueError(f"{name}: {parsed.size} values parsed from {distinct.size} distinct texts")
+        values = np.empty(distinct.size)
+        values[order] = parsed
+        columns.append(np.repeat(values[inverse], np.diff(starts, append=texts.size)))
+    if bad:
+        line, field, message = min(bad)
+        raise ValueError(f"line {line}, field {field}: {message}")
+    return columns
 
 
 def read_trajectory_csv(path) -> TrajectoryRecord:
@@ -108,26 +215,11 @@ def read_trajectory_csv(path) -> TrajectoryRecord:
         raise ValueError(f"unexpected trajectory header {header!r}")
     if len(raw) == len(_HEADER_LINE):
         raise ValueError("trajectory file has no data rows")
-    flat = _check_layout(raw)
-    names = ["t", "agent", "center", "sigma"] if flat else CSV_HEADER
-    try:
-        rows = np.loadtxt(
-            io.BytesIO(raw),
-            dtype=[(name, np.float64 if name in ("center", "sigma") else np.int64) for name in names],
-            delimiter=",",
-            comments=None,
-            skiprows=1,
-            usecols=(0, 1, 4, 5) if flat else None,
-            ndmin=1,
-        )
-    except ValueError as exc:
-        # loadtxt counts data rows from 0 and the file's columns from 1
-        where = re.fullmatch(r"(.*) at row (\d+), column (\d+)\.", str(exc))
-        if where is None:
-            raise
-        raise ValueError(f"line {int(where[2]) + 2}, field {where[3]}: {where[1]}") from exc
+    flat, width = _check_layout(raw)
+    rows = _load_rows(raw, flat, width)
     del raw
-    nan = np.flatnonzero(np.isnan(rows["center"]) | np.isnan(rows["sigma"]))
+    row_centers, row_sigmas = _float_columns(rows)
+    nan = np.flatnonzero(np.isnan(row_centers) | np.isnan(row_sigmas))
     if nan.size:
         raise ValueError(f"line {nan[0] + 2}: center or sigma is NaN")
     times, t_row = np.unique(rows["t"], return_inverse=True)
@@ -143,8 +235,8 @@ def read_trajectory_csv(path) -> TrajectoryRecord:
         raise ValueError("trajectory file repeats some (t, agent) rows")
     centers = np.empty(counts.size)
     sigmas = np.empty(counts.size)
-    centers[cell] = rows["center"]
-    sigmas[cell] = rows["sigma"]
+    centers[cell] = row_centers
+    sigmas[cell] = row_sigmas
     levels = groups = None
     if not flat:
         levels = np.empty(n, dtype=np.intp)
@@ -278,4 +370,7 @@ def build_summary(run: ScenarioRun, gap: float | None = None, tol: float | None 
 
 
 def write_summary_json(summary: dict, path):
-    Path(path).write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
+    """Write the summary; the file appears at path only once it is complete."""
+    text = json.dumps(summary, indent=2) + "\n"
+    with _replacing(path) as fh:
+        fh.write(text)

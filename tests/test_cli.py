@@ -218,6 +218,30 @@ class TestRunCommand:
         blocker.write_text("file, not a directory", encoding="utf-8")
         assert main(["run", src, "--out", str(blocker / "sub")]) == 1
 
+    def test_failed_summary_write_leaves_no_files(self, tmp_path, capsys, monkeypatch):
+        src = write_doc(tmp_path, scenario_doc())
+
+        def full_disk(summary, path):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(hfon.cli, "write_summary_json", full_disk)
+        out = tmp_path / "out"
+        assert main(["run", src, "--out", str(out)]) == 1
+        assert "No space left on device" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_summary_built_before_writing(self, tmp_path, capsys, monkeypatch):
+        src = write_doc(tmp_path, scenario_doc())
+
+        def bad_summary(run, gap=None, tol=None):
+            raise ValueError("no summary")
+
+        monkeypatch.setattr(hfon.cli, "build_summary", bad_summary)
+        out = tmp_path / "out"
+        assert main(["run", src, "--out", str(out)]) == 1
+        assert "no summary" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_check_flag_failure_exits_2(self, tmp_path, capsys, monkeypatch):
         src = write_doc(tmp_path, scenario_doc())
 
@@ -326,6 +350,12 @@ class TestClustersCommand:
         traj.write_text("\n".join(lines) + "\n")
         assert main(["clusters", str(traj)]) == 1
         assert f"line 6: expected 6 fields, got {width}" in capsys.readouterr().err
+
+    def test_over_long_field_is_input_error(self, tmp_path, capsys):
+        traj = tmp_path / "wide.csv"
+        traj.write_bytes(b"t,agent,level,group,center,sigma\n0,0,,,1,1\n0,1,,," + b"9" * 10**7 + b",1\n")
+        assert main(["clusters", str(traj)]) == 1
+        assert "line 3, field 5: 10000000 bytes, more than the 64" in capsys.readouterr().err
 
     def test_missing_trajectory(self, tmp_path, capsys):
         assert main(["clusters", str(tmp_path / "nope.csv")]) == 1

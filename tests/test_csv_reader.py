@@ -151,6 +151,37 @@ class TestEquivalence:
         path.write_bytes(header + b"".join(rows))
         assert_same_record(read_trajectory_csv(path), reference_read(path))
 
+    def test_each_distinct_text_converted_once(self, work_dir, monkeypatch):
+        # every agent shares one state per step, so each column holds one text per step
+        steps, n = 1000, 7
+        rng = np.random.default_rng(3)
+        record = TrajectoryRecord(
+            times=np.arange(steps + 1, dtype=np.intp),
+            centers=np.repeat(rng.normal(size=(steps + 1, 1)), n, axis=1),
+            sigmas=np.repeat(rng.uniform(size=(steps + 1, 1)), n, axis=1),
+        )
+        path = work_dir / "shared.csv"
+        write_trajectory_csv(record, path)
+        header, *rows = path.read_bytes().splitlines(keepends=True)
+        rng.shuffle(rows)
+        shuffled = work_dir / "shared-shuffled.csv"
+        shuffled.write_bytes(header + b"".join(rows))
+
+        loadtxt = np.loadtxt
+        converted = []
+
+        def counting(*args, **kwargs):
+            values = loadtxt(*args, **kwargs)
+            if kwargs.get("dtype") is np.float64:
+                converted.append(values.size)
+            return values
+
+        monkeypatch.setattr(np, "loadtxt", counting)
+        for p in (path, shuffled):
+            converted.clear()
+            assert_same_record(read_trajectory_csv(p), record)
+            assert 0 < sum(converted) <= 2 * (steps + 1)
+
     @settings(max_examples=60, deadline=None)
     @given(
         data=st.data(),
@@ -199,6 +230,10 @@ NEWLY_REJECTED = {
     "duplicate row": (lambda raw: raw + raw.split(b"\n")[2] + b"\n", "repeats"),
     "mixed flat and addressed rows": (_edit_line(3, lambda s: s.replace(b",,,", b",1,0,", 1)), "level and group"),
     "group without level": (_edit_line(3, lambda s: s.replace(b",,,", b",,1,", 1)), "level and group"),
+    "center longer than 64 bytes": (
+        _edit_line(3, lambda s: b",".join(s.split(b",")[:4] + [b"1." + b"0" * 63] + s.split(b",")[5:])),
+        "line 3, field 5: 65 bytes, more than the 64",
+    ),
 }
 
 
@@ -256,6 +291,22 @@ class TestRejections:
         with pytest.raises(ValueError, match=r"^line 4, field 4: could not convert string 'z' to int64$"):
             read_trajectory_csv(path)
 
+    def test_field_width_bound(self, work_dir, monkeypatch):
+        path = work_dir / "wide.csv"
+        center, sigma = b"1" + b"0" * 63, b"0." + b"0" * 61 + b"5"
+        path.write_bytes(b"t,agent,level,group,center,sigma\n0,0,,,%s,%s\n" % (center, sigma))
+        record = read_trajectory_csv(path)
+        assert (record.centers.tolist(), record.sigmas.tolist()) == ([[1e63]], [[5e-62]])
+
+        def no_parse(*args, **kwargs):
+            raise AssertionError("parsed rows with an over-long field")
+
+        # a 10 MB sigma is refused by the layout pass, before any row is parsed
+        monkeypatch.setattr(np, "loadtxt", no_parse)
+        path.write_bytes(b"t,agent,level,group,center,sigma\n0,0,,,1,1\n0,1,,,1," + b"9" * 10**7 + b"\n")
+        with pytest.raises(ValueError, match=r"^line 3, field 6: 10000000 bytes, more than the 64 "):
+            read_trajectory_csv(path)
+
     @pytest.mark.parametrize(
         "rows, message",
         [
@@ -266,6 +317,7 @@ class TestRejections:
             # the first bad value in file order is named, whatever its column
             ([b"0,1,,,1,y", b"0,2,,,x,1"], "line 3, field 6: could not convert string 'y' to float64"),
             ([b"0,1,,,x,y"], "line 3, field 5: could not convert string 'x' to float64"),
+            ([b"0,1,,,y,1", b"0,2,,,x,1"], "line 3, field 5: could not convert string 'y' to float64"),
             ([b"0,1,,,x,1", b"q,2,,,1,1"], "line 3, field 5: could not convert string 'x' to float64"),
             ([b"q,1,,,1,1", b"0,2,,,x,1"], "line 3, field 1: could not convert string 'q' to int64"),
             ([b"0,1,,,1,1", b"0,2,,,x,1", b"0,3,,,1,x", b"0,4,,,1,1", b"q,5,,,1,1"],

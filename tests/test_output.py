@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import hfon.output
 from hfon import (
     BlfgConfig,
     HierarchySpec,
@@ -26,6 +27,7 @@ from hfon import (
     write_summary_json,
     write_trajectory_csv,
 )
+from hfon.opinions import distinct_rows
 
 SUMMARY_KEYS = [
     "schema_version",
@@ -108,6 +110,28 @@ class TestTrajectoryCsv:
         assert back.times.tolist() == [0, 4, 8, 10]
         with pytest.raises(ValueError):
             write_trajectory_csv(record, path, stride=0)
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch):
+        record = run_bcfon(NetworkState([0.0, 1.0], [1.0, 1.0], 0.5, 0.3), 10)
+        path = tmp_path / "run.csv"
+        path.write_bytes(b"earlier run\n")
+        calls = []
+
+        def fail_on_step_3(pairs):
+            calls.append(1)
+            if len(calls) == 4:
+                raise OSError(28, "No space left on device")
+            return distinct_rows(pairs)
+
+        monkeypatch.setattr(hfon.output, "distinct_rows", fail_on_step_3)
+        with pytest.raises(OSError):
+            write_trajectory_csv(record, path)
+        assert path.read_bytes() == b"earlier run\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["run.csv"]
+        monkeypatch.undo()
+        write_trajectory_csv(record, path)
+        assert np.array_equal(read_trajectory_csv(path).centers, record.centers)
+        assert [p.name for p in tmp_path.iterdir()] == ["run.csv"]
 
     def test_read_rejects_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -227,6 +251,14 @@ class TestBuildSummary:
         assert a.read_bytes() == b.read_bytes()
         assert a.read_bytes().endswith(b"\n")
         assert json.loads(a.read_text(encoding="utf-8"))["seed"] is None
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_bytes(b"{}\n")
+        with pytest.raises(TypeError):
+            write_summary_json({"seed": object()}, path)
+        assert path.read_bytes() == b"{}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 
 
 
