@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
+# the most (row, column) pairs one neighborhood_sums chunk holds
+_CHUNK_PAIRS = 1 << 22
+
 
 def _as_float_vector(values, name: str) -> np.ndarray:
     arr = np.array(values, dtype=np.float64, copy=True)
@@ -103,21 +106,29 @@ def neighborhood_sums(centers, sigmas, d, rows=None):
     distinct_agents computes a row only for the first agent of each distinct
     state and copies it to the agents that share that state; a row depends
     only on the agent's own (center, sigma, d) and the frozen columns, so the
-    result is the same bit for bit.
+    result is the same bit for bit.  Rows are computed in chunks of at most
+    about _CHUNK_PAIRS (row, column) pairs, which for the same reason changes
+    no bit either.
     """
     row_c, row_s, row_d = centers, sigmas, np.asarray(d)
     if rows is not None:
         first, inverse = rows
         row_c, row_s, row_d = centers[first], sigmas[first], row_d[first]
-    adj = closeness_matrix(row_c, row_s, centers, sigmas) >= row_d[..., None]
-    sums = (
-        adj.sum(axis=-1).astype(np.float64),  # >= 1, every agent hears itself
-        np.where(adj, centers[..., None, :], 0.0).sum(axis=-1),
-        np.where(adj, sigmas[..., None, :], 0.0).sum(axis=-1),
-    )
+    # one row index along the last axis pairs with centers.size (row, column) cells
+    chunk = max(1, _CHUNK_PAIRS // centers.size)
+    parts = []
+    for start in range(0, row_c.shape[-1], chunk):
+        part = np.s_[..., start:start + chunk]
+        adj = closeness_matrix(row_c[part], row_s[part], centers, sigmas) >= row_d[part][..., None]
+        parts.append((
+            adj.sum(axis=-1, dtype=np.float64),  # >= 1, every agent hears itself
+            np.where(adj, centers[..., None, :], 0.0).sum(axis=-1),
+            np.where(adj, sigmas[..., None, :], 0.0).sum(axis=-1),
+        ))
+    sums = parts[0] if len(parts) == 1 else [np.concatenate(columns, axis=-1) for columns in zip(*parts)]
     if rows is not None:
         return tuple(a[inverse] for a in sums)
-    return sums
+    return tuple(sums)
 
 
 def neighbor_mask(centers: np.ndarray, sigmas: np.ndarray, d: np.ndarray) -> np.ndarray:

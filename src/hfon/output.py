@@ -24,7 +24,6 @@ from .leader import (
     predict_sigma_leader_ref,
     predict_sigma_limit,
 )
-from .opinions import distinct_rows
 from .phases import ClusterReport, _cluster_report, phase_summary
 from .scenarios import SCHEMA_VERSION, ScenarioRun
 
@@ -34,6 +33,10 @@ _HEADER_LINE = (",".join(CSV_HEADER) + "\n").encode()
 # enough significant digits that parsing the text reproduces the exact double
 _FLOAT_FORMAT = "%.17g"
 _PAIR_FORMAT = f"{_FLOAT_FORMAT},{_FLOAT_FORMAT}\n"
+# one (center, sigma) row as a single 16-byte key, compared by its exact bits
+_PAIR_BITS = np.dtype((np.void, 16))
+# rows the writer formats and writes at once; whole steps, so one step when n is larger
+_BLOCK_ROWS = 1 << 14
 # the longest center or sigma text the reader accepts; the writer's longest is 24
 _MAX_FLOAT_FIELD = 64
 
@@ -60,28 +63,59 @@ def _replacing(path):
 def write_trajectory_csv(record: TrajectoryRecord, path, stride: int = 1):
     """Write the record, keeping every stride-th step plus always the last one.
 
-    Within a step, each distinct (center, sigma) pair, keyed on its exact bits
-    so that -0.0 and 0.0 stay apart, is formatted once and shared by every
-    agent holding it.  The file appears at path only once it is complete.
+    Rows go out in blocks of whole steps, at most _BLOCK_ROWS rows each (one
+    step when a step has more).  Within a block, each distinct (center, sigma)
+    pair, keyed on its exact bits so that -0.0 and 0.0 stay apart, is
+    formatted once and shared by every row holding it.  A record with no
+    steps or no agents is refused before any file is created.  The file
+    appears at path only once it is complete.
     """
     if not (isinstance(stride, int) and stride >= 1):
         raise ValueError("stride must be an integer >= 1")
-    keep = list(range(0, record.n_samples, stride))
-    if keep[-1] != record.n_samples - 1:
-        keep.append(record.n_samples - 1)
-    ids = range(record.n_agents)
+    n_samples, n = record.centers.shape
+    if n_samples == 0:
+        raise ValueError("record has no steps")
+    if n == 0:
+        raise ValueError("record has no agents")
+    keep = list(range(0, n_samples, stride))
+    if keep[-1] != n_samples - 1:
+        keep.append(n_samples - 1)
+    ids = range(n)
     if record.levels is None:
         addresses = [f"{i},,," for i in ids]
     else:
         addresses = [f"{i},{int(lv)},{int(g)}," for i, lv, g in zip(ids, record.levels, record.groups)]
+    steps = max(1, _BLOCK_ROWS // n)
+    # one row is [t prefix, address, center and sigma]; the addresses never change
+    cells = np.empty((steps, n, 3), dtype=object)
+    cells[:, :, 1] = addresses
     with _replacing(path) as fh:
         fh.write(",".join(CSV_HEADER) + "\n")
-        for k in keep:
-            pairs = np.stack([record.centers[k], record.sigmas[k]], axis=1)
-            first, inverse = distinct_rows(pairs)
-            values = [_PAIR_FORMAT % cs for cs in map(tuple, pairs[first].tolist())]
-            t = f"{int(record.times[k])},"
-            fh.writelines(t + a + values[j] for a, j in zip(addresses, inverse.tolist()))
+        for start in range(0, len(keep), steps):
+            block = keep[start:start + steps]
+            rows = cells[:len(block)]
+            pairs = np.stack([record.centers[block].ravel(), record.sigmas[block].ravel()], axis=1)
+            starts, lengths, first, inverse = _distinct_runs(pairs.view(_PAIR_BITS).ravel())
+            texts = np.array([_PAIR_FORMAT % (c, s) for c, s in pairs[starts[first]].tolist()], dtype=object)
+            rows[:, :, 0] = np.array([f"{int(t)}," for t in record.times[block].tolist()], dtype=object)[:, None]
+            rows[:, :, 2] = np.repeat(texts[inverse], lengths).reshape(len(block), n)
+            fh.write("".join(rows.ravel().tolist()))
+
+
+def _distinct_runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Runs of equal adjacent elements of a 1-D array, and the distinct run heads.
+
+    Returns (starts, lengths, first, inverse): where each run starts and how
+    many elements it holds, then np.unique's first index and inverse over the
+    run heads keys[starts].  So keys[starts[first]] are the distinct values,
+    sorted, and np.repeat(x[inverse], lengths) spreads one x per distinct
+    value back over keys.
+    """
+    head = np.ones(keys.size, dtype=bool)
+    head[1:] = keys[1:] != keys[:-1]
+    starts = np.flatnonzero(head)
+    _, first, inverse = np.unique(keys[starts], return_index=True, return_inverse=True)
+    return starts, np.diff(starts, append=keys.size), first, inverse
 
 
 def _check_layout(raw: bytes) -> tuple[bool, int]:
@@ -177,13 +211,10 @@ def _float_columns(rows: np.ndarray) -> list[np.ndarray]:
     columns, bad = [], []
     for field, name in ((5, "center"), (6, "sigma")):
         texts = rows[name]
-        head = np.ones(texts.size, dtype=bool)
-        np.not_equal(texts[1:], texts[:-1], out=head[1:])
-        starts = np.flatnonzero(head)
-        distinct, first, inverse = np.unique(texts[starts], return_index=True, return_inverse=True)
+        starts, lengths, first, inverse = _distinct_runs(texts)
         order = np.argsort(first)
         # a comma after every text keeps an empty one a field, where alone it would be a skipped blank line
-        joined = b",\n".join(distinct[order].tolist()) + b",\n"
+        joined = b",\n".join(texts[starts[first[order]]].tolist()) + b",\n"
         try:
             parsed = np.loadtxt(
                 io.BytesIO(joined), dtype=np.float64, delimiter=",", comments=None, usecols=0, ndmin=1
@@ -192,11 +223,11 @@ def _float_columns(rows: np.ndarray) -> list[np.ndarray]:
             k, _, message = _conversion_error(exc)
             bad.append((int(starts[first[order[k]]]) + 2, field, message))
             continue
-        if parsed.size != distinct.size:
-            raise ValueError(f"{name}: {parsed.size} values parsed from {distinct.size} distinct texts")
-        values = np.empty(distinct.size)
+        if parsed.size != first.size:
+            raise ValueError(f"{name}: {parsed.size} values parsed from {first.size} distinct texts")
+        values = np.empty(first.size)
         values[order] = parsed
-        columns.append(np.repeat(values[inverse], np.diff(starts, append=texts.size)))
+        columns.append(np.repeat(values[inverse], lengths))
     if bad:
         line, field, message = min(bad)
         raise ValueError(f"line {line}, field {field}: {message}")

@@ -4,7 +4,7 @@
 to be, and `reference_write` the one-format-per-row writer.  On every file the
 writer produces, in file order or shuffled, the vectorised reader must return
 the reference's record bit for bit, and the writer must produce the
-reference's bytes.  On mutated files the reader must either return the
+reference's bytes, whatever the block size.  On mutated files the reader must either return the
 reference's record or raise ValueError; it rejects some files the reference
 accepted (see `NEWLY_REJECTED`), never the other way round.
 """
@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hfon.output
 from hfon import (
     HierarchySpec,
     LocalReference,
@@ -181,6 +182,72 @@ class TestEquivalence:
             converted.clear()
             assert_same_record(read_trajectory_csv(p), record)
             assert 0 < sum(converted) <= 2 * (steps + 1)
+
+    @pytest.mark.parametrize("block_rows", [1, 7, "n - 1", None])
+    @pytest.mark.parametrize("addressed", [False, True])
+    def test_blocks_match_row_by_row_writer(self, work_dir, monkeypatch, block_rows, addressed):
+        # -0.0 next to 0.0, inf, and agent n - 1 of each step equal to agent 0 of the next
+        inf = float("inf")
+        centers = np.array([[0.0, -0.0, -0.0, 0.0, 2.5], [2.5, inf, inf, -inf, 0.0],
+                            [0.0, 0.0, 0.0, 0.0, 1.0], [1.0, 1.0, 1.0, 1.0, 1.0]])
+        sigmas = np.array([[1.0, 1.0, 1.0, 1.0, 0.0], [0.0, 1.0, 1.0, 1.0, 1.0],
+                           [1.0, 1.0, 1.0, 1.0, 2.0], [2.0, 2.0, 2.0, 2.0, 2.0]])
+        n = centers.shape[1]
+        record = TrajectoryRecord(
+            times=np.arange(4, dtype=np.intp) * 5 + 2,
+            centers=centers,
+            sigmas=sigmas,
+            levels=np.array([1, 1, 1, 2, 2]) if addressed else None,
+            groups=np.array([0, 0, 1, 0, 0]) if addressed else None,
+        )
+        if block_rows is not None:
+            monkeypatch.setattr(hfon.output, "_BLOCK_ROWS", n - 1 if block_rows == "n - 1" else block_rows)
+        path = work_dir / "blocks.csv"
+        for stride in (1, 2, 3):
+            write_trajectory_csv(record, path, stride=stride)
+            assert path.read_bytes() == reference_write(record, stride)
+
+    def test_more_agents_than_block_rows(self, work_dir):
+        n = hfon.output._BLOCK_ROWS + 3616
+        rng = np.random.default_rng(5)
+        record = TrajectoryRecord(
+            times=np.arange(3, dtype=np.intp),
+            centers=np.repeat(rng.normal(size=(3, n // 4)), 4, axis=1),
+            sigmas=np.ones((3, n)),
+        )
+        path = work_dir / "wide.csv"
+        write_trajectory_csv(record, path)
+        assert path.read_bytes() == reference_write(record)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        steps=st.integers(0, 12),
+        n=st.integers(1, 8),
+        stride=st.integers(1, 5),
+        addressed=st.booleans(),
+        block_rows=st.sampled_from([1, 7, "n - 1", None]),
+    )
+    def test_any_record_matches_row_by_row_writer(self, work_dir, data, steps, n, stride, addressed, block_rows):
+        # pairs drawn from a pool of at most four, so equal runs form within steps, across
+        # step boundaries and across blocks
+        value = st.sampled_from([0.0, -0.0, 1.0, float("inf"), -float("inf")]) | st.floats(allow_nan=False)
+        pool = data.draw(st.lists(st.tuples(value, value), min_size=1, max_size=4))
+        rows = (steps + 1) * n
+        pairs = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=rows, max_size=rows)))
+        record = TrajectoryRecord(
+            times=np.arange(steps + 1, dtype=np.intp) * 3,
+            centers=pairs[:, 0].reshape(steps + 1, n),
+            sigmas=pairs[:, 1].reshape(steps + 1, n),
+            levels=np.arange(n) // 3 + 1 if addressed else None,
+            groups=np.arange(n) % 3 if addressed else None,
+        )
+        path = work_dir / "any-record.csv"
+        with pytest.MonkeyPatch.context() as patch:
+            if block_rows is not None:
+                patch.setattr(hfon.output, "_BLOCK_ROWS", n - 1 if block_rows == "n - 1" else block_rows)
+            write_trajectory_csv(record, path, stride=stride)
+        assert path.read_bytes() == reference_write(record, stride)
 
     @settings(max_examples=60, deadline=None)
     @given(

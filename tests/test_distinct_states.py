@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hfon.opinions
 from hfon import (
     BlfgConfig,
     ExternalReference,
@@ -127,6 +128,25 @@ class TestNeighborhoodSums:
         got = neighborhood_sums(state.centers, state.sigmas, state.d, distinct(state))
         for a, b in zip(got, dense_sums(state)):
             assert_same_bits(a, b)
+
+    @pytest.mark.parametrize("chunk_rows", [1, 7, 256])
+    @pytest.mark.parametrize("shape", [(600,), (31, 5), (3, 300)])
+    def test_row_chunks_change_no_bit(self, monkeypatch, shape, chunk_rows):
+        # a pool of 400 states, so rows= computes fewer rows than there are agents
+        rng = np.random.default_rng(chunk_rows)
+        pool = rng.integers(0, 400, shape)
+        centers, sigmas = rng.uniform(5.0, 25.0, 400)[pool], rng.uniform(0.0, 2.0, 400)[pool]
+        d = rng.choice([0.0, 0.5, 0.95], 400)[pool]
+        calls = [(centers, sigmas, d)]
+        if len(shape) == 1:
+            calls.append((centers, sigmas, d, distinct_agents(centers, sigmas, d, np.ones(shape))))
+        assert centers.size * shape[-1] <= hfon.opinions._CHUNK_PAIRS  # one chunk by default
+        whole = [neighborhood_sums(*args) for args in calls]
+        # one row index along the last axis pairs with centers.size cells
+        monkeypatch.setattr(hfon.opinions, "_CHUNK_PAIRS", chunk_rows * centers.size)
+        for args, expected in zip(calls, whole):
+            for a, b in zip(neighborhood_sums(*args), expected):
+                assert_same_bits(a, b)
 
 
 class TestFlatStep:

@@ -1,6 +1,7 @@
 """Trajectory CSV round trips, summary JSON structure, predictor check plumbing."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +28,6 @@ from hfon import (
     write_summary_json,
     write_trajectory_csv,
 )
-from hfon.opinions import distinct_rows
 
 SUMMARY_KEYS = [
     "schema_version",
@@ -115,23 +115,63 @@ class TestTrajectoryCsv:
         record = run_bcfon(NetworkState([0.0, 1.0], [1.0, 1.0], 0.5, 0.3), 10)
         path = tmp_path / "run.csv"
         path.write_bytes(b"earlier run\n")
-        calls = []
+        writes = []
 
-        def fail_on_step_3(pairs):
-            calls.append(1)
-            if len(calls) == 4:
-                raise OSError(28, "No space left on device")
-            return distinct_rows(pairs)
+        class FullDisk:
+            """The file being written, failing its third write: the header, one block, then this."""
 
-        monkeypatch.setattr(hfon.output, "distinct_rows", fail_on_step_3)
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return self.fh.__exit__(*exc)
+
+            def write(self, text):
+                writes.append(text)
+                if len(writes) == 3:
+                    raise OSError(28, "No space left on device")
+                return self.fh.write(text)
+
+        # two steps of two agents per block, so the 11 steps take six blocks
+        monkeypatch.setattr(hfon.output, "_BLOCK_ROWS", 4)
+        monkeypatch.setattr(hfon.output, "open", lambda *a, **k: FullDisk(open(*a, **k)), raising=False)
         with pytest.raises(OSError):
             write_trajectory_csv(record, path)
+        assert writes[1].count("\n") == 4
         assert path.read_bytes() == b"earlier run\n"
         assert [p.name for p in tmp_path.iterdir()] == ["run.csv"]
         monkeypatch.undo()
         write_trajectory_csv(record, path)
         assert np.array_equal(read_trajectory_csv(path).centers, record.centers)
         assert [p.name for p in tmp_path.iterdir()] == ["run.csv"]
+
+    @pytest.mark.parametrize("shape, message", [((0, 3), "record has no steps"), ((4, 0), "record has no agents")])
+    def test_empty_record_is_refused_before_any_file(self, tmp_path, shape, message):
+        record = TrajectoryRecord(times=np.arange(shape[0]), centers=np.zeros(shape), sigmas=np.zeros(shape))
+        with pytest.raises(ValueError, match=message):
+            write_trajectory_csv(record, tmp_path / "empty.csv")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_memory_is_bounded_by_the_block(self, tmp_path):
+        # every (center, sigma) distinct, so each row is formatted on its own; tracing makes
+        # formatting about ten times slower, so the steps double from 750 to 1500, not from 1500
+        rng = np.random.default_rng(0)
+        peaks = []
+        for rows in (751, 1501):
+            record = TrajectoryRecord(
+                times=np.arange(rows), centers=rng.normal(size=(rows, 156)), sigmas=rng.uniform(size=(rows, 156))
+            )
+            tracemalloc.start()
+            try:
+                write_trajectory_csv(record, tmp_path / "distinct.csv")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 16 * 2**20
+        assert peaks[1] <= 1.1 * peaks[0]
 
     def test_read_rejects_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
