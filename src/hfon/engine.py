@@ -138,7 +138,10 @@ def _run(
     """Trajectory of centers, sigmas = step(centers, sigmas, t, rows) for t = t0 .. t0 + steps - 1.
 
     The initial state, row 0, is the run's only validated object.  A step keeps
-    sigmas non-negative but its sums can overflow, so each result must be finite.
+    sigmas non-negative but its sums can overflow, so the record is checked
+    once, after the loop: the first row holding a non-finite center or sigma
+    is reported as the step that overflowed.  A step that raises after an
+    overflow reports that overflow instead, as the earlier failure.
 
     rows is None unless partition gives the step's (d, b); then it is the
     distinct_agents partition of the step's input.  Agents that share a state
@@ -153,14 +156,29 @@ def _run(
     centers[0] = state.centers
     sigmas[0] = state.sigmas
     rows = None
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below, naming the step
-        for k, t in enumerate(range(t0, t0 + steps)):
-            if partition is not None:
-                rows = _regroup(None if regroup else rows, centers[k], sigmas[k], *partition)
-            centers[k + 1], sigmas[k + 1] = step(centers[k], sigmas[k], t, rows)
-            if not (np.isfinite(centers[k + 1]).all() and np.isfinite(sigmas[k + 1]).all()):
-                raise ValueError(f"step {t} -> {t + 1} overflowed: a center or sigma is not finite")
+    k = 0
+    try:
+        # a step on overflowed values may divide by zero or make NaNs; reported below
+        with np.errstate(all="ignore"):
+            for k, t in enumerate(range(t0, t0 + steps)):
+                if partition is not None:
+                    rows = _regroup(None if regroup else rows, centers[k], sigmas[k], *partition)
+                centers[k + 1], sigmas[k + 1] = step(centers[k], sigmas[k], t, rows)
+    except Exception:
+        _check_finite(centers[:k + 1], sigmas[:k + 1], t0)
+        raise
+    _check_finite(centers, sigmas, t0)
     return TrajectoryRecord(times=np.arange(t0, t0 + steps + 1), centers=centers, sigmas=sigmas)
+
+
+def _check_finite(centers, sigmas, t0: int):
+    """Raise naming the step into the first row of a record from t0 with a non-finite value."""
+    # a row's min and max are both finite exactly when the whole row is: NaN propagates
+    finite = np.isfinite(centers.min(axis=1)) & np.isfinite(centers.max(axis=1))
+    finite &= np.isfinite(sigmas.min(axis=1)) & np.isfinite(sigmas.max(axis=1))
+    if not finite.all():
+        t = t0 + int(np.argmin(finite)) - 1
+        raise ValueError(f"step {t} -> {t + 1} overflowed: a center or sigma is not finite")
 
 
 def _regroup(rows, centers, sigmas, d, b):

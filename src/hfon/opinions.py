@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-# the most (row, column) pairs one neighborhood_sums chunk holds
-_CHUNK_PAIRS = 1 << 22
+# the most (row, column) pairs one neighborhood_sums chunk holds: 512 KB per float
+# temporary, so a chunk's closeness, mask and masked sums stay in cache
+_CHUNK_PAIRS = 1 << 16
 
 
 def _as_float_vector(values, name: str) -> np.ndarray:
@@ -64,19 +65,25 @@ def closeness_matrix(centers, sigmas, col_centers=None, col_sigmas=None) -> np.n
     Works over the last axis: rows (..., m) against columns (..., n) give
     (..., m, n).  The columns default to the rows, which gives a symmetric
     unit-diagonal (..., n, n).  A zero-sigma column j gives row i's
-    membership degree of the crisp value c_j.
+    membership degree of the crisp value c_j.  Zero combined sigma gives 1
+    where the centers are equal and 0 elsewhere.  The inputs are only read.
     """
     if col_centers is None:
         col_centers, col_sigmas = centers, sigmas
-    diff = centers[..., :, None] - col_centers[..., None, :]
+    out = centers[..., :, None] - col_centers[..., None, :]
     ssum = sigmas[..., :, None] + col_sigmas[..., None, :]
-    positive = ssum > 0.0
-    with np.errstate(over="ignore"):
-        ratio = np.divide(diff, ssum, out=np.zeros_like(diff), where=positive)
-        out = np.exp(-np.square(ratio))
-    # zero combined uncertainty degenerates to an indicator of equal centers
-    if not positive.all():
-        out[~positive] = (diff[~positive] == 0.0).astype(np.float64)
+    # one buffer: the center differences become the ratios, their squares and the closeness
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        np.divide(out, ssum, out=out)
+        np.square(out, out=out)
+        np.negative(out, out=out)
+        np.exp(out, out=out)
+    # zero combined sigma: an indicator of equal centers.  min propagates NaN, so NaN sums,
+    # which fail ssum > 0 too, take this branch; initial covers empty input
+    if not ssum.min(initial=np.inf) > 0.0:
+        crisp = ~(ssum > 0.0)
+        row_c = np.broadcast_to(centers[..., :, None], out.shape)[crisp]
+        out[crisp] = row_c - np.broadcast_to(col_centers[..., None, :], out.shape)[crisp] == 0.0
     return out
 
 
@@ -103,15 +110,17 @@ def neighborhood_sums(centers, sigmas, d, rows=None):
     Works over the last axis: (n,) vectors for one population, or (G, k)
     blocks with neighbors taken within each block.  Every row is reduced over
     all of its columns in id order.  rows = (first, inverse) from
-    distinct_agents computes a row only for the first agent of each distinct
-    state and copies it to the agents that share that state; a row depends
-    only on the agent's own (center, sigma, d) and the frozen columns, so the
-    result is the same bit for bit.  Rows are computed in chunks of at most
-    about _CHUNK_PAIRS (row, column) pairs, which for the same reason changes
-    no bit either.
+    distinct_agents, for (n,) vectors only, computes a row only for the first
+    agent of each distinct state and copies it to the agents that share that
+    state; a row depends only on the agent's own (center, sigma, d) and the
+    frozen columns, so the result is the same bit for bit.  Rows are computed
+    in chunks of at most about _CHUNK_PAIRS (row, column) pairs, which for the
+    same reason changes no bit either.
     """
     row_c, row_s, row_d = centers, sigmas, np.asarray(d)
     if rows is not None:
+        if centers.ndim != 1:
+            raise ValueError(f"rows= takes (n,) vectors only, got centers of shape {centers.shape}")
         first, inverse = rows
         row_c, row_s, row_d = centers[first], sigmas[first], row_d[first]
     # one row index along the last axis pairs with centers.size (row, column) cells

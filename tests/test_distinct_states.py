@@ -140,9 +140,9 @@ class TestNeighborhoodSums:
         calls = [(centers, sigmas, d)]
         if len(shape) == 1:
             calls.append((centers, sigmas, d, distinct_agents(centers, sigmas, d, np.ones(shape))))
-        assert centers.size * shape[-1] <= hfon.opinions._CHUNK_PAIRS  # one chunk by default
-        whole = [neighborhood_sums(*args) for args in calls]
         # one row index along the last axis pairs with centers.size cells
+        monkeypatch.setattr(hfon.opinions, "_CHUNK_PAIRS", shape[-1] * centers.size)  # one chunk
+        whole = [neighborhood_sums(*args) for args in calls]
         monkeypatch.setattr(hfon.opinions, "_CHUNK_PAIRS", chunk_rows * centers.size)
         for args, expected in zip(calls, whole):
             for a, b in zip(neighborhood_sums(*args), expected):

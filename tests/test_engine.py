@@ -191,6 +191,32 @@ class TestRun:
         with pytest.raises(ValueError, match=r"step 7 -> 8 overflowed"):
             run_bcfon(state, 3, t0=7)
 
+    def test_overflow_in_a_later_phase_names_its_step(self):
+        # at d = 1 each agent hears only itself and nothing moves; at d = 0 the sum overflows
+        state = NetworkState([1e308, 1.7e308], [1.0, 1.0], 0.5, 0.5)
+        schedule = PhaseSchedule((Phase(1.0, 3), Phase(0.0, 2), Phase(0.5, 2)), 0.5)
+        with pytest.raises(ValueError, match=r"step 3 -> 4 overflowed"):
+            run_bu(state, schedule)
+
+    # followers at 0 close in on the leader L, so the sum 2c + L first passes float range at step 3
+    _climbing = NetworkState([0.0, 0.0], [1.0, 1.0], 0.0, 0.5)
+
+    def test_overflow_early_in_a_long_run_names_its_step(self):
+        config = BlfgConfig(n=2, d=0.0, b=0.5, scheme=LeaderReference(), leader=0.8e308)
+        with pytest.raises(ValueError, match=r"step 3 -> 4 overflowed"):
+            run_blfg(self._climbing, config, 50)
+
+    @pytest.mark.parametrize("leader, error, message", [
+        (0.8e308, ValueError, r"step 3 -> 4 overflowed"),
+        (1.0, ConfigurationError, r"leader center must be finite at t=5"),
+    ])
+    def test_overflow_is_reported_before_a_later_step_fails(self, leader, error, message):
+        # the leader turns NaN at t = 5; an overflow at step 3 is the earlier failure
+        config = BlfgConfig(n=2, d=0.0, b=0.5, scheme=LeaderReference(),
+                            leader=lambda t: leader if t < 5 else math.nan)
+        with pytest.raises(error, match=message):
+            run_blfg(self._climbing, config, 50)
+
     def test_index_of_and_select_agents(self):
         state = NetworkState([0.0, 1.0, 5.0], [1.0, 1.0, 1.0], 0.5, 0.2)
         record = run_bcfon(state, 4)

@@ -5,14 +5,17 @@ reference (math.exp, per-pair loops) before the package existed.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import hfon.opinions
 from hfon import NetworkState, closeness_matrix, neighbor_mask
-from hfon.opinions import neighborhood_sums
+from hfon.opinions import distinct_agents, neighborhood_sums
 
 
 def ref_closeness(c1, s1, c2, s2):
@@ -28,6 +31,31 @@ def ref_closeness(c1, s1, c2, s2):
 
 _finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 _sigma = st.floats(min_value=0.0, max_value=1e3, allow_nan=False)
+
+
+def masked_divide_closeness(centers, sigmas, col_centers=None, col_sigmas=None):
+    """The closeness kernel written with a masked divide into fresh arrays: the bit-for-bit reference."""
+    if col_centers is None:
+        col_centers, col_sigmas = centers, sigmas
+    diff = centers[..., :, None] - col_centers[..., None, :]
+    ssum = sigmas[..., :, None] + col_sigmas[..., None, :]
+    positive = ssum > 0.0
+    ratio = np.divide(diff, ssum, out=np.zeros_like(diff), where=positive)
+    out = np.exp(-np.square(ratio))
+    if not positive.all():
+        out[~positive] = (diff[~positive] == 0.0).astype(np.float64)
+    return out
+
+
+# signed zeros, equal centers, differences and sigma sums past float range, and sigmas
+# small enough that the ratio or its square overflows
+_edge_centers = st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e308, -1.7e308]) | st.floats(-1e6, 1e6)
+_edge_sigmas = st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e308]) | st.floats(0.0, 1e3)
+
+
+def _opinion_arrays(shape):
+    return st.tuples(arrays(np.float64, shape, elements=_edge_centers),
+                     arrays(np.float64, shape, elements=_edge_sigmas))
 
 
 def pair(c1, s1, c2, s2):
@@ -127,6 +155,21 @@ class TestClosenessMatrix:
         m = closeness_matrix(centers[rows], sigmas[rows], centers, sigmas)
         assert m.tobytes() == closeness_matrix(centers, sigmas)[rows].tobytes()
 
+    @pytest.mark.parametrize("rows, columns", [
+        ((7,), None), ((3,), (6,)), ((2, 5), None), ((2, 3), (2, 5)),
+    ], ids=["square", "rows-by-columns", "blocks", "block-rows-by-columns"])
+    @given(data=st.data())
+    @settings(max_examples=150)
+    def test_bits_match_masked_divide(self, rows, columns, data):
+        args = data.draw(_opinion_arrays(rows))
+        if columns is not None:
+            args += data.draw(_opinion_arrays(columns))
+        with np.errstate(all="ignore"):  # differences past float range, and inf / inf
+            expected = masked_divide_closeness(*args)
+            got = closeness_matrix(*args)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
     def test_all_zero_sigmas(self):
         m = closeness_matrix(np.array([1.0, 1.0, 2.0]), np.zeros(3))
         expected = np.array([[1.0, 1, 0], [1, 1, 0], [0, 0, 1]])
@@ -201,6 +244,44 @@ class TestNeighborhood:
         assert counts.tolist() == [2.0, 2.0, 1.0]
         assert (center_sums / counts).tolist() == [1.0, 1.0, 50.0]
         assert (sigma_sums / counts).tolist() == [2.0, 2.0, 1.0]
+
+    def test_rows_take_vectors_only(self):
+        centers, sigmas, d = np.zeros((2, 3)), np.ones((2, 3)), np.full((2, 3), 0.5)
+        rows = distinct_agents(centers[0], sigmas[0], d[0], np.ones(3))
+        with pytest.raises(ValueError, match=r"\(n,\) vectors only, got centers of shape \(2, 3\)"):
+            neighborhood_sums(centers, sigmas, d, rows)
+
+    @pytest.mark.parametrize("chunk_rows", [1, None])
+    def test_kernels_write_nothing_into_their_inputs(self, monkeypatch, chunk_rows):
+        # row views of a record, as a run passes them; zero sigmas take the crisp branch
+        rng = np.random.default_rng(5)
+        record_c, record_s = rng.uniform(0, 10, (3, 12)), rng.uniform(0, 2, (3, 12))
+        record_c[1, :4], record_s[1, :6] = 3.0, 0.0
+        d = np.full(12, 0.4)
+        before = record_c.tobytes(), record_s.tobytes(), d.tobytes()
+        if chunk_rows is not None:
+            monkeypatch.setattr(hfon.opinions, "_CHUNK_PAIRS", chunk_rows * 12)
+        centers, sigmas = record_c[1], record_s[1]
+        closeness_matrix(centers, sigmas)
+        closeness_matrix(centers[:5], sigmas[:5], centers, sigmas)
+        neighborhood_sums(centers, sigmas, d)
+        neighborhood_sums(centers, sigmas, d, distinct_agents(centers, sigmas, d, np.ones(12)))
+        neighborhood_sums(record_c[1:].reshape(4, 6), record_s[1:].reshape(4, 6), d[:6])
+        assert (record_c.tobytes(), record_s.tobytes(), d.tobytes()) == before
+
+    @pytest.mark.parametrize("n", [1000, 2000])
+    def test_memory_is_bounded_by_the_chunk(self, n):
+        # every agent distinct, so every row is computed; a whole-step closeness matrix
+        # alone would take 8 MB at n = 1000 and 32 MB at n = 2000
+        rng = np.random.default_rng(n)
+        centers, sigmas, d = rng.uniform(5, 25, n), rng.uniform(0, 2, n), np.full(n, 0.5)
+        tracemalloc.start()
+        try:
+            neighborhood_sums(centers, sigmas, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     @given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=2**32))
     @settings(max_examples=40)
