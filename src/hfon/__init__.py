@@ -35,8 +35,6 @@ from .leader import (
     predict_sigma_leader_ref,
     predict_sigma_limit,
     run_blfg,
-    saturated_closure,
-    step_blfg,
     steps_to_error_fraction,
 )
 from .hierarchy import (
@@ -48,7 +46,6 @@ from .phases import (
     ClusterReport,
     Phase,
     PhaseSchedule,
-    distinct_state_counts,
     phase_summary,
     run_bu,
 )
@@ -63,7 +60,6 @@ from .scenarios import (
 )
 from .output import (
     build_summary,
-    first_exact_consensus_index,
     read_trajectory_csv,
     write_summary_json,
     write_trajectory_csv,
@@ -95,9 +91,7 @@ __all__ = [
     "closeness_matrix",
     "detect_consensus_partition",
     "detect_consensus_time",
-    "distinct_state_counts",
     "execute_scenario",
-    "first_exact_consensus_index",
     "convergence_conditions",
     "leader_weight_matrix",
     "neighbor_mask",
@@ -112,9 +106,7 @@ __all__ = [
     "run_blfg",
     "run_bu",
     "run_td",
-    "saturated_closure",
     "step_bcfon",
-    "step_blfg",
     "step_td",
     "steps_to_error_fraction",
     "steps_to_target",

@@ -47,7 +47,7 @@ def _build_parser() -> _Parser:
     predict.add_argument("--sigma", type=float, default=None, help="common sigma at consensus")
     predict.add_argument("--leader", type=float, default=None, help="constant leader center")
     predict.add_argument("--b", type=float, default=None, help="uncertainty gain")
-    predict.add_argument("--t-offset", type=int, default=0, help="steps after consensus")
+    predict.add_argument("--t-offset", type=int, default=None, help="steps after consensus (default 0)")
     predict.set_defaults(func=_predict_command)
 
     clusters = sub.add_parser("clusters", help="cluster report for a trajectory file's final step")
@@ -100,17 +100,42 @@ def _fmt(x: float) -> str:
     return "%.17g" % x
 
 
+# each optional predict flag is used only together with the flags it maps to
+_PREDICT_NEEDS = {
+    "--center": ("--leader",),
+    "--leader": ("--center",),
+    "--t-offset": ("--center", "--leader"),
+    "--sigma": ("--b", "--center", "--leader"),
+    "--b": ("--sigma", "--center", "--leader"),
+}
+
+
 def _predict_command(args) -> int:
-    """Closed-form predictions only, no simulation."""
+    """Closed-form predictions only, no simulation; every flag is checked before any line is printed."""
     n, center, sigma, leader, b, t = args.n, args.center, args.sigma, args.leader, args.b, args.t_offset
-    print(f"steps_to_error_fraction(n={n}, epsilon={_fmt(args.epsilon)}): "
-          f"{_fmt(steps_to_error_fraction(n, args.epsilon))}")
-    if center is not None and leader is not None:
-        print(f"predicted_center(t_offset={t}): {_fmt(predict_center(center, leader, n, t))}")
-        if sigma is not None and b is not None:
-            print(f"predicted_sigma_leader_ref(t_offset={t}): "
-                  f"{_fmt(predict_sigma_leader_ref(sigma, center, leader, n, b, t))}")
-            print(f"sigma_limit: {_fmt(predict_sigma_limit(sigma, center, leader, n, b))}")
+    for flag, value in (("--center", center), ("--leader", leader)):
+        if value is not None and not math.isfinite(value):
+            raise ConfigurationError(f"{flag} must be finite, got {value!r}")
+    _check_nonnegative(sigma, "--sigma")
+    if b is not None and not (math.isfinite(b) and b > 0.0):
+        raise ConfigurationError(f"--b must be finite and > 0, got {b!r}")
+    if t is not None and t < 0:
+        raise ConfigurationError(f"--t-offset must be >= 0, got {t!r}")
+    given = {"--center": center, "--leader": leader, "--t-offset": t, "--sigma": sigma, "--b": b}
+    for flag, needs in _PREDICT_NEEDS.items():
+        missing = [other for other in needs if given[other] is None]
+        if given[flag] is not None and missing:
+            raise ConfigurationError(f"{flag} is unused without {' and '.join(missing)}")
+    t = 0 if t is None else t
+    lines = [f"steps_to_error_fraction(n={n}, epsilon={_fmt(args.epsilon)}): "
+             f"{_fmt(steps_to_error_fraction(n, args.epsilon))}"]
+    if center is not None:
+        lines.append(f"predicted_center(t_offset={t}): {_fmt(predict_center(center, leader, n, t))}")
+        if sigma is not None:
+            lines.append(f"predicted_sigma_leader_ref(t_offset={t}): "
+                         f"{_fmt(predict_sigma_leader_ref(sigma, center, leader, n, b, t))}")
+            lines.append(f"sigma_limit: {_fmt(predict_sigma_limit(sigma, center, leader, n, b))}")
+    print("\n".join(lines))
     return 0
 
 

@@ -213,14 +213,18 @@ def run_bcfon(
     )
 
 
+def _initial_spread(record: TrajectoryRecord) -> float:
+    """Range of the record's first-row centers."""
+    return float(record.centers[0].max() - record.centers[0].min())
+
+
 def steps_to_target(record: TrajectoryRecord, target: float, fraction: float = 0.01) -> int | None:
     """First recorded step where every center is within fraction * initial spread of target.
 
     Returns None when the record never gets there (or starts with zero spread
     and off target).
     """
-    spread0 = float(record.centers[0].max() - record.centers[0].min())
-    threshold = fraction * spread0
+    threshold = fraction * _initial_spread(record)
     ok = np.abs(record.centers - target).max(axis=1) < threshold
     hits = np.nonzero(ok)[0]
     return int(record.times[hits[0]]) if hits.size else None
@@ -228,7 +232,7 @@ def steps_to_target(record: TrajectoryRecord, target: float, fraction: float = 0
 
 def _default_gap(record: TrajectoryRecord) -> float:
     """Cluster gap used when none is given: 5% of the record's initial center range."""
-    return 0.05 * float(record.centers[0].max() - record.centers[0].min())
+    return 0.05 * _initial_spread(record)
 
 
 def detect_consensus_partition(state_or_centers, gap: float) -> list[np.ndarray]:

@@ -16,7 +16,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import ConfigurationError
-from .engine import LeaderReference, LocalReference, ReferenceScheme, TrajectoryRecord, _run
+from .engine import LeaderReference, LocalReference, ReferenceScheme, TrajectoryRecord, _initial_spread, _run
 from .opinions import NetworkState, neighbor_mask, neighborhood_sums
 
 
@@ -88,7 +88,8 @@ def step_blfg(centers, sigmas, d, b, leader_center: float, scheme: ReferenceSche
     """One synchronous update of a follower group under a fixed leader value: new (centers, sigmas).
 
     An array kernel over (n,) arrays that checks nothing; run_blfg checks once.
-    rows is passed on to neighborhood_sums.
+    rows is passed on to neighborhood_sums.  Not exported: run_blfg calls it
+    through this module global so that bench/tracing.py can wrap it by name.
     """
     return group_update(centers, sigmas, d, b, leader_center, scheme, rows)
 
@@ -135,8 +136,7 @@ def detect_consensus_time(record: TrajectoryRecord, tol: float | None = None) ->
     if record.n_samples == 0:
         return None
     if tol is None:
-        spread0 = float(record.centers[0].max() - record.centers[0].min())
-        tol = 1e-9 * max(1.0, spread0)
+        tol = 1e-9 * max(1.0, _initial_spread(record))
     if not (np.isfinite(tol) and tol >= 0.0):
         raise ValueError("tol must be finite and >= 0")
     center_spread = record.centers.max(axis=1) - record.centers.min(axis=1)
@@ -210,46 +210,29 @@ def steps_to_error_fraction(n: int, epsilon: float) -> float:
     return math.log(epsilon) / (math.log(n) - math.log(n + 1))
 
 
-def leader_weight_matrix(state: NetworkState) -> np.ndarray:
-    """Stacked update weights of the group with the leader as last row and column.
+def leader_weight_matrix(centers, sigmas, d) -> np.ndarray:
+    """Stacked update weights of a group with the leader as last row and column.
 
-    Row i <= n-1 places 1/(|N_i| + 1) on each of i's follower neighbors and on
-    the leader column, zero elsewhere; the leader row keeps the leader fixed.
+    Works over the last axis: (k,) followers give (k+1, k+1), (G, k) blocks one
+    matrix per group.  Row i < k places 1/(|N_i| + 1) on each of i's follower
+    neighbors and on the leader column, zero elsewhere; the leader row keeps
+    the leader fixed.
     """
-    n = state.n
-    adj = neighbor_mask(state.centers, state.sigmas, state.d)
-    share = 1.0 / (adj.sum(axis=1).astype(np.float64) + 1.0)
-    w = np.zeros((n + 1, n + 1), dtype=np.float64)
-    w[:n, :n] = adj * share[:, None]
-    w[:n, n] = share
-    w[n, n] = 1.0
+    adj = neighbor_mask(centers, sigmas, d)
+    k = adj.shape[-1]
+    share = 1.0 / (adj.sum(axis=-1).astype(np.float64) + 1.0)
+    w = np.zeros(adj.shape[:-2] + (k + 1, k + 1), dtype=np.float64)
+    w[..., :k, :k] = adj * share[..., None]
+    w[..., :k, k] = share
+    w[..., k, k] = 1.0
     return w
-
-
-def saturated_closure(weights: np.ndarray, i: int) -> np.ndarray:
-    """Smallest saturated set containing i: ids reachable through positive weights.
-
-    A set is saturated when every member's row places all its weight inside
-    the set.
-    """
-    m = weights.shape[0]
-    if not 0 <= i < m:
-        raise ValueError(f"index {i} out of range for {m} rows")
-    support = weights > 0.0
-    member = np.zeros(m, dtype=bool)
-    member[i] = True
-    while True:
-        grown = member | support[member].any(axis=0)
-        if (grown == member).all():
-            return np.nonzero(member)[0]
-        member = grown
 
 
 @dataclass(frozen=True)
 class ConvergenceConditions:
-    """Checkable convergence conditions of the stacked weight matrix.
+    """Checkable convergence conditions of stacked weight matrices, worst value over the stack.
 
-    All three hold for every reachable group state: rows sum to one, every
+    All four hold for every reachable group state: rows sum to one, every
     diagonal entry is positive, every positive entry stays above 1/(n+2), and
     all saturated sets share the leader (so any two of them intersect).
     """
@@ -283,22 +266,32 @@ class ConvergenceConditions:
 
 
 def convergence_conditions(weights: np.ndarray) -> ConvergenceConditions:
-    """Evaluate the convergence conditions on a stacked (n+1) x (n+1) weight matrix."""
-    m = weights.shape[0]
-    if weights.ndim != 2 or weights.shape != (m, m) or m < 2:
-        raise ValueError("need a square stacked matrix with at least one follower")
-    n = m - 1
-    row_sum_error = float(np.abs(weights.sum(axis=1) - 1.0).max())
-    min_diagonal = float(np.diagonal(weights).min())
-    positive = weights[weights > 0.0]
-    min_positive = float(positive.min()) if positive.size else 0.0
-    bound = 1.0 / (n + 2) * (1.0 - 1e-12)
-    leader = n
-    share_leader = all(leader in saturated_closure(weights, i) for i in range(m))
+    """Worst value of each convergence condition over a stack of (n+1) x (n+1) weight matrices.
+
+    weights is one stacked matrix or an (..., n+1, n+1) stack of them.  The
+    leader lies in the saturated closure of i exactly when i reaches the
+    leader through positive weights, so the closures are checked by walking
+    back from the leader column.
+    """
+    if weights.ndim < 2 or weights.shape[-2] != weights.shape[-1] or weights.shape[-1] < 2 or weights.size == 0:
+        raise ValueError("need square stacked matrices with at least one follower")
+    n = weights.shape[-1] - 1
+    row_sum_error = float(np.abs(weights.sum(axis=-1) - 1.0).max())
+    min_diagonal = float(np.diagonal(weights, axis1=-2, axis2=-1).min())
+    support = weights > 0.0
+    # a matrix without a positive entry reports 0.0, and so does any stack holding one
+    min_positive = float(weights[support].min()) if support.any(axis=(-2, -1)).all() else 0.0
+    reaches = np.zeros(weights.shape[:-1], dtype=bool)
+    reaches[..., n] = True
+    while True:
+        grown = reaches | (support & reaches[..., None, :]).any(axis=-1)
+        if (grown == reaches).all():
+            break
+        reaches = grown
     return ConvergenceConditions(
         row_sum_error=row_sum_error,
         min_diagonal=min_diagonal,
         min_positive_entry=min_positive,
-        positive_entry_bound=bound,
-        closures_share_leader=share_leader,
+        positive_entry_bound=1.0 / (n + 2) * (1.0 - 1e-12),
+        closures_share_leader=bool(reaches.all()),
     )

@@ -140,10 +140,11 @@ def neighborhood_sums(centers, sigmas, d, rows=None):
     return tuple(sums)
 
 
-def neighbor_mask(centers: np.ndarray, sigmas: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Boolean (n, n) matrix whose row i marks agent i's neighbor set.
+def neighbor_mask(centers: np.ndarray, sigmas: np.ndarray, d) -> np.ndarray:
+    """Boolean (..., n, n) mask whose row i marks agent i's neighbor set.
 
-    Row i is {j : closeness(i, j) >= d_i}; the threshold is hard, and i itself
-    always qualifies because closeness(i, i) = 1 >= d_i.
+    Works over the last axis like closeness_matrix; d is a scalar or broadcasts
+    against centers.  Row i is {j : closeness(i, j) >= d_i}; the threshold is
+    hard, and i itself always qualifies because closeness(i, i) = 1 >= d_i.
     """
-    return closeness_matrix(centers, sigmas) >= np.asarray(d, dtype=np.float64)[:, None]
+    return closeness_matrix(centers, sigmas) >= np.asarray(d, dtype=np.float64)[..., None]

@@ -285,16 +285,6 @@ def read_trajectory_csv(path) -> TrajectoryRecord:
     )
 
 
-def first_exact_consensus_index(record: TrajectoryRecord, start: int = 0) -> int | None:
-    """First row index >= start where all centers and all sigmas are exactly equal."""
-    for k in range(start, record.n_samples):
-        if (record.centers[k] == record.centers[k, 0]).all() and (
-            record.sigmas[k] == record.sigmas[k, 0]
-        ).all():
-            return k
-    return None
-
-
 def _check(name: str, expected: float, actual: float, tolerance: float) -> dict:
     return {
         "name": name,
@@ -312,8 +302,9 @@ def _group_tracking_checks(record: TrajectoryRecord, leader: float, scheme: str,
     if report is None:
         return None, checks
     consensus = {"t_N": report.t_consensus, "center": report.center, "sigma": report.sigma}
-    k0 = record.index_of(report.t_consensus)
-    exact = first_exact_consensus_index(record, k0)
+    # merged states never split, so exact consensus lasts from its first row to the end
+    exact_report = detect_consensus_time(record, 0.0)
+    exact = None if exact_report is None else record.index_of(exact_report.t_consensus)
     if exact is None or exact >= record.n_samples - 1:
         return consensus, checks
     n = record.n_agents

@@ -138,15 +138,3 @@ def phase_summary(record: TrajectoryRecord, gap: float | None = None) -> list[Cl
         for p, span in enumerate(record.phases)
     ]
 
-
-def distinct_state_counts(record: TrajectoryRecord) -> np.ndarray:
-    """Number of distinct (center, sigma) pairs at every recorded step.
-
-    Agents that have merged never split again under the local or leader
-    reference, so this is non-increasing along such a trajectory.
-    """
-    counts = np.empty(record.n_samples, dtype=np.intp)
-    for k in range(record.n_samples):
-        pairs = np.stack([record.centers[k], record.sigmas[k]], axis=1)
-        counts[k] = np.unique(pairs, axis=0).shape[0]
-    return counts

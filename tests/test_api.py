@@ -30,9 +30,7 @@ PUBLIC_NAMES = [
     "convergence_conditions",
     "detect_consensus_partition",
     "detect_consensus_time",
-    "distinct_state_counts",
     "execute_scenario",
-    "first_exact_consensus_index",
     "leader_weight_matrix",
     "neighbor_mask",
     "parse_scenario",
@@ -46,9 +44,7 @@ PUBLIC_NAMES = [
     "run_blfg",
     "run_bu",
     "run_td",
-    "saturated_closure",
     "step_bcfon",
-    "step_blfg",
     "step_td",
     "steps_to_error_fraction",
     "steps_to_target",
@@ -59,7 +55,7 @@ PUBLIC_NAMES = [
 
 def test_public_names_are_pinned():
     assert sorted(hfon.__all__) == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == len(set(PUBLIC_NAMES)) == 48
+    assert len(PUBLIC_NAMES) == len(set(PUBLIC_NAMES)) == 44
 
 
 def test_every_public_name_resolves():

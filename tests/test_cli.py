@@ -308,6 +308,33 @@ class TestPredictCommand:
     def test_missing_required_flag(self, capsys):
         assert main(["predict", "--epsilon", "0.5"]) == 1
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--center", "nan", "--leader", "10", "--sigma", "-1", "--b", "-3"], "--center"),
+            (["--center", "15", "--leader", "inf"], "--leader"),
+            (["--center", "15", "--leader", "10", "--sigma", "-1", "--b", "0.01"], "--sigma"),
+            (["--center", "15", "--leader", "10", "--sigma", "nan", "--b", "0.01"], "--sigma"),
+            (["--center", "15", "--leader", "10", "--sigma", "1", "--b", "-3"], "--b"),
+            (["--center", "15", "--leader", "10", "--sigma", "1", "--b", "0"], "--b"),
+            (["--center", "15", "--leader", "10", "--sigma", "1", "--b", "inf"], "--b"),
+            (["--center", "15", "--leader", "10", "--t-offset", "-1"], "--t-offset"),
+            (["--t-offset", "-1"], "--t-offset"),
+            (["--t-offset", "3"], "--t-offset"),
+            (["--center", "15"], "--center"),
+            (["--leader", "10"], "--leader"),
+            (["--center", "15", "--leader", "10", "--sigma", "1"], "--sigma"),
+            (["--center", "15", "--leader", "10", "--b", "0.01"], "--b"),
+            (["--sigma", "1", "--b", "0.01"], "--sigma"),
+        ],
+    )
+    def test_bad_flags_refused_before_any_output(self, capsys, flags, named):
+        # every flag is checked before the first line: a bad or unused one prints nothing
+        assert main(["predict", "--n", "5", "--epsilon", "0.1", *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {named} ")
+
 
 class TestClustersCommand:
     def test_reports_final_step(self, tmp_path, capsys):

@@ -29,9 +29,9 @@ from hfon import (
     run_blfg,
     run_bu,
     step_bcfon,
-    step_blfg,
 )
 from hfon.engine import _regroup
+from hfon.leader import step_blfg
 from hfon.opinions import distinct_agents, neighborhood_sums
 
 

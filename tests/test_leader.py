@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hfon import (
@@ -26,10 +26,9 @@ from hfon import (
     predict_sigma_leader_ref,
     predict_sigma_limit,
     run_blfg,
-    saturated_closure,
-    step_blfg,
     steps_to_error_fraction,
 )
+from hfon.leader import step_blfg
 
 
 def ref_step_group(centers, sigmas, d, b, leader, scheme):
@@ -283,7 +282,7 @@ class TestClosedForms:
 class TestWeightMatrix:
     def test_isolated_followers(self):
         state = NetworkState([5.0, 10.0, 25.0], [1.0] * 3, 0.6, 0.01)
-        w = leader_weight_matrix(state)
+        w = leader_weight_matrix(state.centers, state.sigmas, state.d)
         expected = np.array(
             [
                 [0.5, 0.0, 0.0, 0.5],
@@ -296,21 +295,34 @@ class TestWeightMatrix:
 
     def test_fully_connected(self):
         state = NetworkState([1.0, 2.0, 3.0], [1.0] * 3, 0.0, 0.01)
-        w = leader_weight_matrix(state)
+        w = leader_weight_matrix(state.centers, state.sigmas, state.d)
         assert np.allclose(w[:3], 0.25)
         assert w[3].tolist() == [0.0, 0.0, 0.0, 1.0]
 
     def test_saturated_closure(self):
-        state = NetworkState([5.0, 10.0, 25.0], [1.0] * 3, 0.6, 0.01)
-        w = leader_weight_matrix(state)
-        assert saturated_closure(w, 0).tolist() == [0, 3]
-        assert saturated_closure(w, 3).tolist() == [3]
-        with pytest.raises(ValueError):
-            saturated_closure(w, 4)
+        # closures: 0 -> {0, 3}, 1 -> {1}, 2 -> {0, 2, 3} in two hops; only follower 1's misses the leader
+        w = np.array(
+            [
+                [0.5, 0.0, 0.0, 0.5],
+                [0.0, 1.0, 0.0, 0.0],
+                [0.5, 0.0, 0.5, 0.0],
+                [0.0, 0.0, 0.0, 1.0],
+            ]
+        )
+        report = convergence_conditions(w)
+        assert report.row_stochastic and report.positive_diagonal and report.entries_above_bound
+        assert not report.closures_share_leader
+        assert not report.ok
+        fixed = w.copy()
+        fixed[1] = [0.0, 0.5, 0.0, 0.5]
+        assert convergence_conditions(fixed).ok
+        # one bad matrix in a stack fails the stack
+        assert not convergence_conditions(np.stack([fixed, w, fixed])).closures_share_leader
+        assert convergence_conditions(np.stack([fixed, fixed])).ok
 
     def test_convergence_conditions_pass(self):
         state = NetworkState([5.0, 10.0, 25.0], [1.0] * 3, 0.6, 0.01)
-        report = convergence_conditions(leader_weight_matrix(state))
+        report = convergence_conditions(leader_weight_matrix(state.centers, state.sigmas, state.d))
         assert report.ok
         assert report.row_sum_error == 0.0
         assert report.min_diagonal == 0.5
@@ -328,10 +340,96 @@ class TestWeightMatrix:
             convergence_conditions(np.ones((2, 3)))
         with pytest.raises(ValueError):
             convergence_conditions(np.ones((1, 1)))
+        with pytest.raises(ValueError):
+            convergence_conditions(np.ones((0, 3, 3)))
+        with pytest.raises(ValueError):
+            convergence_conditions(np.ones(3))
 
     @given(n=st.integers(1, 10), seed=st.integers(0, 2**32), d=st.floats(0.0, 0.99))
     @settings(max_examples=60)
     def test_conditions_hold_on_random_states(self, n, seed, d):
         rng = np.random.default_rng(seed)
         state = NetworkState(rng.uniform(-5, 5, n), rng.uniform(0.0, 2.0, n), d, 0.3)
-        assert convergence_conditions(leader_weight_matrix(state)).ok
+        assert convergence_conditions(leader_weight_matrix(state.centers, state.sigmas, state.d)).ok
+
+
+def saturated_closure(weights, i):
+    """Reference: smallest saturated set containing i, grown one step of positive weights at a time."""
+    support = weights > 0.0
+    member = np.zeros(weights.shape[0], dtype=bool)
+    member[i] = True
+    while True:
+        grown = member | support[member].any(axis=0)
+        if (grown == member).all():
+            return np.nonzero(member)[0]
+        member = grown
+
+
+class TestBlockForms:
+    """The (G, k) and stacked forms equal their one-group calls."""
+
+    @given(
+        g=st.integers(1, 5),
+        k=st.integers(1, 6),
+        seed=st.integers(0, 2**32),
+        d=st.sampled_from([0.0, math.exp(-1.0), np.nextafter(math.exp(-1.0), 1.0), 0.6, 1.0, "per-agent"]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_block_weight_matrix_equals_separate_calls(self, g, k, seed, d):
+        # integer centers and sigmas of 0.5 put many pairs at closeness exactly exp(-1); zero sigmas are crisp
+        rng = np.random.default_rng(seed)
+        centers = rng.integers(-2, 3, (g, k)).astype(np.float64)
+        sigmas = rng.choice([0.0, 0.5, 1.0], (g, k), p=[0.2, 0.6, 0.2])
+        if d == "per-agent":
+            d = rng.choice([0.0, math.exp(-1.0), 0.9], (g, k))
+        block = leader_weight_matrix(centers, sigmas, d)
+        assert block.shape == (g, k + 1, k + 1)
+        for i in range(g):
+            single = leader_weight_matrix(centers[i], sigmas[i], d if np.ndim(d) == 0 else d[i])
+            assert single.shape == (k + 1, k + 1)
+            assert block[i].tobytes() == single.tobytes()
+
+    @given(g=st.integers(1, 5), m=st.integers(2, 8), seed=st.integers(0, 2**32), density=st.floats(0.0, 1.0))
+    @settings(max_examples=80, deadline=None)
+    def test_stacked_conditions_are_the_worst_of_each(self, g, m, seed, density):
+        rng = np.random.default_rng(seed)
+        weights = rng.random((g, m, m)) * (rng.random((g, m, m)) < density)
+        weights[rng.random((g, m, m)) < 0.05] *= -1.0
+        stacked = convergence_conditions(weights)
+        singles = [convergence_conditions(w) for w in weights]
+        assert stacked.row_sum_error == max(r.row_sum_error for r in singles)
+        assert stacked.min_diagonal == min(r.min_diagonal for r in singles)
+        assert stacked.min_positive_entry == min(r.min_positive_entry for r in singles)
+        assert stacked.closures_share_leader == all(r.closures_share_leader for r in singles)
+        assert stacked.positive_entry_bound == singles[0].positive_entry_bound
+        assert stacked.ok == all(r.ok for r in singles)
+
+    @given(m=st.integers(2, 300), seed=st.integers(0, 2**32), chained=st.booleans(), degree=st.floats(0.0, 300.0))
+    @example(m=300, seed=1, chained=True, degree=1.0)
+    @example(m=300, seed=2, chained=False, degree=3.0)
+    @example(m=257, seed=3, chained=False, degree=257.0)
+    @settings(max_examples=40, deadline=None)
+    def test_closures_share_leader_matches_saturated_closure(self, m, seed, chained, degree):
+        # each entry is positive with probability degree / m: sparse supports give paths of
+        # many hops, dense ones long rows; chained makes every follower reach the leader
+        rng = np.random.default_rng(seed)
+        weights = rng.random((m, m)) * (rng.random((m, m)) < degree / m)
+        if chained:
+            for i in range(m - 1):
+                weights[i, rng.integers(i + 1, m)] = 0.5
+        leader = m - 1
+        expected = all(leader in saturated_closure(weights, i) for i in range(m))
+        assert convergence_conditions(weights).closures_share_leader == expected
+
+    def test_leader_reached_through_256_followers(self):
+        # follower 256 reaches the leader only through followers 0..255, all found in the same
+        # step: a count of reaching neighbors kept in 8 bits would wrap to zero here
+        m = 258
+        weights = np.zeros((m, m))
+        weights[:256, m - 1] = 1.0
+        weights[256, :256] = 1.0 / 256
+        weights[m - 1, m - 1] = 1.0
+        assert m - 1 in saturated_closure(weights, 256)
+        assert convergence_conditions(weights).closures_share_leader
+        weights[256, :256] = 0.0
+        assert not convergence_conditions(weights).closures_share_leader

@@ -19,8 +19,8 @@ from hfon import (
     ScenarioRun,
     TrajectoryRecord,
     build_summary,
+    detect_consensus_time,
     execute_scenario,
-    first_exact_consensus_index,
     read_trajectory_csv,
     run_bcfon,
     run_blfg,
@@ -206,14 +206,18 @@ class TestTrajectoryCsv:
 
 
 class TestExactConsensusIndex:
+    """detect_consensus_time at tol 0 finds the first row of exact, lasting agreement."""
+
     def test_finds_first_row(self):
         record = TrajectoryRecord(
             times=np.arange(3),
             centers=np.array([[0.0, 1.0], [2.0, 2.0], [2.0, 2.0]]),
             sigmas=np.array([[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]]),
         )
-        assert first_exact_consensus_index(record) == 1
-        assert first_exact_consensus_index(record, start=2) == 2
+        assert detect_consensus_time(record, 0.0).t_consensus == 1
+        # a difference of one ulp is no exact consensus
+        record.centers[1, 1] = np.nextafter(2.0, 3.0)
+        assert detect_consensus_time(record, 0.0).t_consensus == 2
 
     def test_requires_sigmas_too(self):
         record = TrajectoryRecord(
@@ -221,7 +225,7 @@ class TestExactConsensusIndex:
             centers=np.array([[2.0, 2.0], [2.0, 2.0]]),
             sigmas=np.array([[1.0, 3.0], [1.0, 3.0]]),
         )
-        assert first_exact_consensus_index(record) is None
+        assert detect_consensus_time(record, 0.0) is None
 
 
 class TestBuildSummary:
@@ -309,8 +313,8 @@ class TestPredictionLines:
         from hfon import steps_to_error_fraction
         from hfon.cli import main
 
-        # center and sigma without a leader add no tracking lines
-        assert main(["predict", "--n", "156", "--epsilon", "0.01", "--center", "15", "--sigma", "1"]) == 0
+        # without consensus inputs only the formula line is printed
+        assert main(["predict", "--n", "156", "--epsilon", "0.01"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 1
         assert ("%.17g" % steps_to_error_fraction(156, 0.01)) in lines[0]
@@ -318,8 +322,8 @@ class TestPredictionLines:
     def test_full_output(self, capsys):
         from hfon.cli import main
 
-        # without --b only the center line follows the formula line
-        assert main(["predict", "--n", "12", "--epsilon", "0.01", "--center", "15", "--sigma", "1",
+        # without --sigma and --b only the center line follows the formula line
+        assert main(["predict", "--n", "12", "--epsilon", "0.01", "--center", "15",
                      "--leader", "10", "--t-offset", "30"]) == 0
         assert [line.split("(")[0] for line in capsys.readouterr().out.strip().splitlines()] == [
             "steps_to_error_fraction", "predicted_center"]

@@ -10,12 +10,12 @@ from hfon import (
     NetworkState,
     Phase,
     PhaseSchedule,
-    distinct_state_counts,
     phase_summary,
     run_bcfon,
     run_bu,
     step_bcfon,
 )
+from hfon.opinions import distinct_rows
 
 
 class TestScheduleValidation:
@@ -101,6 +101,13 @@ class TestPhaseSummary:
         record = run_bcfon(NetworkState([0.0, 1.0], [1.0] * 2, 0.5, 0.2), 2)
         with pytest.raises(ValueError):
             phase_summary(record)
+
+
+def distinct_state_counts(record):
+    """Distinct (center, sigma) pairs at every recorded step, by exact bits."""
+    return np.array([
+        distinct_rows(np.stack([c, s], axis=1))[0].size for c, s in zip(record.centers, record.sigmas)
+    ])
 
 
 class TestDistinctStates:
