@@ -25,6 +25,32 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigurationError(message)
 
 
+# argparse reads a value that starts with "-" as an option unless it looks like -1 or -1.5, so
+# main writes a float flag followed by a value such as -1e3 as --flag=-1e3 before parsing
+_FLOAT_FLAGS = ("--epsilon", "--center", "--sigma", "--leader", "--b", "--gap", "--tol")
+
+
+def _join_float_values(argv: list[str]) -> list[str]:
+    """argv with each float flag, or a prefix of one, joined to a following value that
+    starts with "-" and parses as a float."""
+    out, i = [], 0
+    while i < len(argv):
+        arg = argv[i]
+        if arg == "--":  # everything after it is positional
+            return out + argv[i:]
+        float_flag = arg.startswith("--") and any(flag.startswith(arg) for flag in _FLOAT_FLAGS)
+        if float_flag and i + 1 < len(argv) and argv[i + 1].startswith("-"):
+            try:
+                float(argv[i + 1])
+            except ValueError:
+                pass
+            else:
+                arg, i = f"{arg}={argv[i + 1]}", i + 1
+        out.append(arg)
+        i += 1
+    return out
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="hfon", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -111,7 +137,8 @@ _PREDICT_NEEDS = {
 
 
 def _predict_command(args) -> int:
-    """Closed-form predictions only, no simulation; every flag is checked before any line is printed."""
+    """Closed-form predictions only, no simulation; every flag and every prediction is checked
+    before any line is printed."""
     n, center, sigma, leader, b, t = args.n, args.center, args.sigma, args.leader, args.b, args.t_offset
     for flag, value in (("--center", center), ("--leader", leader)):
         if value is not None and not math.isfinite(value):
@@ -127,14 +154,29 @@ def _predict_command(args) -> int:
         if given[flag] is not None and missing:
             raise ConfigurationError(f"{flag} is unused without {' and '.join(missing)}")
     t = 0 if t is None else t
-    lines = [f"steps_to_error_fraction(n={n}, epsilon={_fmt(args.epsilon)}): "
-             f"{_fmt(steps_to_error_fraction(n, args.epsilon))}"]
+    given.update({"--n": n, "--epsilon": args.epsilon})
+    track = ("--center", "--leader", "--n", "--t-offset")
+    # (label, flags behind the value, formula); --sigma comes only with --center
+    predictions = [(f"steps_to_error_fraction(n={n}, epsilon={_fmt(args.epsilon)})", ("--n", "--epsilon"),
+                    lambda: steps_to_error_fraction(n, args.epsilon))]
     if center is not None:
-        lines.append(f"predicted_center(t_offset={t}): {_fmt(predict_center(center, leader, n, t))}")
-        if sigma is not None:
-            lines.append(f"predicted_sigma_leader_ref(t_offset={t}): "
-                         f"{_fmt(predict_sigma_leader_ref(sigma, center, leader, n, b, t))}")
-            lines.append(f"sigma_limit: {_fmt(predict_sigma_limit(sigma, center, leader, n, b))}")
+        predictions.append((f"predicted_center(t_offset={t})", track, lambda: predict_center(center, leader, n, t)))
+    if sigma is not None:
+        predictions += [
+            (f"predicted_sigma_leader_ref(t_offset={t})", ("--sigma", "--b", *track),
+             lambda: predict_sigma_leader_ref(sigma, center, leader, n, b, t)),
+            ("sigma_limit", ("--sigma", "--b", *track[:3]), lambda: predict_sigma_limit(sigma, center, leader, n, b)),
+        ]
+    lines = []
+    for label, inputs, predict in predictions:
+        try:
+            value = predict()
+        except ArithmeticError as exc:  # the formula itself divided by zero or overflowed
+            value = exc
+        if isinstance(value, ArithmeticError) or not math.isfinite(value):
+            used = ", ".join(f"{flag} {given[flag]!r}" for flag in inputs if given[flag] is not None)
+            raise ConfigurationError(f"{label.split('(')[0]} is not finite ({value}) for {used}")
+        lines.append(f"{label}: {_fmt(value)}")
     print("\n".join(lines))
     return 0
 
@@ -153,7 +195,7 @@ def _clusters_command(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_float_values(sys.argv[1:] if argv is None else list(argv)))
         return args.func(args)
     except (ConfigurationError, AddressError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

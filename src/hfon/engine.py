@@ -8,6 +8,7 @@ one step read the same frozen snapshot.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from typing import Callable, Union
 
@@ -133,7 +134,7 @@ class TrajectoryRecord:
 
 
 def _run(
-    step, state: NetworkState, steps: int, t0: int = 0, partition=None, regroup=False
+    step, state: NetworkState, steps: int, t0: int = 0, partition=None, regroup=False, changes=None
 ) -> TrajectoryRecord:
     """Trajectory of centers, sigmas = step(centers, sigmas, t, rows) for t = t0 .. t0 + steps - 1.
 
@@ -148,6 +149,14 @@ def _run(
     get the same update and never split, so after the first step only the
     previous representatives are regrouped.  regroup recomputes it over all n
     agents every step, for per-agent inputs under which shared states split.
+
+    changes lists the change points: the times t at which step itself may
+    differ from the step at t - 1.  Between change points a step is a pure
+    function of (centers, sigmas), so once a step's output equals its input
+    in every bit, the state is copied forward up to the next change point (or
+    the run's end) and stepping resumes there; the record is the same as if
+    every step had been taken.  () means step never changes; None, for steps
+    that read t, never fast-forwards.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -155,15 +164,30 @@ def _run(
     sigmas = np.empty((steps + 1, state.n), dtype=np.float64)
     centers[0] = state.centers
     sigmas[0] = state.sigmas
+    # bits, not values: -0.0 == 0.0 and NaN != NaN as floats
+    center_bits, sigma_bits = centers.view(np.uint64), sigmas.view(np.uint64)
+    same = np.empty(state.n, dtype=bool)
+    # row indices where a fast-forward stops: each change point inside the run, and its end
+    stops = None if changes is None else [t - t0 for t in sorted(changes) if t0 < t < t0 + steps] + [steps]
     rows = None
     k = 0
     try:
         # a step on overflowed values may divide by zero or make NaNs; reported below
         with np.errstate(all="ignore"):
-            for k, t in enumerate(range(t0, t0 + steps)):
+            while k < steps:
                 if partition is not None:
                     rows = _regroup(None if regroup else rows, centers[k], sigmas[k], *partition)
-                centers[k + 1], sigmas[k + 1] = step(centers[k], sigmas[k], t, rows)
+                centers[k + 1], sigmas[k + 1] = step(centers[k], sigmas[k], t0 + k, rows)
+                k += 1
+                if (
+                    stops is not None
+                    and np.equal(center_bits[k], center_bits[k - 1], out=same).all()
+                    and np.equal(sigma_bits[k], sigma_bits[k - 1], out=same).all()
+                ):
+                    stop = stops[bisect.bisect_left(stops, k)]
+                    centers[k + 1:stop + 1] = centers[k]
+                    sigmas[k + 1:stop + 1] = sigmas[k]
+                    k = stop
     except Exception:
         _check_finite(centers[:k + 1], sigmas[:k + 1], t0)
         raise
@@ -206,10 +230,12 @@ def run_bcfon(
     """Trajectory of `steps` synchronous updates, initial state included."""
     if isinstance(scheme, LeaderReference):
         raise ConfigurationError("a flat network has no leader; use a leader-follower group")
+    external = isinstance(scheme, ExternalReference)
     return _run(
         lambda c, s, t, rows: step_bcfon(c, s, initial.d, initial.b, scheme, t, rows),
         initial, steps, t0, partition=(initial.d, initial.b),
-        regroup=isinstance(scheme, ExternalReference),  # per-agent signals split shared states
+        # per-agent signals split shared states, and the step reads t
+        regroup=external, changes=None if external else (),
     )
 
 

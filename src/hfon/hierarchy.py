@@ -146,6 +146,8 @@ def run_td(spec: HierarchySpec, initial: NetworkState, steps: int, scheme: Refer
         raise ConfigurationError(f"hierarchy expects {spec.n_agents} agents, state has {initial.n}")
     _check_group_scheme(scheme)
     _check_group_thresholds(initial.d)
-    record = _run(lambda c, s, t, rows: step_td(spec, c, s, initial.d, initial.b, scheme), initial, steps)
+    record = _run(
+        lambda c, s, t, rows: step_td(spec, c, s, initial.d, initial.b, scheme), initial, steps, changes=()
+    )
     record.levels, record.groups = spec.agent_addresses()
     return record

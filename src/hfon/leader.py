@@ -111,6 +111,7 @@ def run_blfg(initial: NetworkState, config: BlfgConfig, steps: int) -> Trajector
     return _run(
         lambda c, s, t, rows: step_blfg(c, s, initial.d, initial.b, config.leader_at(t), config.scheme, rows),
         initial, steps, partition=(initial.d, initial.b),
+        changes=None if callable(config.leader) else (),  # a moving leader changes the step at any t
     )
 
 

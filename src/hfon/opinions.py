@@ -115,13 +115,20 @@ def neighborhood_sums(centers, sigmas, d, rows=None):
     state; a row depends only on the agent's own (center, sigma, d) and the
     frozen columns, so the result is the same bit for bit.  Rows are computed
     in chunks of at most about _CHUNK_PAIRS (row, column) pairs, which for the
-    same reason changes no bit either.
+    same reason changes no bit either.  rows of one distinct, finite-centered
+    state cost O(n): every agent hears every agent, so each sum is the plain
+    sum over all agents.
     """
     row_c, row_s, row_d = centers, sigmas, np.asarray(d)
     if rows is not None:
         if centers.ndim != 1:
             raise ValueError(f"rows= takes (n,) vectors only, got centers of shape {centers.shape}")
         first, inverse = rows
+        if first.size == 1 and np.isfinite(centers[first[0]]):
+            # a finite state's closeness to itself is 1 >= d (crisp or not), so every agent hears
+            # every agent, and a full row's masked sums are these same contiguous reductions
+            n = centers.shape[0]
+            return np.full(n, float(n)), np.full(n, centers.sum()), np.full(n, sigmas.sum())
         row_c, row_s, row_d = centers[first], sigmas[first], row_d[first]
     # one row index along the last axis pairs with centers.size (row, column) cells
     chunk = max(1, _CHUNK_PAIRS // centers.size)

@@ -85,7 +85,8 @@ def run_bu(initial: NetworkState, schedule: PhaseSchedule) -> TrajectoryRecord:
 
     # every agent shares each phase's d and b, so a phase change splits no state and the
     # partition over the first phase's d holds for every phase
-    record = _run(step, initial, schedule.total_steps, partition=(d, b))
+    # the step changes only where a phase's d takes over
+    record = _run(step, initial, schedule.total_steps, partition=(d, b), changes=starts)
     record.phases = spans
     return record
 

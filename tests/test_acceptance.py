@@ -7,12 +7,15 @@ condition, so the verdict survives both -v listings and captured output.
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hfon import cli
-from hfon.engine import LocalReference, LeaderReference, run_bcfon, steps_to_target
+from hfon.engine import ExternalReference, LocalReference, LeaderReference, run_bcfon, steps_to_target
 from hfon.hierarchy import HierarchySpec, run_td
 from hfon.leader import (
     BlfgConfig,
@@ -24,6 +27,7 @@ from hfon.leader import (
     steps_to_error_fraction,
 )
 from hfon.opinions import NetworkState, distinct_rows
+from hfon.output import read_trajectory_csv
 from hfon.phases import Phase, PhaseSchedule, phase_summary, run_bu
 from hfon.scenarios import (
     InitialSpec,
@@ -312,3 +316,113 @@ def test_criterion_10_reduction_laws():
     ok = ok and same
     details.append(f"single-phase schedule == flat run: {'exact' if same else 'DIFFERS'}")
     _verdict(10, ok, "; ".join(details))
+
+
+_TREE_SHAPES = ((3, 2), (2, 2, 2), (2, 3), (4,))
+
+
+def _scaled_run(engine: str, params: dict, a: float):
+    """One engine's record from params with every center, sigma and leader scaled by a."""
+    centers, sigmas = params["centers"] * a, params["sigmas"] * abs(a)
+    d, b, leader, steps = params["d"], params["b"], params["leader"] * a, params["steps"]
+    state = NetworkState(centers, sigmas, d, b)
+    if engine == "bcfon":
+        signal = params["signal"]
+        scheme = (LocalReference() if signal is None
+                  else ExternalReference(lambda t, i: a * (signal[i] + t % 3)))
+        return run_bcfon(state, steps, scheme)
+    if engine == "bu":
+        return run_bu(state, PhaseSchedule(params["phases"], b))
+    scheme = LocalReference() if params["local"] else LeaderReference()
+    if engine == "blfg":
+        # a moving leader steps once, at t = 10
+        lead = (lambda t: a * (params["leader"] + (t >= 10))) if params["moving"] else leader
+        return run_blfg(state, BlfgConfig(n=state.n, d=d, b=b, scheme=scheme, leader=lead), steps)
+    return run_td(HierarchySpec(params["shape"], leader), state, steps, scheme)
+
+
+@st.composite
+def _symmetry_cases(draw):
+    """An engine, its random inputs and a scale a = +-2^j, j in [-20, 20]."""
+    engine = draw(st.sampled_from(["bcfon", "bu", "blfg", "td"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(_TREE_SHAPES))
+    n = HierarchySpec(shape, 0.0).n_agents if engine == "td" else draw(st.integers(1, 16))
+    # small pools, so agents tie, merge and reach fixed points; zero sigmas are crisp
+    pool = rng.integers(0, max(1, n // 2), n)
+    group_d = draw(st.sampled_from([0.0, 0.3, 0.6, 0.9]))
+    params = {
+        "centers": rng.uniform(-50.0, 50.0, n)[pool],
+        "sigmas": rng.choice([0.0, 0.5, 2.0, rng.uniform(0.0, 5.0)], n)[pool],
+        "d": draw(st.sampled_from([0.0, 0.5, 1.0])) if engine in ("bcfon", "bu") else group_d,
+        "b": draw(st.sampled_from([0.01, 0.3, 1.5])),
+        "leader": rng.uniform(-50.0, 50.0),
+        "steps": draw(st.integers(0, 40)),
+        "signal": draw(st.sampled_from([None, rng.uniform(-50.0, 50.0, n)])),
+        "phases": tuple(Phase(draw(st.sampled_from([0.0, 0.4, 0.8, 1.0])), draw(st.integers(0, 15)))
+                        for _ in range(draw(st.integers(1, 3)))),
+        "local": draw(st.booleans()),
+        "moving": draw(st.booleans()),
+        "shape": shape,
+    }
+    a = draw(st.sampled_from([1.0, -1.0])) * 2.0 ** draw(st.integers(-20, 20))
+    return engine, params, a
+
+
+def _check_power_of_two_symmetry() -> int:
+    """Criterion 11's property over random engines and inputs; returns the number of cases run."""
+    cases = []
+
+    # a power-of-two scale is exact, keeps every closeness ratio and neighbour set, and
+    # rounding is symmetric in sign, so each trajectory scales exactly; signed zeros compare
+    # by value, since x - x is +0.0 under either sign
+    @given(case=_symmetry_cases())
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def check(case):
+        engine, params, a = case
+        base = _scaled_run(engine, params, 1.0)
+        scaled = _scaled_run(engine, params, a)
+        assert np.array_equal(scaled.centers, base.centers * a), f"{engine} centers at scale {a!r}"
+        assert np.array_equal(scaled.sigmas, base.sigmas * abs(a)), f"{engine} sigmas at scale {a!r}"
+        cases.append(engine)
+
+    check()
+    return len(cases)
+
+
+_SCALED_DOCS = {
+    "group": {"kind": "blfg", "n": 12, "steps": 300, "d": 0.6, "scheme": "leader", "leader": 10.0},
+    "tree": {"kind": "topdown", "group_sizes": [3, 3], "steps": 300, "d": 0.6, "scheme": "local",
+             "leader": 10.0},
+    "flat": {"kind": "bcfon", "n": 40, "steps": 100, "d": 0.5, "seed": 5},
+    "phased": {"kind": "bottomup", "n": 30, "phases": [{"d": 0.9, "steps": 20}, {"d": 0.3, "steps": 40}]},
+}
+
+
+def test_criterion_11_power_of_two_symmetry(tmp_path):
+    # every engine's trajectory from inputs scaled by a = +-2^j is the scaled trajectory;
+    # end to end, a document with doubled leader, low, high and sigma writes a doubled CSV
+    cases = _check_power_of_two_symmetry()
+    details = []
+    ok = True
+    for name, doc in _SCALED_DOCS.items():
+        records = []
+        for scale in (1.0, 2.0):
+            centers = "uniform" if "seed" in doc else "ramp"
+            scaled = {"schema_version": 1, "name": name, "b": 0.3, **doc,
+                      "initial": {"centers": centers, "low": 5.0 * scale, "high": 25.0 * scale,
+                                  "sigma": 1.0 * scale}}
+            if "leader" in doc:
+                scaled["leader"] = doc["leader"] * scale
+            path = tmp_path / f"{name}-{scale}.json"
+            path.write_text(json.dumps(scaled), encoding="utf-8")
+            out = tmp_path / f"out-{scale}"
+            assert cli.main(["run", str(path), "--out", str(out)]) == 0
+            records.append(read_trajectory_csv(out / f"{name}.trajectory.csv"))
+        base, doubled = records
+        same = (np.array_equal(doubled.centers, 2.0 * base.centers)
+                and np.array_equal(doubled.sigmas, 2.0 * base.sigmas))
+        ok = ok and same
+        details.append(f"{name} {'exact' if same else 'DIFFERS'}")
+    _verdict(11, ok, f"{cases} random cases over 4 engines scaled exactly; doubled documents: "
+                     + ", ".join(details))

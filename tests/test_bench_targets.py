@@ -46,7 +46,7 @@ EXPECTED_CALLS = {
     ("hfon.leader", "group_update"): 4,
     ("hfon.hierarchy", "step_td"): 3,
     ("hfon.hierarchy", "group_update"): 3,  # one call per distinct group size
-    ("hfon.phases", "step_bcfon"): 5,
+    ("hfon.phases", "step_bcfon"): 2,  # each phase's first step is a fixed point, so the rest are copied
     ("hfon.scenarios", "run_bu"): 1,
 }
 

@@ -110,6 +110,12 @@ class TestRunCommand:
         assert not out.exists()
         assert f"{flag} must be finite and >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--gap", "--tol"])
+    def test_negative_exponent_value_meets_the_range_check(self, tmp_path, capsys, flag):
+        assert main(["run", "example3", "--out", str(tmp_path / "never"), flag, "-1e3"]) == 1
+        assert not (tmp_path / "never").exists()
+        assert f"{flag} must be finite and >= 0, got -1000.0" in capsys.readouterr().err
+
     def test_zero_gap_and_tol_accepted(self, tmp_path):
         out = tmp_path / "out"
         assert main(["run", write_doc(tmp_path, scenario_doc()), "--out", str(out), "--gap", "0", "--tol", "0"]) == 0
@@ -336,6 +342,58 @@ class TestPredictCommand:
         assert captured.err.startswith(f"error: {named} ")
 
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--center", "1e308", "--leader=-1e308", "--sigma", "1", "--b", "1e300"],
+             "predicted_center is not finite (inf) for --center 1e+308, --leader -1e+308, --n 5"),
+            (["--center", "1", "--leader", "-1e300", "--sigma", "1e308", "--b", "1e10", "--t-offset", "3"],
+             "predicted_sigma_leader_ref is not finite (inf) for --sigma 1e+308, --b 10000000000.0, "
+             "--center 1.0, --leader -1e+300, --n 5, --t-offset 3\n"),
+            # at t_offset 0 the sigma is still the consensus sigma; only its limit overflows
+            (["--center", "1", "--leader", "-1e300", "--sigma", "1.7e308", "--b", "1e7"],
+             "sigma_limit is not finite (inf) for --sigma 1.7e+308, --b 10000000.0, "
+             "--center 1.0, --leader -1e+300, --n 5\n"),
+        ],
+    )
+    def test_non_finite_prediction_refused_before_any_output(self, capsys, flags, named):
+        assert main(["predict", "--n", "5", "--epsilon", "0.1", *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {named}")
+
+    def test_formula_that_divides_by_zero_refused(self, capsys):
+        # log(n) - log(n + 1) rounds to 0 for n past 2**53
+        assert main(["predict", "--n", str(10**20), "--epsilon", "0.1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: steps_to_error_fraction is not finite (float division by zero) "
+                                f"for --n {10**20}, --epsilon 0.1\n")
+
+    @pytest.mark.parametrize("flag, value, other", [
+        ("--center", "-1e3", ["--leader", "10"]),
+        ("--leader", "-1e3", ["--center", "10"]),
+        ("--leader", "-2.5E-1", ["--center", "10"]),
+        ("--cent", "-1e3", ["--leader", "10"]),  # argparse takes a unique prefix for the flag
+    ])
+    def test_negative_values_in_exponent_form(self, capsys, flag, value, other):
+        assert main(["predict", "--n", "5", "--epsilon", "0.1", flag, value, *other]) == 0
+        joined = capsys.readouterr().out
+        assert main(["predict", "--n", "5", "--epsilon", "0.1", f"{flag}={value}", *other]) == 0
+        assert capsys.readouterr().out == joined
+        assert "predicted_center(t_offset=0)" in joined
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--center", "1", "--leader", "2", "--b", "1", "--sigma", "-1e-3"], "--sigma must be finite and >= 0"),
+        (["--center", "1", "--leader", "2", "--sigma", "1", "--b", "-1e-3"], "--b must be finite and > 0"),
+        (["--epsilon", "-1e-3"], "epsilon must lie strictly between 0 and 1"),
+        (["--center", "-inf", "--leader", "2"], "--center must be finite"),
+    ])
+    def test_negative_exponent_values_meet_their_range_check(self, capsys, flags, message):
+        assert main(["predict", "--n", "5", "--epsilon", "0.1", *flags]) == 1
+        assert message in capsys.readouterr().err
+
+
 class TestClustersCommand:
     def test_reports_final_step(self, tmp_path, capsys):
         src = write_doc(tmp_path, scenario_doc())
@@ -364,6 +422,15 @@ class TestClustersCommand:
         monkeypatch.setattr(hfon.cli, "read_trajectory_csv", no_read)
         assert main(["clusters", str(tmp_path / "nope.csv"), "--gap", value]) == 1
         assert "--gap must be finite and >= 0" in capsys.readouterr().err
+
+    def test_negative_exponent_gap_meets_the_range_check(self, tmp_path, capsys):
+        assert main(["clusters", str(tmp_path / "nope.csv"), "--gap", "-1E-3"]) == 1
+        assert capsys.readouterr().err == "error: --gap must be finite and >= 0, got -0.001\n"
+
+    def test_values_after_a_double_dash_stay_positional(self, capsys):
+        # only the value of a float flag is joined; after -- every token is positional
+        assert main(["clusters", "--gap", "--", "-1e3"]) == 1
+        assert "argument --gap: expected one argument" in capsys.readouterr().err
 
     @pytest.mark.parametrize("width", [3, 7])
     def test_row_width_is_input_error(self, tmp_path, capsys, width):

@@ -149,6 +149,31 @@ class TestNeighborhoodSums:
                 assert_same_bits(a, b)
 
 
+    @pytest.mark.parametrize("n", [1, 7, 156, 1000])
+    @pytest.mark.parametrize("center, sigma", [(3.25, 0.5), (-0.0, 0.0), (0.0, 0.0), (-2.5, 0.0), (1e300, 1e300)])
+    @pytest.mark.parametrize("d", [0.0, 0.6, 1.0])
+    def test_one_state_equals_the_dense_rows(self, n, center, sigma, d):
+        # one distinct state: every agent hears every agent, whatever d in [0, 1]
+        state = NetworkState(np.full(n, center), np.full(n, sigma), d, 0.5)
+        rows = distinct(state)
+        assert rows[0].size == 1
+        expected = dense_sums(state)
+        assert_same_bits(expected[0], np.full(n, float(n)))
+        for got in (neighborhood_sums(state.centers, state.sigmas, state.d, rows),
+                    neighborhood_sums(state.centers, state.sigmas, state.d)):
+            for a, b in zip(got, expected):
+                assert_same_bits(a, b)
+
+    @pytest.mark.parametrize("center, sigma", [(np.inf, 1.0), (-np.inf, 0.0), (np.nan, 1.0), (1.0, np.nan)])
+    def test_one_non_finite_state_takes_the_dense_rows(self, center, sigma):
+        # an overflowed center is no neighbor even of itself, so its agents hear nobody
+        centers, sigmas, d = np.full(5, center), np.full(5, sigma), np.full(5, 0.5)
+        rows = distinct_agents(centers, sigmas, d, np.ones(5))
+        with np.errstate(all="ignore"):
+            for a, b in zip(neighborhood_sums(centers, sigmas, d, rows), neighborhood_sums(centers, sigmas, d)):
+                assert_same_bits(a, b)
+
+
 class TestFlatStep:
     @given(state=states(), t=st.integers(0, 50))
     @settings(max_examples=150)

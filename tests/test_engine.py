@@ -26,6 +26,7 @@ from hfon import (
     step_bcfon,
     steps_to_target,
 )
+from hfon.engine import _run
 
 
 def step(state, scheme=LocalReference(), t=0):
@@ -226,6 +227,179 @@ class TestRun:
         sub = record.select_agents([2, 0])
         assert sub.n_agents == 2
         assert np.array_equal(sub.centers[:, 0], record.centers[:, 2])
+
+
+def calls_to(monkeypatch, module, name):
+    """Patch module.name to log the positional arguments of each call; returns the log."""
+    log = []
+    original = getattr(module, name)
+
+    def logged(*args, **kwargs):
+        log.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, logged)
+    return log
+
+
+def stepwise(state, steps, step, t0=0):
+    """Reference record of a run that takes every step: rows of step(centers, sigmas, t)."""
+    centers, sigmas = [state.centers], [state.sigmas]
+    with np.errstate(all="ignore"):
+        for t in range(t0, t0 + steps):
+            c, s = step(centers[-1], sigmas[-1], t)
+            centers.append(c)
+            sigmas.append(s)
+    return np.array(centers), np.array(sigmas)
+
+
+def assert_same_record(record, reference):
+    assert record.centers.tobytes() == reference[0].tobytes()
+    assert record.sigmas.tobytes() == reference[1].tobytes()
+
+
+def has_fixed_point(centers, sigmas, before: int) -> bool:
+    """Whether some step k -> k+1 with k < before leaves every bit of the state unchanged."""
+    same = [(a[1:] == a[:-1]).all(axis=1) for a in (centers.view(np.uint64), sigmas.view(np.uint64))]
+    return bool((same[0] & same[1])[:before].any())
+
+
+class TestFastForward:
+    """A run copies a bitwise fixed point forward to the next change point of its step.
+
+    Each record equals a reference that takes every step, bit for bit, and the
+    step calls show where the run jumped.
+    """
+
+    # at d = 0.9 the agents at 0 and 4 hear only themselves and hold still; at d = 0 they
+    # merge to (2, 2) in one step, and a merged state holds still under any d
+    _pair = NetworkState([0.0, 4.0], [1.0, 1.0], 0.5, 0.5)
+
+    @pytest.mark.parametrize("phases, stepped", [
+        # held from t = 0 until phase 2 merges the pair at t = 5; held again from t = 6
+        ([(0.9, 5), (0.0, 4), (0.9, 3)], [0, 5, 6, 9]),
+        # the first fixed step is phase 1's last; an empty phase shares the next start
+        ([(0.0, 2), (0.5, 0), (0.9, 3)], [0, 1, 2]),
+        # a fixed point that holds across two boundaries and an empty phase
+        ([(0.0, 3), (0.3, 0), (0.9, 4), (0.0, 2)], [0, 1, 3, 7]),
+        # the pair merges on a phase's only step and holds still only after the boundary
+        ([(0.9, 0), (0.0, 1), (0.9, 3), (0.0, 0)], [0, 1]),
+    ])
+    def test_bottom_up_resumes_at_each_phase_start(self, monkeypatch, phases, stepped):
+        import hfon.phases
+
+        schedule = PhaseSchedule(tuple(Phase(d, n) for d, n in phases), 0.5)
+        d_at = [d for d, n in phases for _ in range(n)]
+        reference = stepwise(
+            self._pair, schedule.total_steps,
+            lambda c, s, t: step_bcfon(c, s, np.full(2, d_at[t]), self._pair.b),
+        )
+        log = calls_to(monkeypatch, hfon.phases, "step_bcfon")
+        record = run_bu(self._pair, schedule)
+        assert_same_record(record, reference)
+        assert [args[5] for args in log] == stepped  # step_bcfon's t
+
+    def test_external_reference_never_fast_forwards(self, monkeypatch):
+        import hfon.engine
+
+        # each agent's signal is its own center, so nothing moves, until t = 6
+        scheme = ExternalReference(lambda t, i: 4.0 * i + (t >= 6))
+        state = NetworkState([0.0, 4.0], [1.0, 1.0], 0.9, 0.5)
+        reference = stepwise(state, 10, lambda c, s, t: step_bcfon(c, s, state.d, state.b, scheme, t))
+        assert has_fixed_point(*reference, before=6)
+        log = calls_to(monkeypatch, hfon.engine, "step_bcfon")
+        record = run_bcfon(state, 10, scheme)
+        assert_same_record(record, reference)
+        assert len(log) == 10
+        assert record.sigmas[-1, 0] > record.sigmas[6, 0]
+
+    @pytest.mark.parametrize("scheme", [LocalReference(), LeaderReference()])
+    @pytest.mark.parametrize("moving", [False, True])
+    def test_group_under_constant_and_callable_leaders(self, monkeypatch, scheme, moving):
+        import hfon.leader
+        from hfon.leader import step_blfg
+
+        # the followers settle on the leader well before t = 150, where the moving one jumps
+        leader = (lambda t: 10.0 if t < 150 else 12.0) if moving else 10.0
+        config = BlfgConfig(n=3, d=0.5, b=0.1, scheme=scheme, leader=leader)
+        state = NetworkState([0.0, 1.0, 3.0], [1.0, 0.5, 1.0], 0.5, 0.1)
+        reference = stepwise(
+            state, 200, lambda c, s, t: step_blfg(c, s, state.d, state.b, config.leader_at(t), scheme)
+        )
+        assert has_fixed_point(*reference, before=150)
+        log = calls_to(monkeypatch, hfon.leader, "step_blfg")
+        record = run_blfg(state, config, 200)
+        assert_same_record(record, reference)
+        if moving:
+            assert len(log) == 200
+            assert record.centers[-1, 0] > 10.0
+        else:
+            assert len(log) < 150
+
+    @pytest.mark.parametrize("scheme", [LocalReference(), LeaderReference()])
+    def test_top_down_both_schemes(self, monkeypatch, scheme):
+        import hfon.hierarchy
+        from hfon.hierarchy import step_td
+
+        spec = HierarchySpec((3, 2), 10.0)
+        state = NetworkState(np.linspace(5.0, 25.0, spec.n_agents), np.full(spec.n_agents, 1.0), 0.6, 0.01)
+        reference = stepwise(state, 600, lambda c, s, t: step_td(spec, c, s, state.d, state.b, scheme))
+        log = calls_to(monkeypatch, hfon.hierarchy, "step_td")
+        record = run_td(spec, state, 600, scheme)
+        assert_same_record(record, reference)
+        assert len(log) < 600
+
+    def test_overflow_then_a_nan_fixed_point_names_the_same_step(self, monkeypatch):
+        import hfon.engine
+
+        # the sum overflows at step 7 -> 8; from there the state turns NaN and holds still
+        state = NetworkState([1e308, 1.7e308], [1.0, 1.0], 0.0, 0.5)
+        centers, sigmas = stepwise(state, 50, lambda c, s, t: step_bcfon(c, s, state.d, state.b), t0=7)
+        assert np.isnan(centers[-1]).all() and has_fixed_point(centers, sigmas, before=49)
+        first_bad = int(np.argmin(np.isfinite(centers).all(axis=1) & np.isfinite(sigmas).all(axis=1)))
+        assert first_bad == 1
+        log = calls_to(monkeypatch, hfon.engine, "step_bcfon")
+        with pytest.raises(ValueError, match=rf"step {7 + first_bad - 1} -> {7 + first_bad} overflowed"):
+            run_bcfon(state, 50, t0=7)
+        assert len(log) < 10
+
+    @staticmethod
+    def _record(step, steps, changes, center=0.0):
+        return _run(step, NetworkState([center, 1.0], [1.0, 1.0], 0.5, 0.5), steps, changes=changes)
+
+    def test_states_are_compared_by_their_bits(self):
+        # -0.0 -> 0.0 is no fixed point, although the two compare equal as floats
+        def step(c, s, t, rows):
+            return np.where(np.signbit(c), 0.0, np.minimum(c + 1.0, 2.0)), s
+
+        record = self._record(step, 6, (), center=-0.0)
+        assert record.centers[:, 0].tolist() == [0.0, 0.0, 1.0, 2.0, 2.0, 2.0, 2.0]
+        assert np.signbit(record.centers[0, 0])
+
+    def test_change_points_bound_each_jump(self):
+        seen = []
+
+        def step(c, s, t, rows):
+            seen.append(t)
+            return c + (t in (4, 9)), s
+
+        record = self._record(step, 12, (4, 9, 30, -1), center=0.0)
+        assert seen == [0, 4, 5, 9, 10]
+        assert record.centers[:, 0].tolist() == [0.0] * 5 + [1.0] * 5 + [2.0] * 3
+        assert len(self._record(step, 12, None).times) == 13
+        assert seen[5:] == list(range(12))
+
+    def test_a_step_that_raises_after_a_jump_reports_the_earlier_overflow(self):
+        # overflow at step 2 -> 3, an inf fixed point from there, and a failing step at t = 10
+        def step(c, s, t, rows):
+            if t == 10:
+                raise ConfigurationError("step 10 failed")
+            return c * (1e100 if t < 3 else 1.0), s
+
+        with pytest.raises(ValueError, match=r"step 2 -> 3 overflowed"):
+            self._record(step, 20, (10,), center=1e100)
+        with pytest.raises(ConfigurationError, match="step 10 failed"):
+            self._record(step, 20, (10,), center=1.0)
 
 
 class TestStepsToTarget:
