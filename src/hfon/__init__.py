@@ -25,7 +25,6 @@ from .engine import (
     steps_to_target,
 )
 from .leader import (
-    BlfgConfig,
     ConsensusReport,
     ConvergenceConditions,
     convergence_conditions,
@@ -45,7 +44,6 @@ from .hierarchy import (
 from .phases import (
     ClusterReport,
     Phase,
-    PhaseSchedule,
     phase_summary,
     run_bu,
 )
@@ -69,7 +67,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AddressError",
-    "BlfgConfig",
     "ClusterReport",
     "ConfigurationError",
     "ConsensusReport",
@@ -81,7 +78,6 @@ __all__ = [
     "LocalReference",
     "NetworkState",
     "Phase",
-    "PhaseSchedule",
     "PhaseSpan",
     "ScenarioConfig",
     "ScenarioRun",

@@ -133,10 +133,8 @@ class TrajectoryRecord:
         )
 
 
-def _run(
-    step, state: NetworkState, steps: int, t0: int = 0, partition=None, regroup=False, changes=None
-) -> TrajectoryRecord:
-    """Trajectory of centers, sigmas = step(centers, sigmas, t, rows) for t = t0 .. t0 + steps - 1.
+def _run(step, state: NetworkState, steps: int, partition=None, changes=None) -> TrajectoryRecord:
+    """Trajectory of centers, sigmas = step(centers, sigmas, t, rows) for t = 0 .. steps - 1.
 
     The initial state, row 0, is the run's only validated object.  A step keeps
     sigmas non-negative but its sums can overflow, so the record is checked
@@ -147,8 +145,8 @@ def _run(
     rows is None unless partition gives the step's (d, b); then it is the
     distinct_agents partition of the step's input.  Agents that share a state
     get the same update and never split, so after the first step only the
-    previous representatives are regrouped.  regroup recomputes it over all n
-    agents every step, for per-agent inputs under which shared states split.
+    previous representatives are regrouped.  A step whose per-agent inputs
+    can split shared states passes no partition.
 
     changes lists the change points: the times t at which step itself may
     differ from the step at t - 1.  Between change points a step is a pure
@@ -168,7 +166,7 @@ def _run(
     center_bits, sigma_bits = centers.view(np.uint64), sigmas.view(np.uint64)
     same = np.empty(state.n, dtype=bool)
     # row indices where a fast-forward stops: each change point inside the run, and its end
-    stops = None if changes is None else [t - t0 for t in sorted(changes) if t0 < t < t0 + steps] + [steps]
+    stops = None if changes is None else [t for t in sorted(changes) if 0 < t < steps] + [steps]
     rows = None
     k = 0
     try:
@@ -176,8 +174,8 @@ def _run(
         with np.errstate(all="ignore"):
             while k < steps:
                 if partition is not None:
-                    rows = _regroup(None if regroup else rows, centers[k], sigmas[k], *partition)
-                centers[k + 1], sigmas[k + 1] = step(centers[k], sigmas[k], t0 + k, rows)
+                    rows = _regroup(rows, centers[k], sigmas[k], *partition)
+                centers[k + 1], sigmas[k + 1] = step(centers[k], sigmas[k], k, rows)
                 k += 1
                 if (
                     stops is not None
@@ -189,19 +187,19 @@ def _run(
                     sigmas[k + 1:stop + 1] = sigmas[k]
                     k = stop
     except Exception:
-        _check_finite(centers[:k + 1], sigmas[:k + 1], t0)
+        _check_finite(centers[:k + 1], sigmas[:k + 1])
         raise
-    _check_finite(centers, sigmas, t0)
-    return TrajectoryRecord(times=np.arange(t0, t0 + steps + 1), centers=centers, sigmas=sigmas)
+    _check_finite(centers, sigmas)
+    return TrajectoryRecord(times=np.arange(steps + 1), centers=centers, sigmas=sigmas)
 
 
-def _check_finite(centers, sigmas, t0: int):
-    """Raise naming the step into the first row of a record from t0 with a non-finite value."""
+def _check_finite(centers, sigmas):
+    """Raise naming the step into the first row of a record with a non-finite value."""
     # a row's min and max are both finite exactly when the whole row is: NaN propagates
     finite = np.isfinite(centers.min(axis=1)) & np.isfinite(centers.max(axis=1))
     finite &= np.isfinite(sigmas.min(axis=1)) & np.isfinite(sigmas.max(axis=1))
     if not finite.all():
-        t = t0 + int(np.argmin(finite)) - 1
+        t = int(np.argmin(finite)) - 1
         raise ValueError(f"step {t} -> {t + 1} overflowed: a center or sigma is not finite")
 
 
@@ -221,21 +219,15 @@ def _regroup(rows, centers, sigmas, d, b):
     return first[sub_first], sub_inverse[inverse]
 
 
-def run_bcfon(
-    initial: NetworkState,
-    steps: int,
-    scheme: ReferenceScheme = LocalReference(),
-    t0: int = 0,
-) -> TrajectoryRecord:
+def run_bcfon(initial: NetworkState, steps: int, scheme: ReferenceScheme = LocalReference()) -> TrajectoryRecord:
     """Trajectory of `steps` synchronous updates, initial state included."""
     if isinstance(scheme, LeaderReference):
         raise ConfigurationError("a flat network has no leader; use a leader-follower group")
-    external = isinstance(scheme, ExternalReference)
+    # per-agent signals split shared states, and the step reads t
+    local = not isinstance(scheme, ExternalReference)
     return _run(
         lambda c, s, t, rows: step_bcfon(c, s, initial.d, initial.b, scheme, t, rows),
-        initial, steps, t0, partition=(initial.d, initial.b),
-        # per-agent signals split shared states, and the step reads t
-        regroup=external, changes=None if external else (),
+        initial, steps, partition=(initial.d, initial.b) if local else None, changes=() if local else None,
     )
 
 
@@ -261,7 +253,7 @@ def _default_gap(record: TrajectoryRecord) -> float:
     return 0.05 * _initial_spread(record)
 
 
-def detect_consensus_partition(state_or_centers, gap: float) -> list[np.ndarray]:
+def detect_consensus_partition(centers, gap: float) -> list[np.ndarray]:
     """Split agents into opinion clusters by sorted center gaps.
 
     Sort the centers; any adjacent gap strictly greater than `gap` starts a new
@@ -269,10 +261,7 @@ def detect_consensus_partition(state_or_centers, gap: float) -> list[np.ndarray]
     equal centers always land together (even at gap 0).  Returns ascending-id
     arrays ordered by cluster center.
     """
-    if isinstance(state_or_centers, NetworkState):
-        centers = state_or_centers.centers
-    else:
-        centers = np.asarray(state_or_centers, dtype=np.float64)
+    centers = np.asarray(centers, dtype=np.float64)
     if centers.ndim != 1 or centers.size == 0:
         raise ValueError("need a non-empty vector of centers")
     if not (np.isfinite(gap) and gap >= 0.0):

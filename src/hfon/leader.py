@@ -52,38 +52,6 @@ def _check_group_thresholds(d: np.ndarray):
         raise ConfigurationError("follower thresholds d must lie in [0, 1) inside a group")
 
 
-@dataclass(frozen=True)
-class BlfgConfig:
-    """Scenario-level description of one leader-follower group.
-
-    leader may be a constant or a callable t -> center for a moving leader.
-    The closed-form predictors assume a constant leader.
-    """
-
-    n: int
-    d: float
-    b: float
-    scheme: ReferenceScheme
-    leader: Union[float, Callable[[int], float]]
-
-    def __post_init__(self):
-        if not (isinstance(self.n, int) and self.n >= 1):
-            raise ConfigurationError("follower count n must be an integer >= 1")
-        if not (np.isfinite(self.d) and 0.0 <= self.d < 1.0):
-            raise ConfigurationError("group threshold d must lie in [0, 1)")
-        if not (np.isfinite(self.b) and self.b > 0.0):
-            raise ConfigurationError("uncertainty gain b must be positive")
-        _check_group_scheme(self.scheme)
-        if not callable(self.leader) and not np.isfinite(self.leader):
-            raise ConfigurationError("leader center must be finite")
-
-    def leader_at(self, t: int) -> float:
-        value = self.leader(t) if callable(self.leader) else self.leader
-        if not np.isfinite(value):
-            raise ConfigurationError(f"leader center must be finite at t={t}, got {value!r}")
-        return float(value)
-
-
 def step_blfg(centers, sigmas, d, b, leader_center: float, scheme: ReferenceScheme, rows=None):
     """One synchronous update of a follower group under a fixed leader value: new (centers, sigmas).
 
@@ -94,25 +62,29 @@ def step_blfg(centers, sigmas, d, b, leader_center: float, scheme: ReferenceSche
     return group_update(centers, sigmas, d, b, leader_center, scheme, rows)
 
 
-def run_blfg(initial: NetworkState, config: BlfgConfig, steps: int) -> TrajectoryRecord:
+def run_blfg(
+    initial: NetworkState, steps: int, scheme: ReferenceScheme, leader: Union[float, Callable[[int], float]]
+) -> TrajectoryRecord:
     """Follower trajectory over `steps` updates; the exogenous leader is not recorded.
 
-    Every follower's d and b must equal the config's.
+    leader may be a constant or a callable t -> center for a moving leader,
+    checked to be finite at every step.  The closed-form predictors assume a
+    constant leader.
     """
-    if initial.n != config.n:
-        raise ConfigurationError(f"config expects {config.n} followers, state has {initial.n}")
-    for key, values, expected in (("d", initial.d, config.d), ("b", initial.b, config.b)):
-        differs = np.nonzero(values != expected)[0]
-        if differs.size:
-            raise ConfigurationError(
-                f"key {key!r} of the state must equal the config's {expected!r}, "
-                f"got {float(values[differs[0]])!r} for follower {int(differs[0])}"
-            )
-    return _run(
-        lambda c, s, t, rows: step_blfg(c, s, initial.d, initial.b, config.leader_at(t), config.scheme, rows),
-        initial, steps, partition=(initial.d, initial.b),
-        changes=None if callable(config.leader) else (),  # a moving leader changes the step at any t
-    )
+    _check_group_scheme(scheme)
+    _check_group_thresholds(initial.d)
+    moving = callable(leader)
+    if not moving and not np.isfinite(leader):
+        raise ConfigurationError("leader center must be finite")
+
+    def step(centers, sigmas, t: int, rows):
+        value = leader(t) if moving else leader
+        if not np.isfinite(value):
+            raise ConfigurationError(f"leader center must be finite at t={t}, got {value!r}")
+        return step_blfg(centers, sigmas, initial.d, initial.b, float(value), scheme, rows)
+
+    # a moving leader changes the step at any t
+    return _run(step, initial, steps, partition=(initial.d, initial.b), changes=None if moving else ())
 
 
 @dataclass(frozen=True)
@@ -208,7 +180,10 @@ def steps_to_error_fraction(n: int, epsilon: float) -> float:
         raise ValueError("n must be an integer >= 1")
     if not (np.isfinite(epsilon) and 0.0 < epsilon < 1.0):
         raise ValueError("epsilon must lie strictly between 0 and 1")
-    return math.log(epsilon) / (math.log(n) - math.log(n + 1))
+    log_ratio = math.log(n) - math.log(n + 1)
+    if log_ratio == 0.0:
+        raise ValueError(f"n = {n} is too large: log(n) - log(n + 1) rounds to 0")
+    return math.log(epsilon) / log_ratio
 
 
 def leader_weight_matrix(centers, sigmas, d) -> np.ndarray:

@@ -9,6 +9,7 @@ instead of being imposed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -39,54 +40,35 @@ class Phase:
             raise ConfigurationError("phase steps must be an integer >= 0")
 
 
-@dataclass(frozen=True)
-class PhaseSchedule:
-    """Ordered phases with one shared uncertainty gain b.
-
-    Phased runs always use the local reference scheme.
-    """
-
-    phases: tuple[Phase, ...]
-    b: float
-
-    def __post_init__(self):
-        if len(self.phases) == 0:
-            raise ConfigurationError("a schedule needs at least one phase")
-        if not (np.isfinite(self.b) and self.b > 0.0):
-            raise ConfigurationError("uncertainty gain b must be positive")
-
-    @property
-    def total_steps(self) -> int:
-        return sum(p.steps for p in self.phases)
-
-
-def run_bu(initial: NetworkState, schedule: PhaseSchedule) -> TrajectoryRecord:
+def run_bu(initial: NetworkState, phases: Sequence[Phase]) -> TrajectoryRecord:
     """Run the population through every phase in order, recording each step.
 
-    The schedule's (d, b) override whatever the initial state carries; the
-    first state of each phase is exactly the last state of the previous one.
+    Each phase's d replaces every agent's d; b is the state's.  Phased runs
+    always use the local reference scheme.  The first state of each phase is
+    exactly the last state of the previous one.
     """
+    if len(phases) == 0:
+        raise ConfigurationError("a schedule needs at least one phase")
     scheme = LocalReference()
     spans, t = [], 0
-    for phase in schedule.phases:
+    for phase in phases:
         spans.append(PhaseSpan(d=phase.d, t_start=t, t_end=t + phase.steps))
         t += phase.steps
     # every step lies in exactly one non-empty span; its d applies from the span's first step,
     # and the first non-empty span starts at 0 whenever anything is stepped
     starts = {span.t_start: span.d for span in spans if span.t_end > span.t_start}
-    d = np.full(initial.n, float(starts.get(0, schedule.phases[0].d)))
-    b = np.full(initial.n, float(schedule.b))
+    d = np.full(initial.n, float(starts.get(0, phases[0].d)))
 
     def step(centers, sigmas, t: int, rows):
         nonlocal d
         if t in starts:
             d = np.full(initial.n, float(starts[t]))
-        return step_bcfon(centers, sigmas, d, b, scheme, t, rows)
+        return step_bcfon(centers, sigmas, d, initial.b, scheme, t, rows)
 
-    # every agent shares each phase's d and b, so a phase change splits no state and the
+    # every agent shares each phase's d, so a phase change splits no state and the
     # partition over the first phase's d holds for every phase
     # the step changes only where a phase's d takes over
-    record = _run(step, initial, schedule.total_steps, partition=(d, b), changes=starts)
+    record = _run(step, initial, t, partition=(d, initial.b), changes=starts)
     record.phases = spans
     return record
 

@@ -1,7 +1,8 @@
 """Scenario descriptions: built-in experiments, JSON scenario files, seeded initials.
 
 A scenario file is a JSON object with a schema_version field; unknown or
-missing keys are configuration errors that name the offending key.  Built-in
+missing keys, and keys the scenario's kind does not read, are configuration
+errors that name the offending key.  Built-in
 scenarios cover the flat 156-follower group, its 3- and 4-level hierarchy
 counterparts, and the 200-agent falling-threshold run.
 """
@@ -9,7 +10,7 @@ counterparts, and the 200-agent falling-threshold run.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -17,9 +18,9 @@ import numpy as np
 from .errors import ConfigurationError
 from .engine import LeaderReference, LocalReference, TrajectoryRecord, run_bcfon
 from .hierarchy import HierarchySpec, run_td
-from .leader import BlfgConfig, run_blfg
+from .leader import run_blfg
 from .opinions import NetworkState
-from .phases import Phase, PhaseSchedule, run_bu
+from .phases import Phase, run_bu
 
 SCHEMA_VERSION = 1
 
@@ -30,6 +31,15 @@ _MAX_RECORDED = 10**8
 # seeds, from a document or --seed, are numpy generator seeds of at most 64 bits
 _SEED_LIMIT = 2**64
 _SCHEMES = {"local": LocalReference(), "leader": LeaderReference()}
+# the keys each kind reads besides name, kind, initial, b and seed, which every kind
+# reads; all are required but a flat run's scheme, which can only be 'local'
+_KIND_KEYS = {
+    "blfg": ("n", "d", "scheme", "leader", "steps"),
+    "bcfon": ("n", "d", "steps", "scheme"),
+    "topdown": ("group_sizes", "d", "scheme", "leader", "steps"),
+    "bottomup": ("n", "phases"),
+}
+_EVERY_KIND_KEYS = ("name", "kind", "initial", "b", "seed")
 
 
 def ramp_initials(n: int, low: float = 5.0, high: float = 25.0) -> np.ndarray:
@@ -119,19 +129,19 @@ class ScenarioConfig:
             raise ConfigurationError(f"unknown scenario kind {self.kind!r}")
         if self.b is None:
             raise ConfigurationError("scenario requires key 'b'")
-        need = {
-            "blfg": ("n", "d", "scheme", "leader", "steps"),
-            "bcfon": ("n", "d", "steps"),
-            "topdown": ("group_sizes", "d", "scheme", "leader", "steps"),
-            "bottomup": ("n", "phases"),
-        }[self.kind]
-        for key in need:
-            if getattr(self, key) is None:
+        reads = _KIND_KEYS[self.kind]
+        for key in reads:
+            if getattr(self, key) is None and (self.kind, key) != ("bcfon", "scheme"):
                 raise ConfigurationError(f"scenario kind {self.kind!r} requires key {key!r}")
+        for f in fields(self):
+            if f.name not in reads + _EVERY_KIND_KEYS and getattr(self, f.name) is not None:
+                raise ConfigurationError(f"scenario kind {self.kind!r} does not read key {f.name!r}")
         if self.scheme is not None and self.scheme not in _SCHEMES:
             raise ConfigurationError("scheme must be 'local' or 'leader'")
         if self.kind == "bcfon" and self.scheme not in (None, "local"):
             raise ConfigurationError("flat runs support only the local scheme")
+        if self.n is not None and not (isinstance(self.n, int) and self.n >= 1):
+            raise ConfigurationError(f"key 'n' must be an integer >= 1, got {self.n!r}")
         if self.steps is not None and not (isinstance(self.steps, int) and self.steps >= 0):
             raise ConfigurationError("steps must be an integer >= 0")
         if self.d is not None and not (0.0 <= self.d <= 1.0):
@@ -178,7 +188,6 @@ class ScenarioRun:
     config: ScenarioConfig
     seed: int | None
     record: TrajectoryRecord
-    initial: NetworkState
 
 
 def execute_scenario(config: ScenarioConfig, seed: int | None = None) -> ScenarioRun:
@@ -192,26 +201,20 @@ def execute_scenario(config: ScenarioConfig, seed: int | None = None) -> Scenari
             for level, k in enumerate(spec.group_sizes, start=1)
         ]
         centers, sigmas = np.concatenate(levels, axis=1)
-        state = NetworkState(centers, sigmas, config.d, config.b)
+    else:
+        centers, sigmas = config.initial.build(config.n, seed)
+    # a phased run replaces the state's d with each phase's
+    d = config.phases[0].d if config.kind == "bottomup" else config.d
+    state = NetworkState(centers, sigmas, d, config.b)
+    if config.kind == "topdown":
         record = run_td(spec, state, config.steps, _SCHEMES[config.scheme])
-        return ScenarioRun(config, seed, record, state)
-
-    n = config.n
-    centers, sigmas = config.initial.build(n, seed)
-    if config.kind == "blfg":
-        state = NetworkState(centers, sigmas, config.d, config.b)
-        group = BlfgConfig(n=n, d=config.d, b=config.b, scheme=_SCHEMES[config.scheme], leader=config.leader)
-        record = run_blfg(state, group, config.steps)
-        return ScenarioRun(config, seed, record, state)
-    if config.kind == "bcfon":
-        state = NetworkState(centers, sigmas, config.d, config.b)
+    elif config.kind == "blfg":
+        record = run_blfg(state, config.steps, _SCHEMES[config.scheme], config.leader)
+    elif config.kind == "bcfon":
         record = run_bcfon(state, config.steps, LocalReference())
-        return ScenarioRun(config, seed, record, state)
-    # bottomup
-    schedule = PhaseSchedule(phases=config.phases, b=config.b)
-    state = NetworkState(centers, sigmas, config.phases[0].d, config.b)
-    record = run_bu(state, schedule)
-    return ScenarioRun(config, seed, record, state)
+    else:
+        record = run_bu(state, config.phases)
+    return ScenarioRun(config, seed, record)
 
 
 def _example1(scheme: str) -> ScenarioConfig:
@@ -266,22 +269,8 @@ def builtin_scenarios() -> dict[str, ScenarioConfig]:
     }
 
 
-_TOP_KEYS = {
-    "schema_version",
-    "name",
-    "kind",
-    "n",
-    "steps",
-    "d",
-    "b",
-    "scheme",
-    "leader",
-    "group_sizes",
-    "phases",
-    "initial",
-    "seed",
-}
-_INITIAL_KEYS = {"centers", "low", "high", "sigma"}
+_TOP_KEYS = {f.name for f in fields(ScenarioConfig)} | {"schema_version"}
+_INITIAL_KEYS = tuple(f.name for f in fields(InitialSpec))
 
 
 def _integer(value, key: str) -> int:
@@ -316,7 +305,7 @@ def _scenario_from_dict(doc: dict, fallback_name: str) -> ScenarioConfig:
     init_doc = doc["initial"]
     if not isinstance(init_doc, dict):
         raise ConfigurationError("key 'initial' must be an object")
-    unknown = set(init_doc) - _INITIAL_KEYS
+    unknown = set(init_doc).difference(_INITIAL_KEYS)
     if unknown:
         raise ConfigurationError(f"unknown initial key {sorted(unknown)[0]!r}")
     for key in _INITIAL_KEYS:

@@ -18,7 +18,6 @@ from hfon import cli
 from hfon.engine import ExternalReference, LocalReference, LeaderReference, run_bcfon, steps_to_target
 from hfon.hierarchy import HierarchySpec, run_td
 from hfon.leader import (
-    BlfgConfig,
     convergence_conditions,
     detect_consensus_time,
     leader_weight_matrix,
@@ -28,7 +27,7 @@ from hfon.leader import (
 )
 from hfon.opinions import NetworkState, distinct_rows
 from hfon.output import read_trajectory_csv
-from hfon.phases import Phase, PhaseSchedule, phase_summary, run_bu
+from hfon.phases import Phase, phase_summary, run_bu
 from hfon.scenarios import (
     InitialSpec,
     ScenarioConfig,
@@ -294,11 +293,7 @@ def test_criterion_10_reduction_laws():
     centers = ramp_initials(12)
     sigmas = np.full(12, 1.0)
     for name, scheme in (("local", LocalReference()), ("leader", LeaderReference())):
-        flat = run_blfg(
-            NetworkState(centers, sigmas, 0.6, 0.01),
-            BlfgConfig(n=12, d=0.6, b=0.01, scheme=scheme, leader=LEADER_VALUE),
-            200,
-        )
+        flat = run_blfg(NetworkState(centers, sigmas, 0.6, 0.01), 200, scheme, LEADER_VALUE)
         tree = run_td(
             HierarchySpec((12,), LEADER_VALUE), NetworkState(centers, sigmas, 0.6, 0.01), 200, scheme
         )
@@ -310,7 +305,7 @@ def test_criterion_10_reduction_laws():
     c0, s0 = InitialSpec("uniform", 5.0, 25.0, "uniform").build(50, 3)
     base = NetworkState(c0, s0, 0.5, 0.3)
     flat = run_bcfon(base, 60, LocalReference())
-    phased = run_bu(base, PhaseSchedule(phases=(Phase(d=0.5, steps=60),), b=0.3))
+    phased = run_bu(base, (Phase(d=0.5, steps=60),))
     same = (np.array_equal(flat.centers, phased.centers)
             and np.array_equal(flat.sigmas, phased.sigmas))
     ok = ok and same
@@ -332,12 +327,12 @@ def _scaled_run(engine: str, params: dict, a: float):
                   else ExternalReference(lambda t, i: a * (signal[i] + t % 3)))
         return run_bcfon(state, steps, scheme)
     if engine == "bu":
-        return run_bu(state, PhaseSchedule(params["phases"], b))
+        return run_bu(state, params["phases"])
     scheme = LocalReference() if params["local"] else LeaderReference()
     if engine == "blfg":
         # a moving leader steps once, at t = 10
         lead = (lambda t: a * (params["leader"] + (t >= 10))) if params["moving"] else leader
-        return run_blfg(state, BlfgConfig(n=state.n, d=d, b=b, scheme=scheme, leader=lead), steps)
+        return run_blfg(state, steps, scheme, lead)
     return run_td(HierarchySpec(params["shape"], leader), state, steps, scheme)
 
 

@@ -3,11 +3,12 @@
 The list is literal on purpose: adding or removing a public name must edit it.
 """
 
+import inspect
+
 import hfon
 
 PUBLIC_NAMES = [
     "AddressError",
-    "BlfgConfig",
     "ClusterReport",
     "ConfigurationError",
     "ConsensusReport",
@@ -19,7 +20,6 @@ PUBLIC_NAMES = [
     "LocalReference",
     "NetworkState",
     "Phase",
-    "PhaseSchedule",
     "PhaseSpan",
     "ScenarioConfig",
     "ScenarioRun",
@@ -55,9 +55,21 @@ PUBLIC_NAMES = [
 
 def test_public_names_are_pinned():
     assert sorted(hfon.__all__) == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == len(set(PUBLIC_NAMES)) == 44
+    assert len(PUBLIC_NAMES) == len(set(PUBLIC_NAMES)) == 42
 
 
 def test_every_public_name_resolves():
     for name in PUBLIC_NAMES:
         assert getattr(hfon, name) is not None, name
+
+
+def test_engine_signatures_are_pinned():
+    # each engine takes one NetworkState and only the inputs the state does not hold
+    expected = {
+        hfon.run_bcfon: ["initial", "steps", "scheme"],
+        hfon.run_blfg: ["initial", "steps", "scheme", "leader"],
+        hfon.run_td: ["spec", "initial", "steps", "scheme"],
+        hfon.run_bu: ["initial", "phases"],
+    }
+    for engine, names in expected.items():
+        assert list(inspect.signature(engine).parameters) == names, engine.__name__

@@ -184,6 +184,9 @@ class TestRunCommand:
             ("steps", 10**12, "(steps + 1) x agents = 3000000000003 recorded values"),
             ("seed", -1, "key 'seed' must lie in [0, 2**64), got -1"),
             ("seed", 2**70, "key 'seed' must lie in [0, 2**64), got 1180591620717411303424"),
+            ("n", -1, "key 'n' must be an integer >= 1, got -1"),
+            ("group_sizes", [2, 2], "scenario kind 'blfg' does not read key 'group_sizes'"),
+            ("phases", [{"d": 0.5, "steps": 2}], "scenario kind 'blfg' does not read key 'phases'"),
         ],
     )
     def test_rejected_before_simulating(self, tmp_path, monkeypatch, capsys, key, value, message):
@@ -367,8 +370,7 @@ class TestPredictCommand:
         assert main(["predict", "--n", str(10**20), "--epsilon", "0.1"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (f"error: steps_to_error_fraction is not finite (float division by zero) "
-                                f"for --n {10**20}, --epsilon 0.1\n")
+        assert captured.err == f"error: n = {10**20} is too large: log(n) - log(n + 1) rounds to 0\n"
 
     @pytest.mark.parametrize("flag, value, other", [
         ("--center", "-1e3", ["--leader", "10"]),

@@ -17,13 +17,11 @@ from hypothesis import strategies as st
 
 import hfon.opinions
 from hfon import (
-    BlfgConfig,
     ExternalReference,
     LeaderReference,
     LocalReference,
     NetworkState,
     Phase,
-    PhaseSchedule,
     closeness_matrix,
     run_bcfon,
     run_blfg,
@@ -259,7 +257,7 @@ class TestCarriedPartition:
     def test_flat_run_local(self, seed):
         rng = np.random.default_rng(seed)
         state = pooled_state(80, seed, rng.choice([0.3, 0.6], 80), rng.choice([0.2, 0.5], 80))
-        record = run_bcfon(state, 60, LocalReference(), t0=3)
+        record = run_bcfon(state, 60, LocalReference())
         assert_record_matches(record, state, lambda s, t: dense_bcfon(s, LocalReference(), t))
         assert n_states(record, -1) < n_states(record, 0)
 
@@ -287,22 +285,19 @@ class TestCarriedPartition:
     @pytest.mark.parametrize("moving", [False, True])
     def test_group_run(self, scheme, moving):
         leader = (lambda t: 10.0 + 0.5 * t) if moving else 10.0
-        config = BlfgConfig(n=60, d=0.4, b=0.3, scheme=scheme, leader=leader)
         state = pooled_state(60, 7, 0.4, 0.3)
-        record = run_blfg(state, config, 60)
-        assert_record_matches(record, state, lambda s, t: dense_blfg(s, config.leader_at(t), scheme))
+        record = run_blfg(state, 60, scheme, leader)
+        assert_record_matches(record, state, lambda s, t: dense_blfg(s, leader(t) if moving else leader, scheme))
         assert n_states(record, -1) < n_states(record, 0)
 
     def test_phased_run_across_changes_of_d(self):
         phases = (Phase(0.2, 0), Phase(0.9, 15), Phase(0.3, 20), Phase(0.0, 0), Phase(0.7, 10))
-        schedule = PhaseSchedule(phases, b=0.4)
-        # the state's own (d, b) differ per agent; the schedule's replace them
+        # the state's own d and b differ per agent; each phase's d replaces every d, b stays
         rng = np.random.default_rng(3)
         state = pooled_state(90, 3, rng.uniform(0.0, 1.0, 90), rng.uniform(0.1, 1.0, 90))
-        record = run_bu(state, schedule)
-        scheduled = NetworkState(state.centers, state.sigmas, 0.0, schedule.b)
+        record = run_bu(state, phases)
         d_at = {t: span.d for span in record.phases for t in range(span.t_start, span.t_end)}
-        assert_record_matches(record, scheduled, lambda s, t: dense_bcfon(s, LocalReference(), t), d_at.get)
+        assert_record_matches(record, state, lambda s, t: dense_bcfon(s, LocalReference(), t), d_at.get)
 
     def test_carried_partition_equals_a_full_one(self):
         state = pooled_state(120, 5, 0.45, 0.5)

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hfon import (
-    BlfgConfig,
     ConfigurationError,
     ExternalReference,
     HierarchySpec,
@@ -16,7 +15,6 @@ from hfon import (
     LocalReference,
     NetworkState,
     Phase,
-    PhaseSchedule,
     TrajectoryRecord,
     detect_consensus_partition,
     run_bcfon,
@@ -143,7 +141,7 @@ class TestRun:
         with pytest.raises(ValueError):
             run_bcfon(state, -1)
 
-    def test_t0_offsets_times_and_signal(self):
+    def test_times_and_signal_start_at_zero(self):
         seen = []
 
         def signal(t, i):
@@ -151,9 +149,9 @@ class TestRun:
             return 0.0
 
         state = NetworkState([1.0], [1.0], 0.5, 0.5)
-        record = run_bcfon(state, 3, ExternalReference(signal), t0=7)
-        assert record.times.tolist() == [7, 8, 9, 10]
-        assert seen == [7, 8, 9]
+        record = run_bcfon(state, 3, ExternalReference(signal))
+        assert record.times.tolist() == [0, 1, 2, 3]
+        assert seen == [0, 1, 2]
 
     def test_run_matches_repeated_steps(self):
         state = NetworkState([0.0, 1.0, 5.0], [1.0, 1.0, 1.0], 0.5, 0.2)
@@ -168,8 +166,6 @@ class TestRun:
         # the initial state is validated once; steps work on raw arrays
         flat = NetworkState([0.0, 1.0, 5.0], [1.0, 1.0, 1.0], 0.5, 0.2)
         tree = NetworkState([0.0, 1.0, 2.0, 3.0, 4.0, 5.0], [1.0] * 6, 0.5, 0.2)
-        config = BlfgConfig(n=3, d=0.5, b=0.2, scheme=LeaderReference(), leader=10.0)
-        schedule = PhaseSchedule(phases=(Phase(0.9, 2), Phase(0.3, 2)), b=0.2)
         built = []
         original = NetworkState.__init__
 
@@ -180,32 +176,30 @@ class TestRun:
         monkeypatch.setattr(NetworkState, "__init__", counting)
         records = [
             run_bcfon(flat, 3),
-            run_blfg(flat, config, 3),
+            run_blfg(flat, 3, LeaderReference(), 10.0),
             run_td(HierarchySpec((2, 2), 10.0), tree, 3, LocalReference()),
-            run_bu(flat, schedule),
+            run_bu(flat, (Phase(0.9, 2), Phase(0.3, 2))),
         ]
         assert [r.n_samples for r in records] == [4, 4, 4, 5]
         assert built == []
 
     def test_overflow_names_the_step(self):
         state = NetworkState([1e308, 1.7e308], [1.0, 1.0], 0.0, 0.5)
-        with pytest.raises(ValueError, match=r"step 7 -> 8 overflowed"):
-            run_bcfon(state, 3, t0=7)
+        with pytest.raises(ValueError, match=r"step 0 -> 1 overflowed"):
+            run_bcfon(state, 3)
 
     def test_overflow_in_a_later_phase_names_its_step(self):
         # at d = 1 each agent hears only itself and nothing moves; at d = 0 the sum overflows
         state = NetworkState([1e308, 1.7e308], [1.0, 1.0], 0.5, 0.5)
-        schedule = PhaseSchedule((Phase(1.0, 3), Phase(0.0, 2), Phase(0.5, 2)), 0.5)
         with pytest.raises(ValueError, match=r"step 3 -> 4 overflowed"):
-            run_bu(state, schedule)
+            run_bu(state, (Phase(1.0, 3), Phase(0.0, 2), Phase(0.5, 2)))
 
     # followers at 0 close in on the leader L, so the sum 2c + L first passes float range at step 3
     _climbing = NetworkState([0.0, 0.0], [1.0, 1.0], 0.0, 0.5)
 
     def test_overflow_early_in_a_long_run_names_its_step(self):
-        config = BlfgConfig(n=2, d=0.0, b=0.5, scheme=LeaderReference(), leader=0.8e308)
         with pytest.raises(ValueError, match=r"step 3 -> 4 overflowed"):
-            run_blfg(self._climbing, config, 50)
+            run_blfg(self._climbing, 50, LeaderReference(), 0.8e308)
 
     @pytest.mark.parametrize("leader, error, message", [
         (0.8e308, ValueError, r"step 3 -> 4 overflowed"),
@@ -213,10 +207,8 @@ class TestRun:
     ])
     def test_overflow_is_reported_before_a_later_step_fails(self, leader, error, message):
         # the leader turns NaN at t = 5; an overflow at step 3 is the earlier failure
-        config = BlfgConfig(n=2, d=0.0, b=0.5, scheme=LeaderReference(),
-                            leader=lambda t: leader if t < 5 else math.nan)
         with pytest.raises(error, match=message):
-            run_blfg(self._climbing, config, 50)
+            run_blfg(self._climbing, 50, LeaderReference(), lambda t: leader if t < 5 else math.nan)
 
     def test_index_of_and_select_agents(self):
         state = NetworkState([0.0, 1.0, 5.0], [1.0, 1.0, 1.0], 0.5, 0.2)
@@ -242,11 +234,11 @@ def calls_to(monkeypatch, module, name):
     return log
 
 
-def stepwise(state, steps, step, t0=0):
+def stepwise(state, steps, step):
     """Reference record of a run that takes every step: rows of step(centers, sigmas, t)."""
     centers, sigmas = [state.centers], [state.sigmas]
     with np.errstate(all="ignore"):
-        for t in range(t0, t0 + steps):
+        for t in range(steps):
             c, s = step(centers[-1], sigmas[-1], t)
             centers.append(c)
             sigmas.append(s)
@@ -288,14 +280,13 @@ class TestFastForward:
     def test_bottom_up_resumes_at_each_phase_start(self, monkeypatch, phases, stepped):
         import hfon.phases
 
-        schedule = PhaseSchedule(tuple(Phase(d, n) for d, n in phases), 0.5)
         d_at = [d for d, n in phases for _ in range(n)]
         reference = stepwise(
-            self._pair, schedule.total_steps,
+            self._pair, len(d_at),
             lambda c, s, t: step_bcfon(c, s, np.full(2, d_at[t]), self._pair.b),
         )
         log = calls_to(monkeypatch, hfon.phases, "step_bcfon")
-        record = run_bu(self._pair, schedule)
+        record = run_bu(self._pair, tuple(Phase(d, n) for d, n in phases))
         assert_same_record(record, reference)
         assert [args[5] for args in log] == stepped  # step_bcfon's t
 
@@ -321,14 +312,13 @@ class TestFastForward:
 
         # the followers settle on the leader well before t = 150, where the moving one jumps
         leader = (lambda t: 10.0 if t < 150 else 12.0) if moving else 10.0
-        config = BlfgConfig(n=3, d=0.5, b=0.1, scheme=scheme, leader=leader)
         state = NetworkState([0.0, 1.0, 3.0], [1.0, 0.5, 1.0], 0.5, 0.1)
         reference = stepwise(
-            state, 200, lambda c, s, t: step_blfg(c, s, state.d, state.b, config.leader_at(t), scheme)
+            state, 200, lambda c, s, t: step_blfg(c, s, state.d, state.b, leader(t) if moving else leader, scheme)
         )
         assert has_fixed_point(*reference, before=150)
         log = calls_to(monkeypatch, hfon.leader, "step_blfg")
-        record = run_blfg(state, config, 200)
+        record = run_blfg(state, 200, scheme, leader)
         assert_same_record(record, reference)
         if moving:
             assert len(log) == 200
@@ -352,15 +342,15 @@ class TestFastForward:
     def test_overflow_then_a_nan_fixed_point_names_the_same_step(self, monkeypatch):
         import hfon.engine
 
-        # the sum overflows at step 7 -> 8; from there the state turns NaN and holds still
+        # the sum overflows at step 0 -> 1; from there the state turns NaN and holds still
         state = NetworkState([1e308, 1.7e308], [1.0, 1.0], 0.0, 0.5)
-        centers, sigmas = stepwise(state, 50, lambda c, s, t: step_bcfon(c, s, state.d, state.b), t0=7)
+        centers, sigmas = stepwise(state, 50, lambda c, s, t: step_bcfon(c, s, state.d, state.b))
         assert np.isnan(centers[-1]).all() and has_fixed_point(centers, sigmas, before=49)
         first_bad = int(np.argmin(np.isfinite(centers).all(axis=1) & np.isfinite(sigmas).all(axis=1)))
         assert first_bad == 1
         log = calls_to(monkeypatch, hfon.engine, "step_bcfon")
-        with pytest.raises(ValueError, match=rf"step {7 + first_bad - 1} -> {7 + first_bad} overflowed"):
-            run_bcfon(state, 50, t0=7)
+        with pytest.raises(ValueError, match=rf"step {first_bad - 1} -> {first_bad} overflowed"):
+            run_bcfon(state, 50)
         assert len(log) < 10
 
     @staticmethod
@@ -424,11 +414,6 @@ class TestClusterPartition:
     def test_zero_gap_groups_exact_equals(self):
         blocks = detect_consensus_partition([2.0, 2.0, 3.0], 0.0)
         assert [b.tolist() for b in blocks] == [[0, 1], [2]]
-
-    def test_accepts_state(self):
-        state = NetworkState([4.0, 0.0], [1.0, 1.0], 0.5, 0.5)
-        blocks = detect_consensus_partition(state, 1.0)
-        assert [b.tolist() for b in blocks] == [[1], [0]]
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):

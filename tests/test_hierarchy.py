@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hfon import (
     AddressError,
-    BlfgConfig,
     ConfigurationError,
     ExternalReference,
     LeaderReference,
@@ -220,7 +221,30 @@ class TestTwoLevelReduction:
         sigmas = [1.0, 1.0, 1.0, 1.0]
         spec = HierarchySpec((4,), 10.0)
         tree = run_td(spec, NetworkState(centers, sigmas, 0.6, 0.01), 30, scheme)
-        config = BlfgConfig(n=4, d=0.6, b=0.01, scheme=scheme, leader=10.0)
-        flat = run_blfg(NetworkState(centers, sigmas, 0.6, 0.01), config, 30)
+        flat = run_blfg(NetworkState(centers, sigmas, 0.6, 0.01), 30, scheme, 10.0)
         assert np.array_equal(tree.centers, flat.centers)
         assert np.array_equal(tree.sigmas, flat.sigmas)
+
+    @given(
+        n=st.integers(1, 30),
+        seed=st.integers(0, 2**32 - 1),
+        leader=st.floats(-20.0, 20.0),
+        local=st.booleans(),
+        steps=st.integers(0, 30),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_per_agent_d_and_b_group_equals_single_group_tree(self, n, seed, leader, local, steps):
+        # small pools, so agents share states, some of them with different (d, b)
+        rng = np.random.default_rng(seed)
+        pool = rng.integers(0, max(1, n // 2), n)
+        state = NetworkState(
+            rng.uniform(0.0, 20.0, n)[pool],
+            rng.choice([0.0, 0.5, 2.0], n)[pool],
+            rng.choice([0.0, 0.3, 0.6, 0.9], n),
+            rng.choice([0.01, 0.3, 1.5], n),
+        )
+        scheme = LocalReference() if local else LeaderReference()
+        group = run_blfg(state, steps, scheme, leader)
+        tree = run_td(HierarchySpec((n,), leader), state, steps, scheme)
+        assert group.centers.tobytes() == tree.centers.tobytes()
+        assert group.sigmas.tobytes() == tree.sigmas.tobytes()

@@ -12,7 +12,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hfon import (
-    BlfgConfig,
     ConfigurationError,
     ExternalReference,
     LeaderReference,
@@ -91,18 +90,17 @@ class TestStepBlfg:
         assert sigmas.tolist() == [1.05, 1.0, 1.05, 1.1, 1.15]
 
     def test_external_scheme_rejected(self):
-        # run_blfg takes its scheme from a BlfgConfig, which refuses this one when built
-        with pytest.raises(ConfigurationError, match="only the local or leader reference scheme"):
-            BlfgConfig(n=1, d=0.5, b=0.5, scheme=ExternalReference(lambda t, i: 0.0), leader=10.0)
+        state = NetworkState([0.0], [1.0], 0.5, 0.5)
+        for steps in (0, 3):
+            with pytest.raises(ConfigurationError, match="only the local or leader reference scheme"):
+                run_blfg(state, steps, ExternalReference(lambda t, i: 0.0), 10.0)
 
     def test_threshold_one_rejected(self):
-        # checked once, at run entry, even when nothing is stepped; a config's d lies in [0, 1)
-        # and the state's must equal it
-        state = NetworkState([0.0], [1.0], 1.0, 0.5)
-        config = BlfgConfig(n=1, d=0.5, b=0.5, scheme=LocalReference(), leader=10.0)
+        # checked once, at run entry, even when nothing is stepped, as in run_td
+        state = NetworkState([0.0, 0.0], [1.0, 1.0], [0.5, 1.0], 0.5)
         for steps in (0, 3):
-            with pytest.raises(ConfigurationError, match=r"key 'd' .* config's 0\.5, got 1\.0"):
-                run_blfg(state, config, steps)
+            with pytest.raises(ConfigurationError, match=r"thresholds d must lie in \[0, 1\) inside a group"):
+                run_blfg(state, steps, LocalReference(), 10.0)
 
     @given(
         n=st.integers(1, 7),
@@ -124,52 +122,35 @@ class TestStepBlfg:
         np.testing.assert_allclose(sigmas, ref_s, rtol=1e-12, atol=1e-12)
 
 
-class TestConfigAndRun:
-    def test_config_validation(self):
-        good = dict(n=2, d=0.5, b=0.1, scheme=LocalReference(), leader=10.0)
-        BlfgConfig(**good)
-        with pytest.raises(ConfigurationError):
-            BlfgConfig(**{**good, "n": 0})
-        with pytest.raises(ConfigurationError):
-            BlfgConfig(**{**good, "d": 1.0})
-        with pytest.raises(ConfigurationError):
-            BlfgConfig(**{**good, "b": 0.0})
-        with pytest.raises(ConfigurationError):
-            BlfgConfig(**{**good, "scheme": ExternalReference(lambda t, i: 0.0)})
-        with pytest.raises(ConfigurationError):
-            BlfgConfig(**{**good, "leader": float("inf")})
+class TestRun:
+    def test_non_finite_constant_leader_rejected(self):
+        state = NetworkState([0.0], [1.0], 0.5, 0.1)
+        for leader in (float("inf"), float("nan")):
+            for steps in (0, 3):
+                with pytest.raises(ConfigurationError, match=r"^leader center must be finite$"):
+                    run_blfg(state, steps, LocalReference(), leader)
 
-    def test_leader_at(self):
-        config = BlfgConfig(n=1, d=0.5, b=0.1, scheme=LocalReference(), leader=lambda t: 10.0 + t)
-        assert config.leader_at(0) == 10.0
-        assert config.leader_at(5) == 15.0
-        bad = BlfgConfig(n=1, d=0.5, b=0.1, scheme=LocalReference(), leader=lambda t: float("nan"))
-        with pytest.raises(ConfigurationError):
-            bad.leader_at(0)
+    def test_moving_leader_checked_at_every_step(self):
+        state = NetworkState([0.0], [1.0], 0.5, 0.1)
 
-    def test_run_size_mismatch(self):
-        config = BlfgConfig(n=2, d=0.5, b=0.1, scheme=LocalReference(), leader=10.0)
-        with pytest.raises(ConfigurationError):
-            run_blfg(NetworkState([1.0], [1.0], 0.5, 0.1), config, 3)
+        def leader(t):
+            return 10.0 if t < 2 else float("nan")
 
-    def test_state_must_match_config(self):
-        # a state's own (d, b) used to be stepped silently in place of the config's
-        config = BlfgConfig(n=3, d=0.1, b=0.01, scheme=LocalReference(), leader=10.0)
-        for steps in (0, 2):
-            with pytest.raises(ConfigurationError, match=r"key 'd' .* config's 0\.1, got 0\.9 for follower 0"):
-                run_blfg(NetworkState([0.0, 1.0, 5.0], [1.0] * 3, 0.9, 0.5), config, steps)
-            with pytest.raises(ConfigurationError, match=r"key 'b' .* config's 0\.01, got 0\.5 for follower 2"):
-                run_blfg(NetworkState([0.0, 1.0, 5.0], [1.0] * 3, 0.1, [0.01, 0.01, 0.5]), config, steps)
-        record = run_blfg(NetworkState([0.0, 1.0, 5.0], [1.0] * 3, 0.1, 0.01), config, 2)
-        assert record.sigmas[-1].tolist() == [1.005, 1.005, 1.0]
+        assert run_blfg(state, 2, LocalReference(), leader).n_samples == 3
+        with pytest.raises(ConfigurationError, match=r"leader center must be finite at t=2, got nan"):
+            run_blfg(state, 3, LocalReference(), leader)
+
+    def test_state_d_and_b_are_stepped(self):
+        # per-follower (d, b) come from the state alone
+        wide = run_blfg(NetworkState([0.0, 1.0, 5.0], [1.0] * 3, 0.9, 0.5), 2, LocalReference(), 10.0)
+        assert wide.sigmas[-1].tolist() == [1.125, 1.125, 1.0]
+        narrow = run_blfg(NetworkState([0.0, 1.0, 5.0], [1.0] * 3, 0.1, 0.01), 2, LocalReference(), 10.0)
+        assert narrow.sigmas[-1].tolist() == [1.005, 1.005, 1.0]
 
     def test_moving_leader(self):
         # far-apart followers never hear each other, so every row is hand-checkable
-        config = BlfgConfig(
-            n=2, d=0.99, b=0.5, scheme=LeaderReference(), leader=lambda t: 10.0 + t
-        )
         state = NetworkState([0.0, 100.0], [1.0, 1.0], 0.99, 0.5)
-        record = run_blfg(state, config, 2)
+        record = run_blfg(state, 2, LeaderReference(), lambda t: 10.0 + t)
         assert record.centers[1].tolist() == [5.0, 55.0]
         assert record.sigmas[1].tolist() == [6.0, 46.0]
         assert record.centers[2].tolist() == [8.0, 33.0]
@@ -214,9 +195,8 @@ class TestConsensusDetection:
 
     def test_symmetric_pair_run(self):
         # two followers mirror-placed around the leader meet it exactly
-        config = BlfgConfig(n=2, d=0.9999, b=0.01, scheme=LocalReference(), leader=10.0)
         state = NetworkState([5.0, 15.0], [1.0, 1.0], 0.9999, 0.01)
-        record = run_blfg(state, config, 12)
+        record = run_blfg(state, 12, LocalReference(), 10.0)
         report = detect_consensus_time(record)
         assert report.t_consensus == 10
         assert report.center == 10.0
@@ -277,6 +257,10 @@ class TestClosedForms:
             steps_to_error_fraction(0, 0.5)
         with pytest.raises(ValueError):
             steps_to_error_fraction(2.0, 0.5)
+        # log(n) - log(n + 1) rounds to 0 past about 2**53
+        for n in (2**53, 10**20):
+            with pytest.raises(ValueError, match=rf"n = {n} is too large"):
+                steps_to_error_fraction(n, 0.1)
 
 
 class TestWeightMatrix:

@@ -8,7 +8,6 @@ import pytest
 
 import hfon.output
 from hfon import (
-    BlfgConfig,
     HierarchySpec,
     InitialSpec,
     LeaderReference,
@@ -59,15 +58,8 @@ def small_group_config(scheme="local", steps=25):
 def pair_run(scheme="local", steps=25):
     config = small_group_config(scheme, steps)
     state = NetworkState([4.0, 17.0], [1.0, 1.0], 0.0, 0.01)
-    group = BlfgConfig(
-        n=2,
-        d=0.0,
-        b=0.01,
-        scheme=LocalReference() if scheme == "local" else LeaderReference(),
-        leader=10.0,
-    )
-    record = run_blfg(state, group, steps)
-    return ScenarioRun(config=config, seed=None, record=record, initial=state)
+    record = run_blfg(state, steps, LocalReference() if scheme == "local" else LeaderReference(), 10.0)
+    return ScenarioRun(config=config, seed=None, record=record)
 
 
 class TestTrajectoryCsv:

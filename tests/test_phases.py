@@ -9,7 +9,6 @@ from hfon import (
     ConfigurationError,
     NetworkState,
     Phase,
-    PhaseSchedule,
     phase_summary,
     run_bcfon,
     run_bu,
@@ -29,13 +28,9 @@ class TestScheduleValidation:
         with pytest.raises(ConfigurationError):
             Phase(d=0.5, steps=2.0)
 
-    def test_schedule_bounds(self):
-        with pytest.raises(ConfigurationError):
-            PhaseSchedule(phases=(), b=0.5)
-        with pytest.raises(ConfigurationError):
-            PhaseSchedule(phases=(Phase(0.5, 1),), b=0.0)
-        schedule = PhaseSchedule(phases=(Phase(0.9, 3), Phase(0.5, 4)), b=0.5)
-        assert schedule.total_steps == 7
+    def test_empty_schedule_refused(self):
+        with pytest.raises(ConfigurationError, match="at least one phase"):
+            run_bu(NetworkState([1.0], [1.0], 0.5, 0.5), ())
 
 
 class TestRunBu:
@@ -43,15 +38,14 @@ class TestRunBu:
         rng = np.random.default_rng(11)
         centers = rng.uniform(0, 10, 20)
         sigmas = rng.uniform(0.1, 1.0, 20)
-        schedule = PhaseSchedule(phases=(Phase(d=0.5, steps=25),), b=0.3)
-        phased = run_bu(NetworkState(centers, sigmas, 0.5, 0.3), schedule)
+        phased = run_bu(NetworkState(centers, sigmas, 0.5, 0.3), (Phase(d=0.5, steps=25),))
         flat = run_bcfon(NetworkState(centers, sigmas, 0.5, 0.3), 25)
         assert np.array_equal(phased.centers, flat.centers)
         assert np.array_equal(phased.sigmas, flat.sigmas)
 
     def test_phase_spans(self):
         state = NetworkState([0.0, 1.0, 5.0], [1.0] * 3, 0.9, 0.2)
-        record = run_bu(state, PhaseSchedule(phases=(Phase(0.9, 3), Phase(0.5, 4)), b=0.2))
+        record = run_bu(state, (Phase(0.9, 3), Phase(0.5, 4)))
         assert record.n_samples == 8
         assert [(s.d, s.t_start, s.t_end) for s in record.phases] == [
             (0.9, 0, 3),
@@ -60,27 +54,49 @@ class TestRunBu:
 
     def test_next_phase_starts_from_previous_end(self):
         state = NetworkState([0.0, 1.0, 5.0, 9.0], [1.0] * 4, 0.9, 0.2)
-        record = run_bu(state, PhaseSchedule(phases=(Phase(0.9, 3), Phase(0.3, 2)), b=0.2))
+        record = run_bu(state, (Phase(0.9, 3), Phase(0.3, 2)))
         # recompute the first phase-2 transition by hand from the recorded boundary row
         boundary = NetworkState(record.centers[3], record.sigmas[3], 0.3, 0.2)
         centers, sigmas = step_bcfon(boundary.centers, boundary.sigmas, boundary.d, boundary.b)
         assert np.array_equal(record.centers[4], centers)
         assert np.array_equal(record.sigmas[4], sigmas)
 
-    def test_schedule_overrides_state_params(self):
+    def test_phase_d_overrides_state_d(self):
         centers, sigmas = [0.0, 1.0, 5.0], [1.0] * 3
-        schedule = PhaseSchedule(phases=(Phase(0.7, 5),), b=0.3)
-        carried = run_bu(NetworkState(centers, sigmas, 0.01, 9.0), schedule)
+        schedule = (Phase(0.7, 5),)
+        carried = run_bu(NetworkState(centers, sigmas, 0.01, 0.3), schedule)
         plain = run_bu(NetworkState(centers, sigmas, 0.7, 0.3), schedule)
         assert np.array_equal(carried.centers, plain.centers)
         assert np.array_equal(carried.sigmas, plain.sigmas)
+        # b is the state's own
+        other_b = run_bu(NetworkState(centers, sigmas, 0.7, 9.0), schedule)
+        assert not np.array_equal(other_b.sigmas, plain.sigmas)
+
+    @given(
+        n=st.integers(1, 30),
+        seed=st.integers(0, 2**32 - 1),
+        d=st.sampled_from([0.0, 0.3, 0.6, 0.9, 1.0]),
+        steps=st.integers(0, 30),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_single_phase_with_per_agent_b_equals_flat_run(self, n, seed, d, steps):
+        # small pools, so agents share states and reach fixed points
+        rng = np.random.default_rng(seed)
+        pool = rng.integers(0, max(1, n // 2), n)
+        centers = rng.uniform(0.0, 10.0, n)[pool]
+        sigmas = rng.choice([0.0, 0.5, 2.0], n)[pool]
+        b = rng.choice([0.01, 0.3, 1.5], n)
+        phased = run_bu(NetworkState(centers, sigmas, rng.uniform(0.0, 1.0, n), b), (Phase(d, steps),))
+        flat = run_bcfon(NetworkState(centers, sigmas, d, b), steps)
+        assert phased.centers.tobytes() == flat.centers.tobytes()
+        assert phased.sigmas.tobytes() == flat.sigmas.tobytes()
 
 
 class TestPhaseSummary:
     def run_two_blocks(self):
         # two tight pairs far apart; the d=0 phase collapses everyone
         state = NetworkState([0.0, 0.4, 10.0, 10.4], [1.0] * 4, 0.8, 0.2)
-        return run_bu(state, PhaseSchedule(phases=(Phase(0.8, 2), Phase(0.0, 2)), b=0.2))
+        return run_bu(state, (Phase(0.8, 2), Phase(0.0, 2)))
 
     def test_counts_and_fields(self):
         reports = phase_summary(self.run_two_blocks())
@@ -118,7 +134,7 @@ class TestDistinctStates:
 
     def test_full_collapse(self):
         state = NetworkState([0.0, 0.4, 10.0, 10.4], [1.0] * 4, 0.8, 0.2)
-        record = run_bu(state, PhaseSchedule(phases=(Phase(0.8, 2), Phase(0.0, 2)), b=0.2))
+        record = run_bu(state, (Phase(0.8, 2), Phase(0.0, 2)))
         counts = distinct_state_counts(record)
         assert counts[0] == 4
         assert counts[-1] == 1
@@ -135,6 +151,5 @@ class TestDistinctStates:
         # merged agents stay merged, so distinct states cannot multiply
         rng = np.random.default_rng(seed)
         state = NetworkState(rng.uniform(0, 10, n), rng.uniform(0.1, 1.0, n), d1, 0.3)
-        schedule = PhaseSchedule(phases=(Phase(d1, 4), Phase(d2, 4)), b=0.3)
-        counts = distinct_state_counts(run_bu(state, schedule))
+        counts = distinct_state_counts(run_bu(state, (Phase(d1, 4), Phase(d2, 4))))
         assert np.all(np.diff(counts) <= 0)

@@ -161,6 +161,36 @@ class TestScenarioConfig:
                 b=None, n=3, d=0.6, steps=5,
             )
 
+    @pytest.mark.parametrize("kind, extra, key", [
+        ("bottomup", {"steps": 99, "d": 0.9, "scheme": "leader"}, "steps"),
+        ("bottomup", {"scheme": "leader"}, "scheme"),
+        ("bcfon", {"leader": 10.0, "group_sizes": (2, 2)}, "leader"),
+        ("bcfon", {"group_sizes": (2, 2)}, "group_sizes"),
+        ("blfg", {"phases": (Phase(0.5, 2),)}, "phases"),
+        ("topdown", {"n": 3}, "n"),
+    ])
+    def test_keys_the_kind_never_reads_are_refused(self, kind, extra, key):
+        # a key the run ignores would still be echoed in the summary as if it had been used
+        reads = {
+            "blfg": dict(n=3, d=0.6, scheme="local", leader=10.0, steps=2),
+            "bcfon": dict(n=3, d=0.6, steps=2),
+            "topdown": dict(group_sizes=(2, 2), d=0.6, scheme="local", leader=10.0, steps=2),
+            "bottomup": dict(n=3, phases=(Phase(0.5, 2),)),
+        }[kind]
+        init = InitialSpec("ramp", 5, 25, 1.0)
+        ScenarioConfig(name="x", kind=kind, initial=init, b=0.1, seed=3, **reads)
+        with pytest.raises(ConfigurationError, match=rf"^scenario kind '{kind}' does not read key '{key}'$"):
+            ScenarioConfig(name="x", kind=kind, initial=init, b=0.1, **{**reads, **extra})
+
+    @pytest.mark.parametrize("n", [0, -1, -(10**20)])
+    def test_agent_count_below_one_is_named(self, tmp_path, n):
+        # refused before the size check and before any initials are built
+        doc = {k: v for k, v in small_blfg_doc(kind="bcfon", n=n, scheme=None, leader=None).items() if v is not None}
+        doc["initial"] = {"centers": "uniform", "low": 5.0, "high": 25.0, "sigma": "uniform"}
+        doc["seed"] = 1
+        with pytest.raises(ConfigurationError, match=rf"^key 'n' must be an integer >= 1, got {n}$"):
+            parse_scenario(write_scenario(tmp_path, doc))
+
     def test_echo_key_order(self):
         scenarios = builtin_scenarios()
         assert list(scenarios["example1-local"].echo()) == [
@@ -316,8 +346,8 @@ def test_any_json_values_give_a_config_or_a_value_error(kind, edits):
         ({"steps": 10**12}, 3 * (10**12 + 1)),
         ({"kind": "bcfon", "n": 1, "steps": 10**8, "scheme": None, "leader": None}, 10**8 + 1),
         ({"kind": "topdown", "group_sizes": [1000, 1000, 1000], "n": None}, 3 * (10**9 + 10**6 + 10**3)),
-        ({"kind": "bottomup", "n": 10**6, "phases": [{"d": 0.5, "steps": 50}, {"d": 0.2, "steps": 50}]},
-         101 * 10**6),
+        ({"kind": "bottomup", "n": 10**6, "phases": [{"d": 0.5, "steps": 50}, {"d": 0.2, "steps": 50}],
+          "steps": None, "d": None, "scheme": None, "leader": None}, 101 * 10**6),
     ],
 )
 def test_size_limit_is_checked_before_allocation(overrides, recorded):
@@ -359,8 +389,8 @@ class TestExecute:
         run = execute_scenario(config, seed=9)
         assert run.seed == 9
         rng = np.random.default_rng(9)
-        assert np.array_equal(run.initial.centers, rng.uniform(5.0, 25.0, 10))
-        assert np.array_equal(run.initial.sigmas, rng.uniform(0.0, 1.0, 10))
+        assert np.array_equal(run.record.centers[0], rng.uniform(5.0, 25.0, 10))
+        assert np.array_equal(run.record.sigmas[0], rng.uniform(0.0, 1.0, 10))
 
     def test_topdown_builds_per_group_profiles(self):
         config = ScenarioConfig(
@@ -369,7 +399,7 @@ class TestExecute:
         )
         run = execute_scenario(config)
         ramp2 = ramp_initials(2).tolist()
-        assert run.initial.centers.tolist() == ramp2 * 3
+        assert run.record.centers[0].tolist() == ramp2 * 3
         assert run.record.levels.tolist() == [1, 1, 1, 1, 2, 2]
 
     def test_bottomup_dispatch(self):
