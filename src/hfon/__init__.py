@@ -7,7 +7,7 @@ closed-form tracking predictions, top-down hierarchies of such groups, and
 bottom-up emergence under falling confidence thresholds.
 """
 
-from .errors import AddressError, ConfigurationError
+from .errors import ConfigurationError
 from .opinions import (
     NetworkState,
     closeness_matrix,
@@ -66,7 +66,6 @@ from .output import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AddressError",
     "ClusterReport",
     "ConfigurationError",
     "ConsensusReport",

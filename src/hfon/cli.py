@@ -11,7 +11,7 @@ import math
 import sys
 from pathlib import Path
 
-from .errors import AddressError, ConfigurationError
+from .errors import ConfigurationError
 from .engine import _default_gap
 from .leader import predict_center, predict_sigma_leader_ref, predict_sigma_limit, steps_to_error_fraction
 from .output import build_summary, read_trajectory_csv, write_summary_json, write_trajectory_csv
@@ -197,7 +197,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(_join_float_values(sys.argv[1:] if argv is None else list(argv)))
         return args.func(args)
-    except (ConfigurationError, AddressError, ValueError) as exc:
+    except (ConfigurationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -3,7 +3,3 @@
 
 class ConfigurationError(ValueError):
     """A scenario, schedule or scheme is malformed or not allowed here."""
-
-
-class AddressError(LookupError):
-    """An agent, group or level id does not exist in the addressed structure."""

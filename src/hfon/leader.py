@@ -52,6 +52,11 @@ def _check_group_thresholds(d: np.ndarray):
         raise ConfigurationError("follower thresholds d must lie in [0, 1) inside a group")
 
 
+def _check_group_leader(leader: float):
+    if not np.isfinite(leader):
+        raise ConfigurationError("leader center must be finite")
+
+
 def step_blfg(centers, sigmas, d, b, leader_center: float, scheme: ReferenceScheme, rows=None):
     """One synchronous update of a follower group under a fixed leader value: new (centers, sigmas).
 
@@ -74,8 +79,8 @@ def run_blfg(
     _check_group_scheme(scheme)
     _check_group_thresholds(initial.d)
     moving = callable(leader)
-    if not moving and not np.isfinite(leader):
-        raise ConfigurationError("leader center must be finite")
+    if not moving:
+        _check_group_leader(leader)
 
     def step(centers, sigmas, t: int, rows):
         value = leader(t) if moving else leader
@@ -130,6 +135,8 @@ def detect_consensus_time(record: TrajectoryRecord, tol: float | None = None) ->
 def _check_predictor_args(n: int, t_offset: int):
     if not (isinstance(n, int) and n >= 1):
         raise ValueError("n must be an integer >= 1")
+    if n / (n + 1) == 1.0:
+        raise ValueError(f"n = {n} is too large: n / (n + 1) rounds to 1")
     if not (isinstance(t_offset, int) and t_offset >= 0):
         raise ValueError("t_offset must be an integer >= 0")
 

@@ -362,17 +362,16 @@ def build_summary(run: ScenarioRun, gap: float | None = None, tol: float | None 
         )
         target_steps = steps_to_target(run.record, config.leader)
     elif config.kind == "topdown":
-        spec = HierarchySpec(config.group_sizes, config.leader)
-        top_slice = spec.group_slice(spec.n_levels, 0)
-        top = run.record.select_agents(np.arange(top_slice.start, top_slice.stop))
+        n = run.record.n_agents
+        top = run.record.select_agents(np.arange(n - config.group_sizes[-1], n))  # the top group is last
         consensus, checks = _group_tracking_checks(
             top, config.leader, config.scheme, config.b, tol
         )
         checks = [
             {**c, "name": f"top_group_{c['name']}"} for c in checks
         ]
-        final = run.record.sigmas[-1]
-        spread = max(float(np.ptp(final[agents], axis=1).max()) for agents, _ in spec._blocks)
+        final, blocks = run.record.sigmas[-1], HierarchySpec(config.group_sizes)._blocks
+        spread = max(float(np.ptp(final[agents], axis=1).max()) for agents, _ in blocks)
         checks.append(_check("max_group_sigma_spread_final", 0.0, spread, 1e-9))
         target_steps = steps_to_target(run.record, config.leader)
     elif config.kind == "bottomup":

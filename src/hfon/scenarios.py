@@ -151,7 +151,7 @@ class ScenarioConfig:
         if self.seed is not None and not 0 <= self.seed < _SEED_LIMIT:
             raise ConfigurationError(f"key 'seed' must lie in [0, 2**64), got {self.seed}")
         if self.kind == "topdown":
-            agents = HierarchySpec(self.group_sizes, self.leader).n_agents
+            agents = HierarchySpec(self.group_sizes).n_agents
         else:
             agents = self.n
         steps = sum(p.steps for p in self.phases) if self.kind == "bottomup" else self.steps
@@ -194,12 +194,9 @@ def execute_scenario(config: ScenarioConfig, seed: int | None = None) -> Scenari
     """Build the initial population and run the scenario to completion."""
     seed = config.seed if seed is None else seed
     if config.kind == "topdown":
-        spec = HierarchySpec(config.group_sizes, config.leader)
+        spec = HierarchySpec(config.group_sizes)
         # every group starts from its own copy of its level's initial profile
-        levels = [
-            np.tile(config.initial.build(k, seed), spec.n_groups(level))  # (2, groups x k)
-            for level, k in enumerate(spec.group_sizes, start=1)
-        ]
+        levels = [np.tile(config.initial.build(k, seed), g) for _, (g, k) in spec._levels]  # (2, g x k)
         centers, sigmas = np.concatenate(levels, axis=1)
     else:
         centers, sigmas = config.initial.build(config.n, seed)
@@ -207,7 +204,7 @@ def execute_scenario(config: ScenarioConfig, seed: int | None = None) -> Scenari
     d = config.phases[0].d if config.kind == "bottomup" else config.d
     state = NetworkState(centers, sigmas, d, config.b)
     if config.kind == "topdown":
-        record = run_td(spec, state, config.steps, _SCHEMES[config.scheme])
+        record = run_td(spec, state, config.steps, _SCHEMES[config.scheme], config.leader)
     elif config.kind == "blfg":
         record = run_blfg(state, config.steps, _SCHEMES[config.scheme], config.leader)
     elif config.kind == "bcfon":

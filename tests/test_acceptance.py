@@ -187,13 +187,12 @@ def test_criterion_06_deep_tree_consensus_profile(td_runs):
     details = []
     for scheme in ("local", "leader"):
         run = td_runs[("4level", scheme)]
-        spec = HierarchySpec(run.config.group_sizes, run.config.leader)
         record = run.record
         center_err = float(np.abs(record.centers[-1] - LEADER_VALUE).max())
         spreads = []
         means = []
-        for level, group in spec.groups():
-            block = record.sigmas[-1, spec.group_slice(level, group)]
+        for level, group in sorted(set(zip(record.levels.tolist(), record.groups.tolist()))):
+            block = record.sigmas[-1, (record.levels == level) & (record.groups == group)]
             spreads.append(float(block.max() - block.min()))
             means.append(float(block.mean()))
         spread = max(spreads)
@@ -233,13 +232,7 @@ def test_criterion_07_stacked_weight_matrix_conditions(flat_runs, td_runs):
     for run in flat_runs.values():
         check(run.record, run.config.d, [(slice(None), (1, run.config.n))])
     for run in td_runs.values():
-        spec = HierarchySpec(run.config.group_sizes, run.config.leader)
-        layout = []
-        for level in range(1, spec.n_levels + 1):
-            start = spec.level_offset(level)
-            layout.append((slice(start, start + spec.level_count(level)),
-                           (spec.n_groups(level), spec.group_sizes[level - 1])))
-        check(run.record, run.config.d, layout)
+        check(run.record, run.config.d, HierarchySpec(run.config.group_sizes)._levels)
 
     ok = (worst_row_err <= 1e-12
           and min_diag > 0.0
@@ -295,7 +288,7 @@ def test_criterion_10_reduction_laws():
     for name, scheme in (("local", LocalReference()), ("leader", LeaderReference())):
         flat = run_blfg(NetworkState(centers, sigmas, 0.6, 0.01), 200, scheme, LEADER_VALUE)
         tree = run_td(
-            HierarchySpec((12,), LEADER_VALUE), NetworkState(centers, sigmas, 0.6, 0.01), 200, scheme
+            HierarchySpec((12,)), NetworkState(centers, sigmas, 0.6, 0.01), 200, scheme, LEADER_VALUE
         )
         same = (np.array_equal(flat.centers, tree.centers)
                 and np.array_equal(flat.sigmas, tree.sigmas))
@@ -333,7 +326,7 @@ def _scaled_run(engine: str, params: dict, a: float):
         # a moving leader steps once, at t = 10
         lead = (lambda t: a * (params["leader"] + (t >= 10))) if params["moving"] else leader
         return run_blfg(state, steps, scheme, lead)
-    return run_td(HierarchySpec(params["shape"], leader), state, steps, scheme)
+    return run_td(HierarchySpec(params["shape"]), state, steps, scheme, leader)
 
 
 @st.composite
@@ -342,7 +335,7 @@ def _symmetry_cases(draw):
     engine = draw(st.sampled_from(["bcfon", "bu", "blfg", "td"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     shape = draw(st.sampled_from(_TREE_SHAPES))
-    n = HierarchySpec(shape, 0.0).n_agents if engine == "td" else draw(st.integers(1, 16))
+    n = HierarchySpec(shape).n_agents if engine == "td" else draw(st.integers(1, 16))
     # small pools, so agents tie, merge and reach fixed points; zero sigmas are crisp
     pool = rng.integers(0, max(1, n // 2), n)
     group_d = draw(st.sampled_from([0.0, 0.3, 0.6, 0.9]))

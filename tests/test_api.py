@@ -3,12 +3,12 @@
 The list is literal on purpose: adding or removing a public name must edit it.
 """
 
+import dataclasses
 import inspect
 
 import hfon
 
 PUBLIC_NAMES = [
-    "AddressError",
     "ClusterReport",
     "ConfigurationError",
     "ConsensusReport",
@@ -55,7 +55,7 @@ PUBLIC_NAMES = [
 
 def test_public_names_are_pinned():
     assert sorted(hfon.__all__) == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == len(set(PUBLIC_NAMES)) == 42
+    assert len(PUBLIC_NAMES) == len(set(PUBLIC_NAMES)) == 41
 
 
 def test_every_public_name_resolves():
@@ -68,8 +68,15 @@ def test_engine_signatures_are_pinned():
     expected = {
         hfon.run_bcfon: ["initial", "steps", "scheme"],
         hfon.run_blfg: ["initial", "steps", "scheme", "leader"],
-        hfon.run_td: ["spec", "initial", "steps", "scheme"],
+        hfon.run_td: ["spec", "initial", "steps", "scheme", "leader"],
         hfon.run_bu: ["initial", "phases"],
     }
     for engine, names in expected.items():
         assert list(inspect.signature(engine).parameters) == names, engine.__name__
+
+
+def test_hierarchy_spec_holds_only_the_shape():
+    # the top leader is a run input, passed as run_blfg takes a group's leader
+    assert [f.name for f in dataclasses.fields(hfon.HierarchySpec)] == ["group_sizes"]
+    params = ["spec", "centers", "sigmas", "d", "b", "leader", "scheme"]
+    assert list(inspect.signature(hfon.step_td).parameters) == params

@@ -216,6 +216,20 @@ class TestRunCommand:
         assert "error: step 0 -> 1 overflowed: a center or sigma is not finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", ["blfg", "topdown"])
+    @pytest.mark.parametrize("leader, literal", [(float("nan"), "NaN"), (float("inf"), "Infinity"),
+                                                 (-float("inf"), "-Infinity")])
+    def test_non_finite_leader_refused(self, tmp_path, capsys, kind, leader, literal):
+        overrides = {"leader": leader}
+        if kind == "topdown":
+            overrides.update(kind="topdown", n=None, group_sizes=[2, 2])
+        src = write_doc(tmp_path, drop_nones(scenario_doc(**overrides)))
+        assert f'"leader": {literal}' in Path(src).read_text()
+        out = tmp_path / "out"
+        assert main(["run", src, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: leader center must be finite\n"
+        assert not out.exists()
+
     def test_unknown_builtin_name(self, tmp_path, capsys):
         assert main(["run", "example9", "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err

@@ -102,9 +102,9 @@ def flat_record():
 
 
 def tree_record():
-    spec = HierarchySpec((2, 2), 10.0)
+    spec = HierarchySpec((2, 2))
     state = NetworkState([0.0, 1.0, 2.0, 3.0, 4.0, 5.0], [1.0] * 6, 0.0, 0.1)
-    return run_td(spec, state, 5, LocalReference())
+    return run_td(spec, state, 5, LocalReference(), 10.0)
 
 
 RECORDS = {"flat": flat_record(), "tree": tree_record()}

@@ -177,7 +177,7 @@ class TestRun:
         records = [
             run_bcfon(flat, 3),
             run_blfg(flat, 3, LeaderReference(), 10.0),
-            run_td(HierarchySpec((2, 2), 10.0), tree, 3, LocalReference()),
+            run_td(HierarchySpec((2, 2)), tree, 3, LocalReference(), 10.0),
             run_bu(flat, (Phase(0.9, 2), Phase(0.3, 2))),
         ]
         assert [r.n_samples for r in records] == [4, 4, 4, 5]
@@ -331,11 +331,11 @@ class TestFastForward:
         import hfon.hierarchy
         from hfon.hierarchy import step_td
 
-        spec = HierarchySpec((3, 2), 10.0)
+        spec = HierarchySpec((3, 2))
         state = NetworkState(np.linspace(5.0, 25.0, spec.n_agents), np.full(spec.n_agents, 1.0), 0.6, 0.01)
-        reference = stepwise(state, 600, lambda c, s, t: step_td(spec, c, s, state.d, state.b, scheme))
+        reference = stepwise(state, 600, lambda c, s, t: step_td(spec, c, s, state.d, state.b, 10.0, scheme))
         log = calls_to(monkeypatch, hfon.hierarchy, "step_td")
-        record = run_td(spec, state, 600, scheme)
+        record = run_td(spec, state, 600, scheme, 10.0)
         assert_same_record(record, reference)
         assert len(log) < 600
 

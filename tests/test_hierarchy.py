@@ -1,12 +1,13 @@
 """Uniform hierarchy layout, synchronous tree stepping, and the 2-level reduction."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hfon import (
-    AddressError,
     ConfigurationError,
     ExternalReference,
     LeaderReference,
@@ -20,76 +21,54 @@ from hfon import (
 from hfon.leader import group_update
 
 
+TOP = 10.0  # the top group's exogenous leader
+
+
 def tiny_tree(b=0.1, d=0.0):
     # 2 bottom groups of 2 under one top group of 2; ids 0..3 bottom, 4..5 top
-    spec = HierarchySpec((2, 2), 10.0)
+    spec = HierarchySpec((2, 2))
     return spec, NetworkState([0.0, 1.0, 2.0, 3.0, 4.0, 5.0], [1.0] * 6, d, b)
 
 
 def step(spec, state, scheme):
-    """step_td over a state's arrays: new (centers, sigmas)."""
-    return step_td(spec, state.centers, state.sigmas, state.d, state.b, scheme)
+    """step_td over a state's arrays under the TOP leader: new (centers, sigmas)."""
+    return step_td(spec, state.centers, state.sigmas, state.d, state.b, TOP, scheme)
 
 
 class TestLayout:
     def test_three_level_counts(self):
-        spec = HierarchySpec((12, 12), 10.0)
-        assert spec.n_levels == 2
-        assert spec.n_groups(1) == 12
-        assert spec.n_groups(2) == 1
-        assert spec.level_count(1) == 144
-        assert spec.level_count(2) == 12
+        spec = HierarchySpec((12, 12))
+        assert spec._levels == ((slice(0, 144), (12, 12)), (slice(144, 156), (1, 12)))
         assert spec.n_agents == 156
 
     def test_four_level_counts(self):
-        spec = HierarchySpec((5, 5, 5), 10.0)
+        spec = HierarchySpec((5, 5, 5))
         assert spec.n_agents == 155
-        assert [spec.n_groups(l) for l in (1, 2, 3)] == [25, 5, 1]
-        assert [spec.level_offset(l) for l in (1, 2, 3)] == [0, 125, 150]
+        assert [g for _, (g, _) in spec._levels] == [25, 5, 1]
+        assert [sl.start for sl, _ in spec._levels] == [0, 125, 150]
 
-    def test_slices_and_leaders(self):
-        spec = HierarchySpec((5, 5, 5), 10.0)
-        assert spec.group_slice(1, 2) == slice(10, 15)
-        assert spec.group_slice(2, 3) == slice(140, 145)
-        assert spec.leader_index(1, 7) == 132
-        assert spec.leader_index(2, 3) == 153
-        assert spec.leader_index(3, 0) is None
-
-    def test_every_agent_has_one_address(self):
-        spec = HierarchySpec((3, 2, 4), 10.0)
-        levels, groups = spec.agent_addresses()
-        seen = np.zeros(spec.n_agents, dtype=int)
-        for level, group in spec.groups():
-            sl = spec.group_slice(level, group)
-            seen[sl] += 1
-            assert np.all(levels[sl] == level)
-            assert np.all(groups[sl] == group)
-        assert np.all(seen == 1)
-
-    def test_address_errors(self):
-        spec = HierarchySpec((2, 2), 10.0)
-        with pytest.raises(AddressError):
-            spec.n_groups(0)
-        with pytest.raises(AddressError):
-            spec.n_groups(3)
-        with pytest.raises(AddressError):
-            spec.group_slice(1, 2)
-        with pytest.raises(AddressError):
-            spec.leader_index(2, -1)
+    def test_groups_and_their_leaders(self):
+        ((agents, leaders),) = HierarchySpec((5, 5, 5))._blocks
+        assert agents[2].tolist() == list(range(10, 15))
+        assert agents[25 + 3].tolist() == list(range(140, 145))
+        assert leaders[[7, 25 + 3, 30]].tolist() == [132, 153, 155]  # 155: the top leader
 
     def test_spec_validation(self):
         with pytest.raises(ConfigurationError):
-            HierarchySpec((), 10.0)
+            HierarchySpec(())
         with pytest.raises(ConfigurationError):
-            HierarchySpec((0, 2), 10.0)
-        with pytest.raises(ConfigurationError):
-            HierarchySpec((2,), float("nan"))
+            HierarchySpec((0, 2))
+
+    def test_deep_tree_layout_is_linear_in_levels(self):
+        begin = time.perf_counter()
+        assert HierarchySpec((1,) * 100_000).n_agents == 100_000
+        assert time.perf_counter() - begin < 5.0
 
     def test_state_size_check(self):
-        spec = HierarchySpec((2, 2), 10.0)
+        spec = HierarchySpec((2, 2))
         for steps in (0, 3):
             with pytest.raises(ConfigurationError, match="expects 6 agents, state has 1"):
-                run_td(spec, NetworkState([1.0], [1.0], 0.5, 0.1), steps, LocalReference())
+                run_td(spec, NetworkState([1.0], [1.0], 0.5, 0.1), steps, LocalReference(), TOP)
 
 
 class TestStepping:
@@ -118,26 +97,27 @@ class TestStepping:
             1.0 + 0.1 * 5.0,
         ]
 
-    def test_group_slice_and_leader_index(self):
-        spec, state = tiny_tree()
-        assert state.centers[spec.group_slice(1, 1)].tolist() == [2.0, 3.0]
-        assert state.centers[spec.leader_index(1, 1)] == 5.0
-        assert spec.leader_index(2, 0) is None
-        assert spec.top_center == 10.0
+    @pytest.mark.parametrize("leader", [float("nan"), float("inf"), -float("inf")])
+    def test_run_refuses_a_non_finite_leader(self, leader):
+        # checked once, at run entry, with run_blfg's message
+        for steps in (0, 3):
+            with pytest.raises(ConfigurationError, match="^leader center must be finite$"):
+                run_td(*tiny_tree(), steps, LocalReference(), leader)
 
     @pytest.mark.parametrize("scheme", [LocalReference(), LeaderReference()])
     def test_level_blocks_match_per_group_updates(self, scheme):
-        spec = HierarchySpec((3, 2, 4), 10.0)
+        spec = HierarchySpec((3, 2, 4))
         rng = np.random.default_rng(5)
         state = NetworkState(
             rng.uniform(0.0, 20.0, spec.n_agents), rng.uniform(0.0, 2.0, spec.n_agents),
             rng.uniform(0.0, 0.9, spec.n_agents), 0.1,
         )
         stepped_centers, stepped_sigmas = step(spec, state, scheme)
-        for level, group in spec.groups():
-            sl = spec.group_slice(level, group)
-            idx = spec.leader_index(level, group)
-            leader = spec.top_center if idx is None else float(state.centers[idx])
+        levels, groups = spec.agent_addresses()
+        for level, group in sorted(set(zip(levels.tolist(), groups.tolist()))):
+            sl = (levels == level) & (groups == group)
+            # agent `group` of the next level up leads, the TOP leader above the top level
+            leader = TOP if level == len(spec.group_sizes) else state.centers[spec._levels[level][0].start + group]
             centers, sigmas = group_update(
                 state.centers[sl], state.sigmas[sl], state.d[sl], state.b[sl], leader, scheme
             )
@@ -150,12 +130,12 @@ class TestStepping:
         bad = NetworkState(state.centers, state.sigmas, 1.0, 0.1)
         for steps in (0, 3):
             with pytest.raises(ConfigurationError):
-                run_td(spec, state, steps, ExternalReference(lambda t, i: 0.0))
+                run_td(spec, state, steps, ExternalReference(lambda t, i: 0.0), TOP)
             with pytest.raises(ConfigurationError):
-                run_td(spec, bad, steps, LocalReference())
+                run_td(spec, bad, steps, LocalReference(), TOP)
 
     def test_run_records_addresses(self):
-        record = run_td(*tiny_tree(), 3, LocalReference())
+        record = run_td(*tiny_tree(), 3, LocalReference(), TOP)
         assert record.n_samples == 4
         assert record.levels.tolist() == [1, 1, 1, 1, 2, 2]
         assert record.groups.tolist() == [0, 0, 1, 1, 0, 0]
@@ -164,17 +144,15 @@ class TestStepping:
 
     def test_run_rejects_negative_steps(self):
         with pytest.raises(ValueError):
-            run_td(*tiny_tree(), -1, LocalReference())
+            run_td(*tiny_tree(), -1, LocalReference(), TOP)
 
 
 def per_level_step(spec, centers, sigmas, d, b, scheme):
     """Reference tree step: one group_update per level, each (G, k) level led by the G agents
-    right after it (the whole next level up), the top level by the top leader."""
+    right after it (the whole next level up), the top level by the TOP leader."""
     new_centers, new_sigmas = np.empty_like(centers), np.empty_like(sigmas)
-    for level, k in enumerate(spec.group_sizes, start=1):
-        g, start = spec.n_groups(level), spec.level_offset(level)
-        sl = slice(start, start + g * k)
-        leader = spec.top_center if level == spec.n_levels else centers[sl.stop:sl.stop + g, None]
+    for sl, (g, k) in spec._levels:
+        leader = TOP if sl.stop == spec.n_agents else centers[sl.stop:sl.stop + g, None]
         level_centers, level_sigmas = group_update(
             *(a[sl].reshape(g, k) for a in (centers, sigmas, d, b)), leader, scheme
         )
@@ -186,7 +164,7 @@ class TestMixedSizes:
     @pytest.mark.parametrize("sizes", [(3, 2, 4), (4, 4, 1, 3), (2, 5), (1,)])
     @pytest.mark.parametrize("scheme", [LocalReference(), LeaderReference()])
     def test_run_equals_per_level_steps(self, sizes, scheme):
-        spec = HierarchySpec(sizes, 10.0)
+        spec = HierarchySpec(sizes)
         n = spec.n_agents
         rng = np.random.default_rng(sum(sizes))
         # centers from a small pool, so groups reach exact consensus along the run
@@ -194,24 +172,29 @@ class TestMixedSizes:
             rng.choice([0.0, 5.0, 5.5, 20.0], n), rng.uniform(0.0, 2.0, n),
             rng.uniform(0.0, 0.95, n), rng.uniform(0.01, 0.5, n),
         )
-        record = run_td(spec, state, 80, scheme)
+        record = run_td(spec, state, 80, scheme, TOP)
         centers, sigmas = state.centers, state.sigmas
         for k in range(1, record.n_samples):
             centers, sigmas = per_level_step(spec, centers, sigmas, state.d, state.b, scheme)
             assert centers.tobytes() == record.centers[k].tobytes(), k
             assert sigmas.tobytes() == record.sigmas[k].tobytes(), k
 
-    def test_one_block_per_group_size(self):
-        spec = HierarchySpec((4, 4, 1, 3), 10.0)
-        shapes = [(agents.shape, leaders.shape) for agents, leaders in spec._blocks]
-        assert shapes == [((15, 4), (15,)), ((3, 1), (3,)), ((1, 3), (1,))]
+    @given(sizes=st.lists(st.integers(1, 5), min_size=1, max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_one_block_per_group_size(self, sizes):
+        spec = HierarchySpec(tuple(sizes))
+        assert [agents.shape[1] for agents, _ in spec._blocks] == list(dict.fromkeys(sizes))
         agents = np.concatenate([a.ravel() for a, _ in spec._blocks])
         assert sorted(agents.tolist()) == list(range(spec.n_agents))
         levels, groups = spec.agent_addresses()
         for block_agents, leaders in spec._blocks:
+            assert leaders.shape == block_agents.shape[:1]
             for row, leader in zip(block_agents, leaders):
-                expected = spec.leader_index(int(levels[row[0]]), int(groups[row[0]]))
-                assert leader == (spec.n_agents if expected is None else expected)
+                level, group = levels[row[0]], groups[row[0]]
+                assert np.all(levels[row] == level) and np.all(groups[row] == group)
+                # agent `group` of the next level up; the top leader sits at id n_agents
+                expected = spec.n_agents if level == len(sizes) else spec._levels[level][0].start + group
+                assert leader == expected
 
 
 class TestTwoLevelReduction:
@@ -219,9 +202,9 @@ class TestTwoLevelReduction:
     def test_single_group_tree_equals_flat_group(self, scheme):
         centers = [5.0, 10.0, 15.0, 20.0]
         sigmas = [1.0, 1.0, 1.0, 1.0]
-        spec = HierarchySpec((4,), 10.0)
-        tree = run_td(spec, NetworkState(centers, sigmas, 0.6, 0.01), 30, scheme)
-        flat = run_blfg(NetworkState(centers, sigmas, 0.6, 0.01), 30, scheme, 10.0)
+        spec = HierarchySpec((4,))
+        tree = run_td(spec, NetworkState(centers, sigmas, 0.6, 0.01), 30, scheme, TOP)
+        flat = run_blfg(NetworkState(centers, sigmas, 0.6, 0.01), 30, scheme, TOP)
         assert np.array_equal(tree.centers, flat.centers)
         assert np.array_equal(tree.sigmas, flat.sigmas)
 
@@ -245,6 +228,6 @@ class TestTwoLevelReduction:
         )
         scheme = LocalReference() if local else LeaderReference()
         group = run_blfg(state, steps, scheme, leader)
-        tree = run_td(HierarchySpec((n,), leader), state, steps, scheme)
+        tree = run_td(HierarchySpec((n,)), state, steps, scheme, leader)
         assert group.centers.tobytes() == tree.centers.tobytes()
         assert group.sigmas.tobytes() == tree.sigmas.tobytes()

@@ -235,6 +235,18 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             predict_sigma_leader_ref(1.0, 1.0, 0.0, 1.5, 0.1, 1)
 
+    def test_predictors_refuse_n_where_the_decay_rounds_to_1(self):
+        # n / (n + 1) rounds to 1.0 from 2**54 on: the gap would never shrink
+        predict_sigma_leader_ref(1.0, 1.0, 2.0, 2**53, 1.0, 5)  # the largest power of two still taken
+        for n in (2**54, 10**20):
+            for predict in (
+                lambda: predict_center(1.0, 2.0, n, 5),
+                lambda: predict_sigma_leader_ref(1.0, 1.0, 2.0, n, 1.0, 5),
+                lambda: predict_sigma_limit(1.0, 1.0, 2.0, n, 1.0),
+            ):
+                with pytest.raises(ValueError, match=rf"^n = {n} is too large: n / \(n \+ 1\) rounds to 1$"):
+                    predict()
+
     def test_steps_to_error_fraction_values(self):
         expected = {
             (1, 0.5): 1.0,

@@ -84,9 +84,9 @@ class TestTrajectoryCsv:
         assert lines[1].startswith("0,0,,,")  # flat runs leave level/group empty
 
     def test_hierarchical_round_trip(self, tmp_path):
-        spec = HierarchySpec((2, 2), 10.0)
+        spec = HierarchySpec((2, 2))
         state = NetworkState([0.0, 1.0, 2.0, 3.0, 4.0, 5.0], [1.0] * 6, 0.0, 0.1)
-        record = run_td(spec, state, 3, LocalReference())
+        record = run_td(spec, state, 3, LocalReference(), 10.0)
         path = tmp_path / "tree.csv"
         write_trajectory_csv(record, path)
         back = read_trajectory_csv(path)
