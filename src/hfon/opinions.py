@@ -115,21 +115,28 @@ def neighborhood_sums(centers, sigmas, d, rows=None):
     state; a row depends only on the agent's own (center, sigma, d) and the
     frozen columns, so the result is the same bit for bit.  Rows are computed
     in chunks of at most about _CHUNK_PAIRS (row, column) pairs, which for the
-    same reason changes no bit either.  rows of one distinct, finite-centered
-    state cost O(n): every agent hears every agent, so each sum is the plain
-    sum over all agents.
+    same reason changes no bit either.  When every row's agents share one
+    finite center, tested on the distinct states when rows is given, the call
+    costs O(n): equal finite centers are exp(0) = 1 >= d close whatever the
+    sigmas (crisp or not), so every agent hears its whole row, and a full
+    row's masked sums are the plain contiguous row sums.
     """
-    row_c, row_s, row_d = centers, sigmas, np.asarray(d)
+    row_c = centers
     if rows is not None:
         if centers.ndim != 1:
             raise ValueError(f"rows= takes (n,) vectors only, got centers of shape {centers.shape}")
         first, inverse = rows
-        if first.size == 1 and np.isfinite(centers[first[0]]):
-            # a finite state's closeness to itself is 1 >= d (crisp or not), so every agent hears
-            # every agent, and a full row's masked sums are these same contiguous reductions
-            n = centers.shape[0]
-            return np.full(n, float(n)), np.full(n, centers.sum()), np.full(n, sigmas.sum())
-        row_c, row_s, row_d = centers[first], sigmas[first], row_d[first]
+        row_c = centers[first]
+    # a row with NaN, inf (inf - inf is NaN) or two centers has a nonzero difference
+    if not np.count_nonzero(row_c - row_c[..., :1]):
+        out = np.empty((3, *centers.shape))  # counts k and the plain row sums, filled along each row
+        out[0] = centers.shape[-1]
+        out[1] = np.add.reduce(centers, axis=-1, keepdims=True)
+        out[2] = np.add.reduce(sigmas, axis=-1, keepdims=True)
+        return out[0], out[1], out[2]
+    row_s, row_d = sigmas, np.asarray(d)
+    if rows is not None:
+        row_s, row_d = sigmas[first], row_d[first]
     # one row index along the last axis pairs with centers.size (row, column) cells
     chunk = max(1, _CHUNK_PAIRS // centers.size)
     parts = []

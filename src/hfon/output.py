@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from .engine import TrajectoryRecord, steps_to_target
-from .hierarchy import HierarchySpec
 from .leader import (
     detect_consensus_time,
     predict_sigma_leader_ref,
@@ -370,7 +369,7 @@ def build_summary(run: ScenarioRun, gap: float | None = None, tol: float | None 
         checks = [
             {**c, "name": f"top_group_{c['name']}"} for c in checks
         ]
-        final, blocks = run.record.sigmas[-1], HierarchySpec(config.group_sizes)._blocks
+        final, blocks = run.record.sigmas[-1], config._spec._blocks
         spread = max(float(np.ptp(final[agents], axis=1).max()) for agents, _ in blocks)
         checks.append(_check("max_group_sigma_spread_final", 0.0, spread, 1e-9))
         target_steps = steps_to_target(run.record, config.leader)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -150,16 +151,18 @@ class ScenarioConfig:
             raise ConfigurationError("uncertainty gain b must be positive")
         if self.seed is not None and not 0 <= self.seed < _SEED_LIMIT:
             raise ConfigurationError(f"key 'seed' must lie in [0, 2**64), got {self.seed}")
-        if self.kind == "topdown":
-            agents = HierarchySpec(self.group_sizes).n_agents
-        else:
-            agents = self.n
+        agents = self._spec.n_agents if self.kind == "topdown" else self.n
         steps = sum(p.steps for p in self.phases) if self.kind == "bottomup" else self.steps
         if (steps + 1) * agents > _MAX_RECORDED:
             raise ConfigurationError(
                 f"(steps + 1) x agents = {(steps + 1) * agents} recorded values "
                 f"is over the limit of {_MAX_RECORDED}"
             )
+
+    @cached_property
+    def _spec(self) -> HierarchySpec:
+        """A topdown run's tree, built once for the size check, the run and the summary."""
+        return HierarchySpec(self.group_sizes)
 
     def echo(self) -> dict:
         """Scenario as a JSON-ready dict with a fixed key order."""
@@ -194,17 +197,17 @@ def execute_scenario(config: ScenarioConfig, seed: int | None = None) -> Scenari
     """Build the initial population and run the scenario to completion."""
     seed = config.seed if seed is None else seed
     if config.kind == "topdown":
-        spec = HierarchySpec(config.group_sizes)
-        # every group starts from its own copy of its level's initial profile
-        levels = [np.tile(config.initial.build(k, seed), g) for _, (g, k) in spec._levels]  # (2, g x k)
-        centers, sigmas = np.concatenate(levels, axis=1)
+        centers, sigmas = np.empty((2, config._spec.n_agents))
+        # every group starts from its own copy of the one profile of its size
+        for agents, _ in config._spec._blocks:
+            centers[agents], sigmas[agents] = config.initial.build(agents.shape[1], seed)
     else:
         centers, sigmas = config.initial.build(config.n, seed)
     # a phased run replaces the state's d with each phase's
     d = config.phases[0].d if config.kind == "bottomup" else config.d
     state = NetworkState(centers, sigmas, d, config.b)
     if config.kind == "topdown":
-        record = run_td(spec, state, config.steps, _SCHEMES[config.scheme], config.leader)
+        record = run_td(config._spec, state, config.steps, _SCHEMES[config.scheme], config.leader)
     elif config.kind == "blfg":
         record = run_blfg(state, config.steps, _SCHEMES[config.scheme], config.leader)
     elif config.kind == "bcfon":

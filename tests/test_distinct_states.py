@@ -7,8 +7,12 @@ must give the same bytes for every agent, including duplicate states, agents
 that share (center, sigma) but not (d, b), per-agent external signals, the
 leader scheme, signed zeros and zero sigmas.  A run carries the partition
 from step to step, so whole runs are compared with a dense per-step loop too,
-including states that split under per-agent external signals.
+including states that split under per-agent external signals.  Rows whose
+agents all share one finite center, in flat vectors and in tree blocks, skip
+the closeness kernel and still give the masked sums' bytes.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +26,10 @@ from hfon import (
     LocalReference,
     NetworkState,
     Phase,
+    builtin_scenarios,
     closeness_matrix,
+    execute_scenario,
+    neighbor_mask,
     run_bcfon,
     run_blfg,
     run_bu,
@@ -94,6 +101,35 @@ def states(draw, max_d=1.0):
 
 
 _group_states = states(max_d=np.nextafter(1.0, 0.0))
+
+_one_center = st.sampled_from([0.0, 2.5, -1e300, np.inf, -np.inf, np.nan]) | st.floats(-5.0, 5.0)
+
+
+@st.composite
+def blocks(draw):
+    """(centers, sigmas, d) as (n,) vectors or (G, k) blocks whose rows hold one center or any.
+
+    A zero center takes either sign agent by agent; sigmas and d vary agent by agent."""
+    shape = draw(st.sampled_from([(draw(st.integers(1, 12)),), (draw(st.integers(1, 5)), draw(st.integers(1, 6)))]))
+    every_row_one = draw(st.booleans())
+    rows = []
+    for _ in range(int(np.prod(shape[:-1]))):
+        if every_row_one or draw(st.booleans()):
+            center = draw(_one_center)
+            rows.append([-center if center == 0.0 and draw(st.booleans()) else center for _ in range(shape[-1])])
+        else:
+            rows.append(draw(st.lists(_center | _one_center, min_size=shape[-1], max_size=shape[-1])))
+    size = len(rows) * shape[-1]
+    sigmas = draw(st.lists(st.sampled_from([0.0, 0.5, np.inf]) | st.floats(0.0, 3.0), min_size=size, max_size=size))
+    d = draw(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), min_size=size, max_size=size))
+    return tuple(np.array(a, dtype=np.float64).reshape(shape) for a in (rows, sigmas, d))
+
+
+def masked_sums(centers, sigmas, d):
+    """The dense reference over the last axis: every row's masked sums over all of its columns."""
+    adj = neighbor_mask(centers, sigmas, d)
+    return (adj.sum(axis=-1, dtype=np.float64), np.where(adj, centers[..., None, :], 0.0).sum(axis=-1),
+            np.where(adj, sigmas[..., None, :], 0.0).sum(axis=-1))
 
 
 class TestDistinctAgents:
@@ -170,6 +206,36 @@ class TestNeighborhoodSums:
         with np.errstate(all="ignore"):
             for a, b in zip(neighborhood_sums(centers, sigmas, d, rows), neighborhood_sums(centers, sigmas, d)):
                 assert_same_bits(a, b)
+
+    @given(inputs=blocks(), use_rows=st.booleans())
+    @settings(max_examples=400)
+    def test_rows_of_one_finite_center_skip_the_kernel_bit_for_bit(self, inputs, use_rows):
+        centers, sigmas, d = inputs
+        rows = distinct_agents(centers, sigmas, d, np.ones_like(d)) if use_rows and centers.ndim == 1 else None
+        with np.errstate(all="ignore"):
+            expected = masked_sums(centers, sigmas, d)
+            calls = []
+            with mock.patch.object(hfon.opinions, "closeness_matrix", lambda *a: calls.append(a) or closeness_matrix(*a)):
+                got = neighborhood_sums(centers, sigmas, d, rows)
+        for a, b in zip(got, expected):
+            assert a.shape == centers.shape
+            assert_same_bits(a, b)
+        one_center = np.isfinite(centers).all() and (centers == centers[..., :1]).all()
+        assert bool(calls) != one_center
+
+
+@pytest.mark.parametrize("name, fewest, most", [
+    ("example1-local", 1, 110), ("example1-leader", 1, 57), ("example2-3level-local", 1, 10),
+    ("example2-3level-leader", 1, 10), ("example2-4level-local", 1, 10), ("example2-4level-leader", 1, 10),
+    ("example3", 28, 28),
+])
+def test_builtins_run_the_kernel_only_before_consensus(monkeypatch, name, fewest, most):
+    """Each run makes a fixed number of dense kernel calls: a tree steps densely only until
+    every group's followers share one center, a flat group until all of them do."""
+    calls = []
+    monkeypatch.setattr(hfon.opinions, "closeness_matrix", lambda *args: calls.append(1) or closeness_matrix(*args))
+    execute_scenario(builtin_scenarios()[name])
+    assert fewest <= len(calls) <= most
 
 
 class TestFlatStep:

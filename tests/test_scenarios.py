@@ -1,5 +1,6 @@
 """Scenario configs: initials, validation, JSON files, built-ins, execution dispatch."""
 
+import dataclasses
 import json
 import re
 
@@ -10,9 +11,11 @@ from hypothesis import strategies as st
 
 from hfon import (
     ConfigurationError,
+    HierarchySpec,
     InitialSpec,
     Phase,
     ScenarioConfig,
+    build_summary,
     builtin_scenarios,
     execute_scenario,
     parse_scenario,
@@ -401,6 +404,30 @@ class TestExecute:
         ramp2 = ramp_initials(2).tolist()
         assert run.record.centers[0].tolist() == ramp2 * 3
         assert run.record.levels.tolist() == [1, 1, 1, 1, 2, 2]
+
+    @pytest.mark.parametrize("sizes", [(3, 1, 4, 1, 5), (2, 2, 2), (1,) * 50])
+    def test_one_profile_per_distinct_group_size(self, monkeypatch, sizes):
+        config = ScenarioConfig(
+            name="x", kind="topdown", initial=InitialSpec("uniform", 5, 25, "uniform"),
+            b=0.01, d=0.6, scheme="leader", leader=10.0, steps=0, group_sizes=sizes, seed=3,
+        )
+        build, built = InitialSpec.build, []
+        monkeypatch.setattr(InitialSpec, "build", lambda spec, k, seed: built.append(k) or build(spec, k, seed))
+        record = execute_scenario(config).record
+        assert sorted(built) == sorted(set(sizes))
+        # every group holds its own copy of its size's profile, agent by agent
+        for level, k in enumerate(sizes, start=1):
+            at = record.levels == level
+            got = np.stack([record.centers[0, at], record.sigmas[0, at]]).reshape(2, -1, k)
+            expected = np.broadcast_to(np.stack(build(config.initial, k, 3))[:, None, :], got.shape)
+            assert got.tobytes() == expected.tobytes()
+
+    def test_topdown_builds_its_tree_once(self, monkeypatch):
+        builtin = builtin_scenarios()["example2-4level-leader"]
+        post_init, built = HierarchySpec.__post_init__, []
+        monkeypatch.setattr(HierarchySpec, "__post_init__", lambda spec: built.append(spec) or post_init(spec))
+        build_summary(execute_scenario(dataclasses.replace(builtin)))  # size check, run and summary
+        assert len(built) == 1
 
     def test_bottomup_dispatch(self):
         config = ScenarioConfig(
