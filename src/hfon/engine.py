@@ -15,7 +15,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import ConfigurationError
-from .opinions import NetworkState, distinct_agents, neighbor_mask, neighborhood_sums  # noqa: F401
+from .opinions import NetworkState, Partition, distinct_agents, neighbor_mask, neighborhood_sums  # noqa: F401
 
 # neighbor_mask is unused here but stays importable as hfon.engine.neighbor_mask:
 # bench/tracing.py wraps the name at this lookup site.
@@ -65,10 +65,16 @@ def _external_values(scheme: ExternalReference, t: int, n: int) -> np.ndarray:
 def step_bcfon(centers, sigmas, d, b, scheme: ReferenceScheme = LocalReference(), t: int = 0, rows=None):
     """One synchronous update of every agent from frozen time-t (n,) arrays: new (centers, sigmas).
 
-    Checks nothing (run_bcfon checks once); scheme is local or external.  rows
-    is passed on to neighborhood_sums.
+    Checks no values (run_bcfon checks once); scheme is local or external.
+    rows, a Partition of the input, updates only its k distinct states, from
+    their (center, sigma, d, b) in place of the agents', and returns (k,)
+    arrays; an external reference is per agent and refuses one.
     """
     counts, center_sums, sigma_sums = neighborhood_sums(centers, sigmas, d, rows)
+    if rows is not None:
+        if not isinstance(scheme, LocalReference):
+            raise ValueError("an external reference is per agent: it takes no partition")
+        centers, b = rows.centers, rows.b
     neigh_mean = center_sums / counts
     if isinstance(scheme, LocalReference):
         reference = neigh_mean
@@ -143,18 +149,22 @@ def _run(step, state: NetworkState, steps: int, partition=None, changes=None) ->
     overflow reports that overflow instead, as the earlier failure.
 
     rows is None unless partition gives the step's (d, b); then it is the
-    distinct_agents partition of the step's input.  Agents that share a state
-    get the same update and never split, so after the first step only the
-    previous representatives are regrouped.  A step whose per-agent inputs
-    can split shared states passes no partition.
+    Partition of the step's input, and the step returns one (center, sigma)
+    per distinct state, which is written to the record row as new[inverse]
+    (a broadcast for k = 1).  Agents that share a state get the same update
+    and never split, so the next partition is built from the k outputs
+    alone.  A step whose per-agent inputs can split shared states passes no
+    partition and returns every agent's row.
 
     changes lists the change points: the times t at which step itself may
     differ from the step at t - 1.  Between change points a step is a pure
     function of (centers, sigmas), so once a step's output equals its input
     in every bit, the state is copied forward up to the next change point (or
     the run's end) and stepping resumes there; the record is the same as if
-    every step had been taken.  () means step never changes; None, for steps
-    that read t, never fast-forwards.
+    every step had been taken.  Agents of one state share their old bits and
+    their new bits, so with a partition the k outputs are compared with the
+    k inputs.  () means step never changes; None, for steps that read t,
+    never fast-forwards.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -162,26 +172,29 @@ def _run(step, state: NetworkState, steps: int, partition=None, changes=None) ->
     sigmas = np.empty((steps + 1, state.n), dtype=np.float64)
     centers[0] = state.centers
     sigmas[0] = state.sigmas
-    # bits, not values: -0.0 == 0.0 and NaN != NaN as floats
-    center_bits, sigma_bits = centers.view(np.uint64), sigmas.view(np.uint64)
-    same = np.empty(state.n, dtype=bool)
     # row indices where a fast-forward stops: each change point inside the run, and its end
     stops = None if changes is None else [t for t in sorted(changes) if 0 < t < steps] + [steps]
-    rows = None
+    rows = None if partition is None else distinct_agents(state.centers, state.sigmas, *partition)
     k = 0
     try:
         # a step on overflowed values may divide by zero or make NaNs; reported below
         with np.errstate(all="ignore"):
             while k < steps:
-                if partition is not None:
-                    rows = _regroup(rows, centers[k], sigmas[k], *partition)
-                centers[k + 1], sigmas[k + 1] = step(centers[k], sigmas[k], k, rows)
+                new_c, new_s = step(centers[k], sigmas[k], k, rows)
+                if rows is None:
+                    old_c, old_s = centers[k], sigmas[k]
+                    centers[k + 1], sigmas[k + 1] = new_c, new_s
+                else:
+                    old_c, old_s = rows.centers, rows.sigmas
+                    if new_c.shape[0] == 1:
+                        centers[k + 1], sigmas[k + 1] = new_c, new_s  # one state, broadcast
+                    else:
+                        np.take(new_c, rows.inverse, out=centers[k + 1])
+                        np.take(new_s, rows.inverse, out=sigmas[k + 1])
+                    rows = _regroup(rows, new_c, new_s)
                 k += 1
-                if (
-                    stops is not None
-                    and np.equal(center_bits[k], center_bits[k - 1], out=same).all()
-                    and np.equal(sigma_bits[k], sigma_bits[k - 1], out=same).all()
-                ):
+                # bits, not values: -0.0 == 0.0 and NaN != NaN as floats
+                if stops is not None and new_c.tobytes() == old_c.tobytes() and new_s.tobytes() == old_s.tobytes():
                     stop = stops[bisect.bisect_left(stops, k)]
                     centers[k + 1:stop + 1] = centers[k]
                     sigmas[k + 1:stop + 1] = sigmas[k]
@@ -203,20 +216,18 @@ def _check_finite(centers, sigmas):
         raise ValueError(f"step {t} -> {t + 1} overflowed: a center or sigma is not finite")
 
 
-def _regroup(rows, centers, sigmas, d, b):
-    """Agents grouped by identical (center, sigma, d, b) as (first, inverse), like distinct_agents.
+def _regroup(rows: Partition, centers, sigmas) -> Partition:
+    """The partition of a step's output, from its k states' new (centers, sigmas).
 
-    rows, the partition one step earlier, is regrouped over its k
-    representatives only, O(k log k + n) instead of O(n log n), so first need
-    not hold the lowest ids.  None computes it over all n agents.
+    Only the k states are regrouped, O(k log k), and composed with the old
+    inverse when some of them merged, O(n); first then need not hold the
+    lowest ids.
     """
-    if rows is None:
-        return distinct_agents(centers, sigmas, d, b)
-    first, inverse = rows
-    if first.size == 1:
-        return rows
-    sub_first, sub_inverse = distinct_agents(centers[first], sigmas[first], d[first], b[first])
-    return first[sub_first], sub_inverse[inverse]
+    if rows.first.size > 1:
+        sub = distinct_agents(centers, sigmas, rows.d, rows.b)
+        if sub.first.size < rows.first.size:
+            return sub._replace(first=rows.first[sub.first], inverse=sub.inverse[rows.inverse])
+    return Partition(rows.first, rows.inverse, centers, sigmas, rows.d, rows.b)
 
 
 def run_bcfon(initial: NetworkState, steps: int, scheme: ReferenceScheme = LocalReference()) -> TrajectoryRecord:

@@ -26,10 +26,14 @@ def group_update(centers, sigmas, d, b, leader_center, scheme, rows=None):
     Inputs are (k,) vectors for one group or (G, k) blocks, one row per group;
     leader_center is a scalar or a (G, 1) column.  Neighbor sets are taken
     among a group's followers only; the leader is appended to every agent's
-    average with weight 1/(|N_i| + 1).  rows is passed on to
-    neighborhood_sums.  Returns new (centers, sigmas).
+    average with weight 1/(|N_i| + 1).  rows, a Partition of (n,) vectors,
+    updates only its k distinct states, from their (center, sigma, d, b) in
+    place of the agents', and returns (k,) arrays: under either scheme the
+    reference is shared within a state.  Returns new (centers, sigmas).
     """
     counts, center_sums, sigma_sums = neighborhood_sums(centers, sigmas, d, rows)
+    if rows is not None:
+        centers, b = rows.centers, rows.b
     new_centers = (center_sums + leader_center) / (counts + 1.0)
     if isinstance(scheme, LocalReference):
         reference = center_sums / counts  # follower neighborhood mean, leader excluded
@@ -61,7 +65,7 @@ def step_blfg(centers, sigmas, d, b, leader_center: float, scheme: ReferenceSche
     """One synchronous update of a follower group under a fixed leader value: new (centers, sigmas).
 
     An array kernel over (n,) arrays that checks nothing; run_blfg checks once.
-    rows is passed on to neighborhood_sums.  Not exported: run_blfg calls it
+    rows is passed on to group_update.  Not exported: run_blfg calls it
     through this module global so that bench/tracing.py can wrap it by name.
     """
     return group_update(centers, sigmas, d, b, leader_center, scheme, rows)
@@ -72,9 +76,9 @@ def run_blfg(
 ) -> TrajectoryRecord:
     """Follower trajectory over `steps` updates; the exogenous leader is not recorded.
 
-    leader may be a constant or a callable t -> center for a moving leader,
-    checked to be finite at every step.  The closed-form predictors assume a
-    constant leader.
+    leader may be a constant, checked to be finite once, or a callable
+    t -> center for a moving leader, checked at every step.  The closed-form
+    predictors assume a constant leader.
     """
     _check_group_scheme(scheme)
     _check_group_thresholds(initial.d)
@@ -83,9 +87,11 @@ def run_blfg(
         _check_group_leader(leader)
 
     def step(centers, sigmas, t: int, rows):
-        value = leader(t) if moving else leader
-        if not np.isfinite(value):
-            raise ConfigurationError(f"leader center must be finite at t={t}, got {value!r}")
+        value = leader
+        if moving:
+            value = leader(t)
+            if not np.isfinite(value):
+                raise ConfigurationError(f"leader center must be finite at t={t}, got {value!r}")
         return step_blfg(centers, sigmas, initial.d, initial.b, float(value), scheme, rows)
 
     # a moving leader changes the step at any t

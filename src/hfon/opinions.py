@@ -8,6 +8,8 @@ similarity that shrinks with center distance and grows with shared uncertainty.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 # the most (row, column) pairs one neighborhood_sums chunk holds: 512 KB per float
@@ -87,14 +89,31 @@ def closeness_matrix(centers, sigmas, col_centers=None, col_sigmas=None) -> np.n
     return out
 
 
-def distinct_agents(centers, sigmas, d, b) -> tuple[np.ndarray, np.ndarray]:
-    """Agents of (n,) arrays grouped by identical state: (first, inverse).
+class Partition(NamedTuple):
+    """Agents of (n,) arrays grouped by identical (center, sigma, d, b), with each group's state.
 
-    first holds the lowest id of each distinct state and inverse maps every
-    agent to its state's position in first.  States are compared by the exact
-    bits of (center, sigma, d, b), so -0.0 and 0.0 stay apart.
+    first holds one agent id per distinct state and inverse maps every agent
+    to its state's position in first.  centers, sigmas, d and b are the k
+    states themselves, the agents' values at first, so values[inverse]
+    spreads one value per state back over the agents.
     """
-    return distinct_rows(np.stack([centers, sigmas, d, b], axis=1))
+
+    first: np.ndarray
+    inverse: np.ndarray
+    centers: np.ndarray
+    sigmas: np.ndarray
+    d: np.ndarray
+    b: np.ndarray
+
+
+def distinct_agents(centers, sigmas, d, b) -> Partition:
+    """Agents of (n,) arrays grouped by identical state, first holding the lowest id of each.
+
+    States are compared by the exact bits of (center, sigma, d, b), so -0.0
+    and 0.0 stay apart.
+    """
+    first, inverse = distinct_rows(np.stack([centers, sigmas, d, b], axis=1))
+    return Partition(first, inverse, centers[first], sigmas[first], d[first], b[first])
 
 
 def distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -105,38 +124,34 @@ def distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def neighborhood_sums(centers, sigmas, d, rows=None):
-    """Per agent: its neighbor count and the sums of its neighbors' centers and sigmas.
+    """Per row agent: its neighbor count and the sums of its neighbors' centers and sigmas.
 
     Works over the last axis: (n,) vectors for one population, or (G, k)
     blocks with neighbors taken within each block.  Every row is reduced over
-    all of its columns in id order.  rows = (first, inverse) from
-    distinct_agents, for (n,) vectors only, computes a row only for the first
-    agent of each distinct state and copies it to the agents that share that
-    state; a row depends only on the agent's own (center, sigma, d) and the
-    frozen columns, so the result is the same bit for bit.  Rows are computed
-    in chunks of at most about _CHUNK_PAIRS (row, column) pairs, which for the
-    same reason changes no bit either.  When every row's agents share one
-    finite center, tested on the distinct states when rows is given, the call
-    costs O(n): equal finite centers are exp(0) = 1 >= d close whatever the
-    sigmas (crisp or not), so every agent hears its whole row, and a full
-    row's masked sums are the plain contiguous row sums.
+    all of its columns in id order.  rows, a Partition of (n,) vectors,
+    computes only the k rows of its distinct states, from its (center, sigma,
+    d) in place of the agents', and returns (k,) sums; sums[rows.inverse] are
+    every agent's, bit for bit, since a row depends only on the agent's own
+    (center, sigma, d) and the frozen columns.  Rows are computed in chunks
+    of at most about _CHUNK_PAIRS (row, column) pairs, which for the same
+    reason changes no bit either.  When every row's agents share one finite
+    center, tested on the distinct states when rows is given, the call costs
+    O(n): equal finite centers are exp(0) = 1 >= d close whatever the sigmas
+    (crisp or not), so every agent hears its whole row, and a full row's
+    masked sums are the plain contiguous row sums.
     """
-    row_c = centers
+    row_c, row_s, row_d = centers, sigmas, np.asarray(d)
     if rows is not None:
         if centers.ndim != 1:
             raise ValueError(f"rows= takes (n,) vectors only, got centers of shape {centers.shape}")
-        first, inverse = rows
-        row_c = centers[first]
+        row_c, row_s, row_d = rows.centers, rows.sigmas, rows.d
     # a row with NaN, inf (inf - inf is NaN) or two centers has a nonzero difference
     if not np.count_nonzero(row_c - row_c[..., :1]):
-        out = np.empty((3, *centers.shape))  # counts k and the plain row sums, filled along each row
+        out = np.empty((3, *row_c.shape))  # counts k and the plain row sums, filled along each row
         out[0] = centers.shape[-1]
         out[1] = np.add.reduce(centers, axis=-1, keepdims=True)
         out[2] = np.add.reduce(sigmas, axis=-1, keepdims=True)
         return out[0], out[1], out[2]
-    row_s, row_d = sigmas, np.asarray(d)
-    if rows is not None:
-        row_s, row_d = sigmas[first], row_d[first]
     # one row index along the last axis pairs with centers.size (row, column) cells
     chunk = max(1, _CHUNK_PAIRS // centers.size)
     parts = []
@@ -148,10 +163,7 @@ def neighborhood_sums(centers, sigmas, d, rows=None):
             np.where(adj, centers[..., None, :], 0.0).sum(axis=-1),
             np.where(adj, sigmas[..., None, :], 0.0).sum(axis=-1),
         ))
-    sums = parts[0] if len(parts) == 1 else [np.concatenate(columns, axis=-1) for columns in zip(*parts)]
-    if rows is not None:
-        return tuple(a[inverse] for a in sums)
-    return tuple(sums)
+    return parts[0] if len(parts) == 1 else tuple(np.concatenate(columns, axis=-1) for columns in zip(*parts))
 
 
 def neighbor_mask(centers: np.ndarray, sigmas: np.ndarray, d) -> np.ndarray:

@@ -93,25 +93,33 @@ def write_trajectory_csv(record: TrajectoryRecord, path, stride: int = 1):
         for start in range(0, len(keep), steps):
             block = keep[start:start + steps]
             rows = cells[:len(block)]
-            pairs = np.stack([record.centers[block].ravel(), record.sigmas[block].ravel()], axis=1)
-            starts, lengths, first, inverse = _distinct_runs(pairs.view(_PAIR_BITS).ravel())
+            centers, sigmas = record.centers[block].ravel(), record.sigmas[block].ravel()
+            # a run starts where a row's center or sigma bits differ from the row before
+            center_bits, sigma_bits = centers.view(np.uint64), sigmas.view(np.uint64)
+            head = np.ones(centers.size, dtype=bool)
+            np.not_equal(center_bits[1:], center_bits[:-1], out=head[1:])
+            head[1:] |= sigma_bits[1:] != sigma_bits[:-1]
+            pairs = np.stack([centers, sigmas], axis=1)
+            starts, lengths, first, inverse = _distinct_runs(pairs.view(_PAIR_BITS).ravel(), head)
             texts = np.array([_PAIR_FORMAT % (c, s) for c, s in pairs[starts[first]].tolist()], dtype=object)
             rows[:, :, 0] = np.array([f"{int(t)}," for t in record.times[block].tolist()], dtype=object)[:, None]
             rows[:, :, 2] = np.repeat(texts[inverse], lengths).reshape(len(block), n)
             fh.write("".join(rows.ravel().tolist()))
 
 
-def _distinct_runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _distinct_runs(keys: np.ndarray, head=None) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Runs of equal adjacent elements of a 1-D array, and the distinct run heads.
 
     Returns (starts, lengths, first, inverse): where each run starts and how
     many elements it holds, then np.unique's first index and inverse over the
     run heads keys[starts].  So keys[starts[first]] are the distinct values,
     sorted, and np.repeat(x[inverse], lengths) spreads one x per distinct
-    value back over keys.
+    value back over keys.  head, a boolean mask true at every element unequal
+    to the one before and at element 0, may be passed when cheaper to find.
     """
-    head = np.ones(keys.size, dtype=bool)
-    head[1:] = keys[1:] != keys[:-1]
+    if head is None:
+        head = np.ones(keys.size, dtype=bool)
+        head[1:] = keys[1:] != keys[:-1]
     starts = np.flatnonzero(head)
     _, first, inverse = np.unique(keys[starts], return_index=True, return_inverse=True)
     return starts, np.diff(starts, append=keys.size), first, inverse

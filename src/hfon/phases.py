@@ -63,7 +63,8 @@ def run_bu(initial: NetworkState, phases: Sequence[Phase]) -> TrajectoryRecord:
         nonlocal d
         if t in starts:
             d = np.full(initial.n, float(starts[t]))
-        return step_bcfon(centers, sigmas, d, initial.b, scheme, t, rows)
+        # every agent shares the phase's d, so any k of them are the k states' thresholds
+        return step_bcfon(centers, sigmas, d, initial.b, scheme, t, rows._replace(d=d[:rows.first.size]))
 
     # every agent shares each phase's d, so a phase change splits no state and the
     # partition over the first phase's d holds for every phase

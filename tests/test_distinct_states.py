@@ -1,9 +1,9 @@
 """Stepping one row per distinct agent state equals the dense step bit for bit.
 
-The 1-D engines compute the neighbourhood sums once per distinct
-(center, sigma, d, b) and copy them to every agent sharing that state.  The
-dense reference below computes every row, as the engines did before; both
-must give the same bytes for every agent, including duplicate states, agents
+The 1-D engines compute the neighbourhood sums and the update once per
+distinct (center, sigma, d, b), and the run copies the result to every agent
+sharing that state (result[inverse]).  The dense reference below computes
+every row; both must give the same bytes for every agent, including duplicate states, agents
 that share (center, sigma) but not (d, b), per-agent external signals, the
 leader scheme, signed zeros and zero sigmas.  A run carries the partition
 from step to step, so whole runs are compared with a dense per-step loop too,
@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hfon.leader
 import hfon.opinions
 from hfon import (
     ExternalReference,
@@ -44,12 +45,24 @@ def distinct(state):
     return distinct_agents(state.centers, state.sigmas, state.d, state.b)
 
 
+def spread(rows, values):
+    """One value per distinct state, checked to be k long, copied to every agent."""
+    for a in values:
+        assert a.shape == rows.first.shape
+    return tuple(a[rows.inverse] for a in values)
+
+
 def flat_step(state, scheme=LocalReference(), t=0):
-    return step_bcfon(state.centers, state.sigmas, state.d, state.b, scheme, t, distinct(state))
+    """The local step over the distinct states; an external reference is per agent and takes none."""
+    if isinstance(scheme, ExternalReference):
+        return step_bcfon(state.centers, state.sigmas, state.d, state.b, scheme, t)
+    rows = distinct(state)
+    return spread(rows, step_bcfon(state.centers, state.sigmas, state.d, state.b, scheme, t, rows))
 
 
 def group_step(state, leader, scheme):
-    return step_blfg(state.centers, state.sigmas, state.d, state.b, leader, scheme, distinct(state))
+    rows = distinct(state)
+    return spread(rows, step_blfg(state.centers, state.sigmas, state.d, state.b, leader, scheme, rows))
 
 
 def dense_sums(state):
@@ -135,22 +148,24 @@ def masked_sums(centers, sigmas, d):
 class TestDistinctAgents:
     def test_groups_identical_states(self):
         state = NetworkState([1.0, 2.0, 1.0, 1.0, 2.0], [0.5, 0.5, 0.5, 0.5, 0.5], [0.1, 0.1, 0.1, 0.2, 0.1], 1.0)
-        first, inverse = distinct(state)
+        first, inverse = distinct(state)[:2]
         assert sorted(first.tolist()) == [0, 1, 3]
         assert first[inverse].tolist() == [0, 1, 0, 3, 1]
 
     def test_signed_zeros_stay_apart(self):
         state = NetworkState([0.0, -0.0, 0.0], [0.0, 0.0, 0.0], 0.5, 1.0)
-        first, inverse = distinct(state)
+        first, inverse = distinct(state)[:2]
         assert sorted(first.tolist()) == [0, 1]
         assert first[inverse].tolist() == [0, 1, 0]
 
     @given(state=states())
     @settings(max_examples=100)
     def test_first_occurrences_cover_every_agent(self, state):
-        first, inverse = distinct(state)
+        rows = distinct(state)
+        first, inverse = rows.first, rows.inverse
         keys = np.stack([state.centers, state.sigmas, state.d, state.b], axis=1)
         assert_same_bits(keys[first][inverse], keys)
+        assert_same_bits(np.stack([rows.centers, rows.sigmas, rows.d, rows.b], axis=1), keys[first])
         assert len({row.tobytes() for row in keys[first]}) == first.size
         assert all(first[inverse[i]] <= i for i in range(state.n))
 
@@ -159,7 +174,8 @@ class TestNeighborhoodSums:
     @given(state=states())
     @settings(max_examples=100)
     def test_distinct_rows_equal_dense_rows(self, state):
-        got = neighborhood_sums(state.centers, state.sigmas, state.d, distinct(state))
+        rows = distinct(state)
+        got = spread(rows, neighborhood_sums(state.centers, state.sigmas, state.d, rows))
         for a, b in zip(got, dense_sums(state)):
             assert_same_bits(a, b)
 
@@ -193,7 +209,7 @@ class TestNeighborhoodSums:
         assert rows[0].size == 1
         expected = dense_sums(state)
         assert_same_bits(expected[0], np.full(n, float(n)))
-        for got in (neighborhood_sums(state.centers, state.sigmas, state.d, rows),
+        for got in (spread(rows, neighborhood_sums(state.centers, state.sigmas, state.d, rows)),
                     neighborhood_sums(state.centers, state.sigmas, state.d)):
             for a, b in zip(got, expected):
                 assert_same_bits(a, b)
@@ -204,7 +220,8 @@ class TestNeighborhoodSums:
         centers, sigmas, d = np.full(5, center), np.full(5, sigma), np.full(5, 0.5)
         rows = distinct_agents(centers, sigmas, d, np.ones(5))
         with np.errstate(all="ignore"):
-            for a, b in zip(neighborhood_sums(centers, sigmas, d, rows), neighborhood_sums(centers, sigmas, d)):
+            for a, b in zip(spread(rows, neighborhood_sums(centers, sigmas, d, rows)),
+                            neighborhood_sums(centers, sigmas, d)):
                 assert_same_bits(a, b)
 
     @given(inputs=blocks(), use_rows=st.booleans())
@@ -217,6 +234,8 @@ class TestNeighborhoodSums:
             calls = []
             with mock.patch.object(hfon.opinions, "closeness_matrix", lambda *a: calls.append(a) or closeness_matrix(*a)):
                 got = neighborhood_sums(centers, sigmas, d, rows)
+        if rows is not None:
+            got = spread(rows, got)
         for a, b in zip(got, expected):
             assert a.shape == centers.shape
             assert_same_bits(a, b)
@@ -238,6 +257,24 @@ def test_builtins_run_the_kernel_only_before_consensus(monkeypatch, name, fewest
     assert fewest <= len(calls) <= most
 
 
+def test_one_state_steps_update_one_row(monkeypatch):
+    """Once every follower of example1-leader shares one state, each step updates that one
+    state: the kernel and the update return (1,) arrays, not one row per agent."""
+    group_update, shapes = hfon.leader.group_update, []
+
+    def traced(centers, sigmas, d, b, leader_center, scheme, rows=None):
+        out = group_update(centers, sigmas, d, b, leader_center, scheme, rows)
+        if rows is not None and rows.first.size == 1:
+            shapes.append({a.shape for a in out})
+        return out
+
+    monkeypatch.setattr(hfon.leader, "group_update", traced)
+    record = execute_scenario(builtin_scenarios()["example1-leader"]).record
+    assert record.n_agents == 156
+    assert len(shapes) >= 1400
+    assert all(shape == {(1,)} for shape in shapes)
+
+
 class TestFlatStep:
     @given(state=states(), t=st.integers(0, 50))
     @settings(max_examples=150)
@@ -255,6 +292,8 @@ class TestFlatStep:
         ref_c, ref_s = dense_bcfon(state, scheme, t)
         assert_same_bits(centers, ref_c)
         assert_same_bits(sigmas, ref_s)
+        with pytest.raises(ValueError, match="an external reference is per agent: it takes no partition"):
+            step_bcfon(state.centers, state.sigmas, state.d, state.b, scheme, t, distinct(state))
 
 
 class TestGroupStep:
@@ -368,13 +407,15 @@ class TestCarriedPartition:
     def test_carried_partition_equals_a_full_one(self):
         state = pooled_state(120, 5, 0.45, 0.5)
         record = run_bcfon(state, 50)
-        rows, sizes = None, []
+        rows, sizes = distinct(state), []
         for centers, sigmas in zip(record.centers, record.sigmas):
-            rows = _regroup(rows, centers, sigmas, state.d, state.b)
+            # a state's new value is the record's value at any of its agents
+            rows = _regroup(rows, centers[rows.first], sigmas[rows.first])
             full = distinct_agents(centers, sigmas, state.d, state.b)
             pairs = np.unique(np.stack([rows[1], full[1]]), axis=1)
             assert pairs.shape[1] == rows[0].size == full[0].size
             keys = np.stack([centers, sigmas], axis=1)
             assert_same_bits(keys[rows[0]][rows[1]], keys)
+            assert_same_bits(np.stack([rows.centers, rows.sigmas], axis=1), keys[rows.first])
             sizes.append(rows[0].size)
         assert sizes[0] > sizes[-1] >= 1

@@ -264,8 +264,10 @@ class TestNeighborhood:
         centers, sigmas = record_c[1], record_s[1]
         closeness_matrix(centers, sigmas)
         closeness_matrix(centers[:5], sigmas[:5], centers, sigmas)
-        neighborhood_sums(centers, sigmas, d)
-        neighborhood_sums(centers, sigmas, d, distinct_agents(centers, sigmas, d, np.ones(12)))
+        dense = neighborhood_sums(centers, sigmas, d)
+        rows = distinct_agents(centers, sigmas, d, np.ones(12))
+        for a, b in zip(neighborhood_sums(centers, sigmas, d, rows), dense):
+            assert a[rows.inverse].tobytes() == b.tobytes()  # one row per state, spread back
         neighborhood_sums(record_c[1:].reshape(4, 6), record_s[1:].reshape(4, 6), d[:6])
         assert (record_c.tobytes(), record_s.tobytes(), d.tobytes()) == before
 
