@@ -40,7 +40,7 @@ class HierarchySpec:
     def n_agents(self) -> int:
         return self._levels[-1][0].stop
 
-    def agent_addresses(self) -> tuple[np.ndarray, np.ndarray]:
+    def _agent_addresses(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-agent (level, group) arrays in flattened order."""
         levels = np.empty(self.n_agents, dtype=np.intp)
         groups = np.empty(self.n_agents, dtype=np.intp)
@@ -108,5 +108,5 @@ def run_td(
     record = _run(
         lambda c, s, t, rows: step_td(spec, c, s, initial.d, initial.b, leader, scheme), initial, steps, changes=()
     )
-    record.levels, record.groups = spec.agent_addresses()
+    record.levels, record.groups = spec._agent_addresses()
     return record

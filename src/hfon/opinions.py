@@ -138,7 +138,9 @@ def neighborhood_sums(centers, sigmas, d, rows=None):
     center, tested on the distinct states when rows is given, the call costs
     O(n): equal finite centers are exp(0) = 1 >= d close whatever the sigmas
     (crisp or not), so every agent hears its whole row, and a full row's
-    masked sums are the plain contiguous row sums.
+    masked sums are the plain contiguous row sums.  Finite (n,) vectors that
+    need more than one chunk take their rows in center order and compute
+    each chunk's closeness only within its center window (_windowed_sums).
     """
     row_c, row_s, row_d = centers, sigmas, np.asarray(d)
     if rows is not None:
@@ -154,6 +156,8 @@ def neighborhood_sums(centers, sigmas, d, rows=None):
         return out[0], out[1], out[2]
     # one row index along the last axis pairs with centers.size (row, column) cells
     chunk = max(1, _CHUNK_PAIRS // centers.size)
+    if row_c.shape[-1] > chunk and centers.ndim == 1 and np.isfinite(centers).all() and np.isfinite(sigmas).all():
+        return _windowed_sums(centers, sigmas, row_c, row_s, row_d, chunk)
     parts = []
     for start in range(0, row_c.shape[-1], chunk):
         part = np.s_[..., start:start + chunk]
@@ -164,6 +168,47 @@ def neighborhood_sums(centers, sigmas, d, rows=None):
             np.where(adj, sigmas[..., None, :], 0.0).sum(axis=-1),
         ))
     return parts[0] if len(parts) == 1 else tuple(np.concatenate(columns, axis=-1) for columns in zip(*parts))
+
+
+def _windowed_sums(centers, sigmas, row_c, row_s, row_d, chunk):
+    """neighborhood_sums of finite (n,) vectors, chunk rows at a time in center order.
+
+    A chunk's rows, centers lo..hi, compute closeness only against the
+    columns with lo - R <= c_j <= hi + R, where R = (max row sigma + max
+    column sigma) * sqrt(2 * -ln(min row d) + 1e-9).  A pair outside is at
+    most d^2 e^-1e-9 < d close, a margin far wider than the rounding of the
+    closeness, so the pairs left out are exactly those the dense mask
+    rejects.  R is padded against the rounding of lo - R and hi + R; a chunk
+    whose R is not finite (d = 0) takes every column.  The masked centers
+    and sigmas go into a zeroed (rows, n) buffer in id order, so every row
+    is the dense step's full-row reduction bit for bit; counts are integer
+    sums, exact in any order.
+    """
+    n = centers.size
+    order = np.argsort(row_c, kind="stable")
+    col_order = order if row_c is centers else np.argsort(centers, kind="stable")
+    col_c, col_s = centers[col_order], sigmas[col_order]
+    max_col_s, pad = col_s.max(), 4.0 * np.spacing(np.abs(centers).max())
+    buf = np.zeros((chunk, n))
+    out = np.empty((3, order.size))
+    for start in range(0, order.size, chunk):
+        ids = order[start:start + chunk]
+        rc, rs, rd = row_c[ids], row_s[ids], row_d[ids]
+        with np.errstate(divide="ignore", invalid="ignore"):  # d = 0: R is inf, or nan for zero sigmas
+            radius = (rs.max() + max_col_s) * np.sqrt(2.0 * -np.log(rd.min()) + 1e-9)
+            radius += radius * 1e-9 + pad
+        window = np.s_[:]  # every column
+        if np.isfinite(radius):
+            window = np.s_[np.searchsorted(col_c, rc[0] - radius):np.searchsorted(col_c, rc[-1] + radius, "right")]
+        adj = closeness_matrix(rc, rs, col_c[window], col_s[window]) >= rd[:, None]
+        cols, masked = col_order[window], buf[:ids.size]
+        out[0, ids] = adj.sum(axis=-1, dtype=np.float64)  # >= 1, every agent hears itself
+        masked[:, cols] = np.where(adj, col_c[window], 0.0)
+        out[1, ids] = masked.sum(axis=-1)
+        masked[:, cols] = np.where(adj, col_s[window], 0.0)
+        out[2, ids] = masked.sum(axis=-1)
+        masked[:, cols] = 0.0
+    return out[0], out[1], out[2]
 
 
 def neighbor_mask(centers: np.ndarray, sigmas: np.ndarray, d) -> np.ndarray:

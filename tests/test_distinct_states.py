@@ -9,9 +9,12 @@ leader scheme, signed zeros and zero sigmas.  A run carries the partition
 from step to step, so whole runs are compared with a dense per-step loop too,
 including states that split under per-agent external signals.  Rows whose
 agents all share one finite center, in flat vectors and in tree blocks, skip
-the closeness kernel and still give the masked sums' bytes.
+the closeness kernel and still give the masked sums' bytes, and chunks of
+(n,) vectors that compute closeness only within their center window give one
+dense chunk's bytes.
 """
 
+import json
 from unittest import mock
 
 import numpy as np
@@ -19,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hfon.engine
 import hfon.leader
 import hfon.opinions
 from hfon import (
@@ -31,6 +35,7 @@ from hfon import (
     closeness_matrix,
     execute_scenario,
     neighbor_mask,
+    parse_scenario,
     run_bcfon,
     run_blfg,
     run_bu,
@@ -179,24 +184,47 @@ class TestNeighborhoodSums:
         for a, b in zip(got, dense_sums(state)):
             assert_same_bits(a, b)
 
+    @pytest.mark.parametrize("pool_kind", ["uniform", "ulps", "exp-one", "non-finite"])
     @pytest.mark.parametrize("chunk_rows", [1, 7, 256])
     @pytest.mark.parametrize("shape", [(600,), (31, 5), (3, 300)])
-    def test_row_chunks_change_no_bit(self, monkeypatch, shape, chunk_rows):
-        # a pool of 400 states, so rows= computes fewer rows than there are agents
+    def test_row_chunks_change_no_bit(self, monkeypatch, shape, chunk_rows, pool_kind):
+        # a pool of 400 states, so rows= computes fewer rows than there are agents; (n,) vectors
+        # in several chunks compute each chunk's closeness within its center window only
         rng = np.random.default_rng(chunk_rows)
         pool = rng.integers(0, 400, shape)
-        centers, sigmas = rng.uniform(5.0, 25.0, 400)[pool], rng.uniform(0.0, 2.0, 400)[pool]
-        d = rng.choice([0.0, 0.5, 0.95], 400)[pool]
+        if pool_kind == "uniform":
+            centers, sigmas = rng.uniform(5.0, 25.0, 400), rng.uniform(0.0, 2.0, 400)
+            d = rng.choice([0.0, 0.5, 0.95], 400)
+        elif pool_kind == "exp-one":
+            # d = 1 hears the pairs whose closeness rounds to 1: centers 1e-9 apart under unit
+            # sigmas, which a window of radius 0 would drop; d = 0 takes every column
+            centers = rng.choice([3.0, 3.0 + 1e-9, 3.0 - 1e-9, 7.0], 400)
+            sigmas = rng.choice([0.0, 1.0, 1e-9], 400)
+            d = rng.choice([0.0, 0.5, 1.0, np.nextafter(1.0, 0.0)], 400, p=[0.02, 0.18, 0.4, 0.4])
+        else:
+            # centers a few ulps apart near +-1e6 with sigmas from 1e-12 to one ulp sit at the
+            # window's rounding edge; zero sigmas are crisp and signed zeros one center
+            ulp = np.spacing(1e6)
+            centers = np.concatenate([
+                1e6 + ulp * rng.integers(-4, 5, 150), -1e6 + ulp * rng.integers(-4, 5, 150),
+                rng.choice([0.0, -0.0, 3.0, 3.0 + 1e-9], 100),
+            ])
+            sigmas = rng.choice([0.0, 1e-12, 3e-12, ulp / 2, ulp, 1e-9], 400)
+            d = rng.choice([0.5, 0.9, 1.0, np.nextafter(1.0, 0.0)], 400)
+            if pool_kind == "non-finite":  # the whole call takes every column
+                centers[pool.flat[0]], sigmas[pool.flat[1]] = np.inf, np.nan
+        centers, sigmas, d = centers[pool], sigmas[pool], d[pool]
         calls = [(centers, sigmas, d)]
         if len(shape) == 1:
             calls.append((centers, sigmas, d, distinct_agents(centers, sigmas, d, np.ones(shape))))
-        # one row index along the last axis pairs with centers.size cells
-        monkeypatch.setattr(hfon.opinions, "_CHUNK_PAIRS", shape[-1] * centers.size)  # one chunk
-        whole = [neighborhood_sums(*args) for args in calls]
-        monkeypatch.setattr(hfon.opinions, "_CHUNK_PAIRS", chunk_rows * centers.size)
-        for args, expected in zip(calls, whole):
-            for a, b in zip(neighborhood_sums(*args), expected):
-                assert_same_bits(a, b)
+        with np.errstate(all="ignore"):
+            # one row index along the last axis pairs with centers.size cells
+            monkeypatch.setattr(hfon.opinions, "_CHUNK_PAIRS", shape[-1] * centers.size)  # one chunk
+            whole = [neighborhood_sums(*args) for args in calls]
+            monkeypatch.setattr(hfon.opinions, "_CHUNK_PAIRS", chunk_rows * centers.size)
+            for args, expected in zip(calls, whole):
+                for a, b in zip(neighborhood_sums(*args), expected):
+                    assert_same_bits(a, b)
 
 
     @pytest.mark.parametrize("n", [1, 7, 156, 1000])
@@ -255,6 +283,36 @@ def test_builtins_run_the_kernel_only_before_consensus(monkeypatch, name, fewest
     monkeypatch.setattr(hfon.opinions, "closeness_matrix", lambda *args: calls.append(1) or closeness_matrix(*args))
     execute_scenario(builtin_scenarios()[name])
     assert fewest <= len(calls) <= most
+
+
+def test_emergence_computes_closeness_only_in_center_windows(monkeypatch, tmp_path):
+    """Speed guard: the seed-0 emergence document (1000 uniform agents, five falling
+    thresholds) computes closeness only within each chunk's center window, a fraction of
+    the k n pairs of every dense step; the count is the same on every run."""
+    doc = {"schema_version": 1, "name": "emergence", "kind": "bottomup", "n": 1000, "b": 0.5,
+           "phases": [{"d": d, "steps": 40} for d in (0.95, 0.7, 0.45, 0.2, 0.05)],
+           "initial": {"centers": "uniform", "low": 5.0, "high": 25.0, "sigma": "uniform"}, "seed": 0}
+    path = tmp_path / "emergence.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    calls = []  # per kernel call: [its k n (row, column) pairs, the closeness cells computed]
+    sums = hfon.engine.neighborhood_sums
+
+    def traced_sums(centers, sigmas, d, rows=None):
+        calls.append([(centers.size if rows is None else rows.first.size) * centers.size, 0])
+        return sums(centers, sigmas, d, rows)
+
+    def traced_closeness(*args):
+        out = closeness_matrix(*args)
+        calls[-1][1] += out.size
+        return out
+
+    monkeypatch.setattr(hfon.engine, "neighborhood_sums", traced_sums)
+    monkeypatch.setattr(hfon.opinions, "closeness_matrix", traced_closeness)
+    execute_scenario(parse_scenario(path))
+    pairs, cells = np.array(calls).T
+    assert pairs[0] == 1000 * 1000
+    assert cells[0] <= 0.25 * pairs[0]
+    assert cells.sum() <= 0.40 * pairs[cells > 0].sum()  # the dense kernel computes every pair
 
 
 def test_one_state_steps_update_one_row(monkeypatch):

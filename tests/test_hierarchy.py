@@ -113,7 +113,7 @@ class TestStepping:
             rng.uniform(0.0, 0.9, spec.n_agents), 0.1,
         )
         stepped_centers, stepped_sigmas = step(spec, state, scheme)
-        levels, groups = spec.agent_addresses()
+        levels, groups = spec._agent_addresses()
         for level, group in sorted(set(zip(levels.tolist(), groups.tolist()))):
             sl = (levels == level) & (groups == group)
             # agent `group` of the next level up leads, the TOP leader above the top level
@@ -186,7 +186,7 @@ class TestMixedSizes:
         assert [agents.shape[1] for agents, _ in spec._blocks] == list(dict.fromkeys(sizes))
         agents = np.concatenate([a.ravel() for a, _ in spec._blocks])
         assert sorted(agents.tolist()) == list(range(spec.n_agents))
-        levels, groups = spec.agent_addresses()
+        levels, groups = spec._agent_addresses()
         for block_agents, leaders in spec._blocks:
             assert leaders.shape == block_agents.shape[:1]
             for row, leader in zip(block_agents, leaders):
