@@ -25,32 +25,12 @@ from hfon import (
     steps_to_target,
 )
 from hfon.engine import _run
+from reference import flat_step, group_step, reference_record, tree_step
 
 
 def step(state, scheme=LocalReference(), t=0):
     """step_bcfon over a state's arrays: new (centers, sigmas)."""
     return step_bcfon(state.centers, state.sigmas, state.d, state.b, scheme, t)
-
-
-def ref_step_flat(centers, sigmas, d, b):
-    """Per-agent reference stepper, local scheme; mirrors the definition, not the code."""
-    n = len(centers)
-    out_c, out_s = [], []
-    for i in range(n):
-        ids = []
-        for j in range(n):
-            ssum = sigmas[i] + sigmas[j]
-            if ssum == 0.0:
-                close = 1.0 if centers[i] == centers[j] else 0.0
-            else:
-                close = math.exp(-(((centers[i] - centers[j]) / ssum) ** 2))
-            if close >= d:
-                ids.append(j)
-        mean_c = sum(centers[j] for j in ids) / len(ids)
-        mean_s = sum(sigmas[j] for j in ids) / len(ids)
-        out_c.append(mean_c)
-        out_s.append(mean_s + b * abs(centers[i] - mean_c))
-    return out_c, out_s
 
 
 class TestStep:
@@ -97,17 +77,6 @@ class TestStep:
         with pytest.raises(ConfigurationError, match="t=0, agent=0"):
             step(state, ExternalReference(broken))
 
-    @given(n=st.integers(1, 8), seed=st.integers(0, 2**32), d=st.floats(0.0, 1.0))
-    @settings(max_examples=60)
-    def test_matches_reference_stepper(self, n, seed, d):
-        rng = np.random.default_rng(seed)
-        state = NetworkState(rng.uniform(-5, 5, n), rng.uniform(0.1, 2.0, n), d, 0.3)
-        centers, sigmas = step(state)
-        ref_c, ref_s = ref_step_flat(state.centers.tolist(), state.sigmas.tolist(), d, 0.3)
-        # summation order may differ from the reference loop by a few ulp
-        np.testing.assert_allclose(centers, ref_c, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(sigmas, ref_s, rtol=1e-12, atol=1e-12)
-
     @given(n=st.integers(1, 10), seed=st.integers(0, 2**32))
     @settings(max_examples=40)
     def test_centers_stay_in_hull(self, n, seed):
@@ -152,15 +121,6 @@ class TestRun:
         record = run_bcfon(state, 3, ExternalReference(signal))
         assert record.times.tolist() == [0, 1, 2, 3]
         assert seen == [0, 1, 2]
-
-    def test_run_matches_repeated_steps(self):
-        state = NetworkState([0.0, 1.0, 5.0], [1.0, 1.0, 1.0], 0.5, 0.2)
-        record = run_bcfon(state, 4)
-        centers, sigmas = state.centers, state.sigmas
-        for k in range(1, 5):
-            centers, sigmas = step_bcfon(centers, sigmas, state.d, state.b)
-            assert np.array_equal(record.centers[k], centers)
-            assert np.array_equal(record.sigmas[k], sigmas)
 
     def test_no_state_is_built_inside_a_run(self, monkeypatch):
         # the initial state is validated once; steps work on raw arrays
@@ -234,17 +194,6 @@ def calls_to(monkeypatch, module, name):
     return log
 
 
-def stepwise(state, steps, step):
-    """Reference record of a run that takes every step: rows of step(centers, sigmas, t)."""
-    centers, sigmas = [state.centers], [state.sigmas]
-    with np.errstate(all="ignore"):
-        for t in range(steps):
-            c, s = step(centers[-1], sigmas[-1], t)
-            centers.append(c)
-            sigmas.append(s)
-    return np.array(centers), np.array(sigmas)
-
-
 def assert_same_record(record, reference):
     assert record.centers.tobytes() == reference[0].tobytes()
     assert record.sigmas.tobytes() == reference[1].tobytes()
@@ -259,8 +208,8 @@ def has_fixed_point(centers, sigmas, before: int) -> bool:
 class TestFastForward:
     """A run copies a bitwise fixed point forward to the next change point of its step.
 
-    Each record equals a reference that takes every step, bit for bit, and the
-    step calls show where the run jumped.
+    Each record equals the dense reference, which takes every step, bit for bit,
+    and the step calls show where the run jumped.
     """
 
     # at d = 0.9 the agents at 0 and 4 hear only themselves and hold still; at d = 0 they
@@ -281,10 +230,8 @@ class TestFastForward:
         import hfon.phases
 
         d_at = [d for d, n in phases for _ in range(n)]
-        reference = stepwise(
-            self._pair, len(d_at),
-            lambda c, s, t: step_bcfon(c, s, np.full(2, d_at[t]), self._pair.b),
-        )
+        reference = reference_record(lambda c, s, t: flat_step(c, s, np.full(2, d_at[t]), self._pair.b),
+                                     self._pair, len(d_at))
         log = calls_to(monkeypatch, hfon.phases, "step_bcfon")
         record = run_bu(self._pair, tuple(Phase(d, n) for d, n in phases))
         assert_same_record(record, reference)
@@ -296,7 +243,10 @@ class TestFastForward:
         # each agent's signal is its own center, so nothing moves, until t = 6
         scheme = ExternalReference(lambda t, i: 4.0 * i + (t >= 6))
         state = NetworkState([0.0, 4.0], [1.0, 1.0], 0.9, 0.5)
-        reference = stepwise(state, 10, lambda c, s, t: step_bcfon(c, s, state.d, state.b, scheme, t))
+        reference = reference_record(
+            lambda c, s, t: flat_step(c, s, state.d, state.b, np.array([scheme.signal(t, i) for i in range(2)])),
+            state, 10,
+        )
         assert has_fixed_point(*reference, before=6)
         log = calls_to(monkeypatch, hfon.engine, "step_bcfon")
         record = run_bcfon(state, 10, scheme)
@@ -308,13 +258,13 @@ class TestFastForward:
     @pytest.mark.parametrize("moving", [False, True])
     def test_group_under_constant_and_callable_leaders(self, monkeypatch, scheme, moving):
         import hfon.leader
-        from hfon.leader import step_blfg
 
         # the followers settle on the leader well before t = 150, where the moving one jumps
         leader = (lambda t: 10.0 if t < 150 else 12.0) if moving else 10.0
         state = NetworkState([0.0, 1.0, 3.0], [1.0, 0.5, 1.0], 0.5, 0.1)
-        reference = stepwise(
-            state, 200, lambda c, s, t: step_blfg(c, s, state.d, state.b, leader(t) if moving else leader, scheme)
+        local = isinstance(scheme, LocalReference)
+        reference = reference_record(
+            lambda c, s, t: group_step(c, s, state.d, state.b, leader(t) if moving else leader, local), state, 200
         )
         assert has_fixed_point(*reference, before=150)
         log = calls_to(monkeypatch, hfon.leader, "step_blfg")
@@ -329,11 +279,13 @@ class TestFastForward:
     @pytest.mark.parametrize("scheme", [LocalReference(), LeaderReference()])
     def test_top_down_both_schemes(self, monkeypatch, scheme):
         import hfon.hierarchy
-        from hfon.hierarchy import step_td
 
         spec = HierarchySpec((3, 2))
         state = NetworkState(np.linspace(5.0, 25.0, spec.n_agents), np.full(spec.n_agents, 1.0), 0.6, 0.01)
-        reference = stepwise(state, 600, lambda c, s, t: step_td(spec, c, s, state.d, state.b, 10.0, scheme))
+        local = isinstance(scheme, LocalReference)
+        reference = reference_record(
+            lambda c, s, t: tree_step(spec.group_sizes, c, s, state.d, state.b, 10.0, local), state, 600
+        )
         log = calls_to(monkeypatch, hfon.hierarchy, "step_td")
         record = run_td(spec, state, 600, scheme, 10.0)
         assert_same_record(record, reference)
@@ -344,7 +296,8 @@ class TestFastForward:
 
         # the sum overflows at step 0 -> 1; from there the state turns NaN and holds still
         state = NetworkState([1e308, 1.7e308], [1.0, 1.0], 0.0, 0.5)
-        centers, sigmas = stepwise(state, 50, lambda c, s, t: step_bcfon(c, s, state.d, state.b))
+        with np.errstate(all="ignore"):
+            centers, sigmas = reference_record(lambda c, s, t: flat_step(c, s, state.d, state.b), state, 50)
         assert np.isnan(centers[-1]).all() and has_fixed_point(centers, sigmas, before=49)
         first_bad = int(np.argmin(np.isfinite(centers).all(axis=1) & np.isfinite(sigmas).all(axis=1)))
         assert first_bad == 1

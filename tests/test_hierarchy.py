@@ -18,7 +18,6 @@ from hfon import (
     run_td,
     step_td,
 )
-from hfon.leader import group_update
 
 
 TOP = 10.0  # the top group's exogenous leader
@@ -104,26 +103,6 @@ class TestStepping:
             with pytest.raises(ConfigurationError, match="^leader center must be finite$"):
                 run_td(*tiny_tree(), steps, LocalReference(), leader)
 
-    @pytest.mark.parametrize("scheme", [LocalReference(), LeaderReference()])
-    def test_level_blocks_match_per_group_updates(self, scheme):
-        spec = HierarchySpec((3, 2, 4))
-        rng = np.random.default_rng(5)
-        state = NetworkState(
-            rng.uniform(0.0, 20.0, spec.n_agents), rng.uniform(0.0, 2.0, spec.n_agents),
-            rng.uniform(0.0, 0.9, spec.n_agents), 0.1,
-        )
-        stepped_centers, stepped_sigmas = step(spec, state, scheme)
-        levels, groups = spec._agent_addresses()
-        for level, group in sorted(set(zip(levels.tolist(), groups.tolist()))):
-            sl = (levels == level) & (groups == group)
-            # agent `group` of the next level up leads, the TOP leader above the top level
-            leader = TOP if level == len(spec.group_sizes) else state.centers[spec._levels[level][0].start + group]
-            centers, sigmas = group_update(
-                state.centers[sl], state.sigmas[sl], state.d[sl], state.b[sl], leader, scheme
-            )
-            assert np.array_equal(stepped_centers[sl], centers), (level, group)
-            assert np.array_equal(stepped_sigmas[sl], sigmas), (level, group)
-
     def test_scheme_and_threshold_guards(self):
         # checked once, at run entry, even when nothing is stepped
         spec, state = tiny_tree()
@@ -147,38 +126,7 @@ class TestStepping:
             run_td(*tiny_tree(), -1, LocalReference(), TOP)
 
 
-def per_level_step(spec, centers, sigmas, d, b, scheme):
-    """Reference tree step: one group_update per level, each (G, k) level led by the G agents
-    right after it (the whole next level up), the top level by the TOP leader."""
-    new_centers, new_sigmas = np.empty_like(centers), np.empty_like(sigmas)
-    for sl, (g, k) in spec._levels:
-        leader = TOP if sl.stop == spec.n_agents else centers[sl.stop:sl.stop + g, None]
-        level_centers, level_sigmas = group_update(
-            *(a[sl].reshape(g, k) for a in (centers, sigmas, d, b)), leader, scheme
-        )
-        new_centers[sl], new_sigmas[sl] = level_centers.ravel(), level_sigmas.ravel()
-    return new_centers, new_sigmas
-
-
 class TestMixedSizes:
-    @pytest.mark.parametrize("sizes", [(3, 2, 4), (4, 4, 1, 3), (2, 5), (1,)])
-    @pytest.mark.parametrize("scheme", [LocalReference(), LeaderReference()])
-    def test_run_equals_per_level_steps(self, sizes, scheme):
-        spec = HierarchySpec(sizes)
-        n = spec.n_agents
-        rng = np.random.default_rng(sum(sizes))
-        # centers from a small pool, so groups reach exact consensus along the run
-        state = NetworkState(
-            rng.choice([0.0, 5.0, 5.5, 20.0], n), rng.uniform(0.0, 2.0, n),
-            rng.uniform(0.0, 0.95, n), rng.uniform(0.01, 0.5, n),
-        )
-        record = run_td(spec, state, 80, scheme, TOP)
-        centers, sigmas = state.centers, state.sigmas
-        for k in range(1, record.n_samples):
-            centers, sigmas = per_level_step(spec, centers, sigmas, state.d, state.b, scheme)
-            assert centers.tobytes() == record.centers[k].tobytes(), k
-            assert sigmas.tobytes() == record.sigmas[k].tobytes(), k
-
     @given(sizes=st.lists(st.integers(1, 5), min_size=1, max_size=4))
     @settings(max_examples=100, deadline=None)
     def test_one_block_per_group_size(self, sizes):

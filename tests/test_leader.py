@@ -30,28 +30,6 @@ from hfon import (
 from hfon.leader import step_blfg
 
 
-def ref_step_group(centers, sigmas, d, b, leader, scheme):
-    """Per-agent reference for one follower update under a fixed leader center."""
-    n = len(centers)
-    out_c, out_s = [], []
-    for i in range(n):
-        ids = []
-        for j in range(n):
-            ssum = sigmas[i] + sigmas[j]
-            if ssum == 0.0:
-                close = 1.0 if centers[i] == centers[j] else 0.0
-            else:
-                close = math.exp(-(((centers[i] - centers[j]) / ssum) ** 2))
-            if close >= d:
-                ids.append(j)
-        csum = sum(centers[j] for j in ids)
-        ssum = sum(sigmas[j] for j in ids)
-        out_c.append((csum + leader) / (len(ids) + 1))
-        ref = csum / len(ids) if scheme == "local" else leader
-        out_s.append(ssum / len(ids) + b * abs(centers[i] - ref))
-    return out_c, out_s
-
-
 def make_record(times, centers, sigmas=None):
     centers = np.asarray(centers, dtype=np.float64)
     if sigmas is None:
@@ -101,25 +79,6 @@ class TestStepBlfg:
         for steps in (0, 3):
             with pytest.raises(ConfigurationError, match=r"thresholds d must lie in \[0, 1\) inside a group"):
                 run_blfg(state, steps, LocalReference(), 10.0)
-
-    @given(
-        n=st.integers(1, 7),
-        seed=st.integers(0, 2**32),
-        d=st.floats(0.0, 0.99),
-        leader=st.floats(-20, 20),
-        local=st.booleans(),
-    )
-    @settings(max_examples=60)
-    def test_matches_reference_stepper(self, n, seed, d, leader, local):
-        rng = np.random.default_rng(seed)
-        state = NetworkState(rng.uniform(-5, 5, n), rng.uniform(0.1, 2.0, n), d, 0.3)
-        scheme = LocalReference() if local else LeaderReference()
-        centers, sigmas = step(state, leader, scheme)
-        ref_c, ref_s = ref_step_group(
-            state.centers.tolist(), state.sigmas.tolist(), d, 0.3, leader, "local" if local else "leader"
-        )
-        np.testing.assert_allclose(centers, ref_c, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(sigmas, ref_s, rtol=1e-12, atol=1e-12)
 
 
 class TestRun:

@@ -149,10 +149,11 @@ class TestTrajectoryCsv:
 
     def test_memory_is_bounded_by_the_block(self, tmp_path):
         # every (center, sigma) distinct, so each row is formatted on its own; tracing makes
-        # formatting about ten times slower, so the steps double from 750 to 1500, not from 1500
+        # formatting about ten times slower, so the steps double from 315 to 630, about 3 and 6
+        # blocks of 2^14 rows; a writer that holds the whole file peaks twice as high on the second
         rng = np.random.default_rng(0)
         peaks = []
-        for rows in (751, 1501):
+        for rows in (316, 631):
             record = TrajectoryRecord(
                 times=np.arange(rows), centers=rng.normal(size=(rows, 156)), sigmas=rng.uniform(size=(rows, 156))
             )

@@ -1,17 +1,11 @@
-"""A plain reference simulator as the oracle for all four engines, bit for bit.
+"""The plain reference simulator (tests/reference.py) as the oracle for all four engines, bit for bit.
 
-The reference takes a dense closeness mask of every agent against every agent
-of its population (a flat run, or one tree group) at every step.  It has no
-distinct-state partition, no kernel chunks, no one-centre rule, no
-fast-forward and no (G, k) blocks; a tree is stepped one group at a time.
-Its masked sums are the full-row reductions the engines make, each row over
-all of its columns in id order (a matrix product adds in another order and
-is off by up to 4.5e-13), so every recorded bit of every engine must match.
-The property runs twice: as the engines run, and with kernel chunks of 1-3
-rows, so that flat runs also take the kernel's center-window path.
+Every recorded bit of every engine must equal the reference's.  The property
+runs twice: as the engines run, and with kernel chunks of 1-3 rows, so that
+flat runs also take the kernel's center-window path.  A new engine or
+mechanism is tested by drawing it in runs() below.
 """
 
-import math
 from unittest import mock
 
 import numpy as np
@@ -24,80 +18,13 @@ from hfon import (
     HierarchySpec,
     LeaderReference,
     LocalReference,
-    NetworkState,
     Phase,
-    closeness_matrix,
     run_bcfon,
     run_blfg,
     run_bu,
     run_td,
 )
-
-
-def sums(c, s, d):
-    adj = closeness_matrix(c, s) >= d[:, None]
-    counts = adj.sum(axis=1).astype(np.float64)
-    return counts, np.where(adj, c[None, :], 0.0).sum(axis=1), np.where(adj, s[None, :], 0.0).sum(axis=1)
-
-
-def flat_step(c, s, d, b, reference=None):
-    """reference None is the local scheme: the agent's own neighborhood mean."""
-    counts, center_sums, sigma_sums = sums(c, s, d)
-    mean = center_sums / counts
-    return mean, sigma_sums / counts + b * np.abs(c - (mean if reference is None else reference))
-
-
-def group_step(c, s, d, b, leader, local):
-    counts, center_sums, sigma_sums = sums(c, s, d)
-    reference = center_sums / counts if local else leader
-    return (center_sums + leader) / (counts + 1.0), sigma_sums / counts + b * np.abs(c - reference)
-
-
-def tree_groups(group_sizes):
-    """(agent slice, leader id) of every group, bottom level first; id n is the top leader."""
-    out, start = [], 0
-    for level, k in enumerate(group_sizes):
-        g = math.prod(group_sizes[level + 1:])  # every agent one level up leads one group
-        out += [(slice(start + j * k, start + (j + 1) * k), start + g * k + j) for j in range(g)]
-        start += g * k
-    return out
-
-
-def tree_step(group_sizes, c, s, d, b, leader, local):
-    new_c, new_s = np.empty_like(c), np.empty_like(s)
-    pool = np.append(c, leader)
-    for agents, lead in tree_groups(group_sizes):
-        new_c[agents], new_s[agents] = group_step(c[agents], s[agents], d[agents], b[agents], pool[lead], local)
-    return new_c, new_s
-
-
-def reference_record(step, state, steps):
-    """(centers, sigmas) rows of step(c, s, t) for t = 0 .. steps - 1, the initial row first."""
-    centers, sigmas = [state.centers], [state.sigmas]
-    for t in range(steps):
-        c, s = step(centers[-1], sigmas[-1], t)
-        centers.append(c)
-        sigmas.append(s)
-    return np.array(centers), np.array(sigmas)
-
-
-_center = st.sampled_from([0.0, -0.0, 1.0, -1.0]) | st.floats(-5.0, 5.0)
-_sigma = st.sampled_from([0.0, 0.5]) | st.floats(0.0, 3.0)
-_b = st.sampled_from([0.5, 1.0]) | st.floats(0.01, 2.0)
-_leader = st.sampled_from([0.0, -0.0, 1.0]) | st.floats(-10.0, 10.0)
-
-
-@st.composite
-def states(draw, n, max_d):
-    """Agents drawn from small pools of (c, s), d and b, so states repeat, merge and stop moving."""
-    pool = draw(st.lists(st.tuples(_center, _sigma), min_size=1, max_size=n))
-    d_pool = draw(st.lists(st.sampled_from([0.0, 0.5, max_d]) | st.floats(0.0, max_d), min_size=1, max_size=3))
-    b_pool = draw(st.lists(_b, min_size=1, max_size=3))
-    agents = [
-        (*draw(st.sampled_from(pool)), draw(st.sampled_from(d_pool)), draw(st.sampled_from(b_pool)))
-        for _ in range(n)
-    ]
-    return NetworkState(*map(list, zip(*agents)))
+from reference import center_values, flat_step, group_step, leader_values, reference_record, states, tree_step
 
 
 @st.composite
@@ -111,7 +38,7 @@ def runs(draw):
     if kind == "td":
         sizes = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
         state = draw(states(HierarchySpec(sizes).n_agents, group_d))
-        local, leader = draw(st.booleans()), draw(_leader)
+        local, leader = draw(st.booleans()), draw(leader_values)
         scheme = LocalReference() if local else LeaderReference()
         return (state.n, lambda: run_td(HierarchySpec(sizes), state, steps, scheme, leader),
                 reference_record(lambda c, s, t: tree_step(sizes, c, s, state.d, state.b, leader, local),
@@ -122,11 +49,11 @@ def runs(draw):
         local = draw(st.booleans())
         scheme = LocalReference() if local else LeaderReference()
         if draw(st.booleans()):  # a moving leader
-            leaders = draw(st.lists(_leader, min_size=max(steps, 1), max_size=max(steps, 1)))
+            leaders = draw(st.lists(leader_values, min_size=max(steps, 1), max_size=max(steps, 1)))
             leader = leaders.__getitem__
             at = leader
         else:
-            leader = draw(_leader)
+            leader = draw(leader_values)
             at = lambda t: leader
         return (n, lambda: run_blfg(state, steps, scheme, leader),
                 reference_record(lambda c, s, t: group_step(c, s, state.d, state.b, at(t), local), state, steps))
@@ -140,8 +67,8 @@ def runs(draw):
     if draw(st.booleans()):
         return (n, lambda: run_bcfon(state, steps),
                 reference_record(lambda c, s, t: flat_step(c, s, state.d, state.b), state, steps))
-    offsets = draw(st.lists(_center, min_size=n, max_size=n))
-    drift = draw(st.lists(_center, min_size=max(steps, 1), max_size=max(steps, 1)))
+    offsets = draw(st.lists(center_values, min_size=n, max_size=n))
+    drift = draw(st.lists(center_values, min_size=max(steps, 1), max_size=max(steps, 1)))
     scheme = ExternalReference(lambda t, i: offsets[i] + drift[t])
     signals = [np.array([scheme.signal(t, i) for i in range(n)]) for t in range(steps)]
     return (n, lambda: run_bcfon(state, steps, scheme),
