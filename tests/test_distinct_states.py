@@ -2,13 +2,17 @@
 
 The 1-D engines compute the neighbourhood sums and the update once per
 distinct (center, sigma, d, b), and the run copies the result to every agent
-sharing that state (result[inverse]).  Whole runs of every engine are checked
-bit for bit against the dense reference in tests/test_reference.py; this file
+sharing that state (result[inverse]).  The kernel's rows, one step of each
+update and whole runs that carry the partition from step to step equal the
+shared dense model in tests/reference.py bit for bit, including duplicate
+states, agents that share (center, sigma) but not (d, b), per-agent external
+signals, the leader scheme, signed zeros and zero sigmas.  This file also
 pins the partition's structure, the states that split under per-agent
-external signals, and the kernel inputs that property cannot draw: non-finite
-values, hundreds of agents in many chunks, and rows whose agents all share
-one center, which skip the closeness kernel and still give the masked sums'
-bytes.  It also pins the kernel's call counts, which guard speed, not values.
+external signals, and the kernel inputs the property in
+tests/test_reference.py cannot draw: non-finite values, hundreds of agents in
+many chunks, and rows whose agents all share one center, which skip the
+closeness kernel and still give the masked sums' bytes.  It also pins the
+kernel's call counts, which guard speed, not values.
 """
 
 import json
@@ -24,17 +28,23 @@ import hfon.leader
 import hfon.opinions
 from hfon import (
     ExternalReference,
+    LeaderReference,
+    LocalReference,
     NetworkState,
+    Phase,
     builtin_scenarios,
     closeness_matrix,
     execute_scenario,
     parse_scenario,
     run_bcfon,
+    run_blfg,
+    run_bu,
     step_bcfon,
 )
 from hfon.engine import _regroup
+from hfon.leader import step_blfg
 from hfon.opinions import distinct_agents, neighborhood_sums
-from reference import center_values, states, sums
+from reference import center_values, flat_step, group_step, reference_record, states, sums
 
 
 def distinct(state):
@@ -48,9 +58,29 @@ def spread(rows, values):
     return tuple(a[rows.inverse] for a in values)
 
 
+def partitioned_flat_step(state, scheme=LocalReference(), t=0):
+    """step_bcfon over the distinct states; an external reference is per agent and takes none."""
+    if isinstance(scheme, ExternalReference):
+        return step_bcfon(state.centers, state.sigmas, state.d, state.b, scheme, t)
+    rows = distinct(state)
+    return spread(rows, step_bcfon(state.centers, state.sigmas, state.d, state.b, scheme, t, rows))
+
+
+def partitioned_group_step(state, leader, scheme):
+    rows = distinct(state)
+    return spread(rows, step_blfg(state.centers, state.sigmas, state.d, state.b, leader, scheme, rows))
+
+
+def signals(scheme, t, n):
+    return np.array([scheme.signal(t, i) for i in range(n)], dtype=np.float64)
+
+
 def assert_same_bits(got, expected):
     assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
 
+
+_any_states = st.integers(1, 12).flatmap(lambda n: states(n, 1.0))
+_group_states = st.integers(1, 12).flatmap(lambda n: states(n, np.nextafter(1.0, 0.0)))
 
 _one_center = st.sampled_from([0.0, 2.5, -1e300, np.inf, -np.inf, np.nan]) | st.floats(-5.0, 5.0)
 
@@ -88,7 +118,7 @@ class TestDistinctAgents:
         assert sorted(first.tolist()) == [0, 1]
         assert first[inverse].tolist() == [0, 1, 0]
 
-    @given(state=st.integers(1, 12).flatmap(lambda n: states(n, 1.0)))
+    @given(state=_any_states)
     @settings(max_examples=100)
     def test_first_occurrences_cover_every_agent(self, state):
         rows = distinct(state)
@@ -101,6 +131,14 @@ class TestDistinctAgents:
 
 
 class TestNeighborhoodSums:
+    @given(state=_any_states)
+    @settings(max_examples=100)
+    def test_distinct_rows_equal_dense_rows(self, state):
+        rows = distinct(state)
+        got = spread(rows, neighborhood_sums(state.centers, state.sigmas, state.d, rows))
+        for a, b in zip(got, sums(state.centers, state.sigmas, state.d)):
+            assert_same_bits(a, b)
+
     @pytest.mark.parametrize("pool_kind", ["uniform", "ulps", "exp-one", "non-finite"])
     @pytest.mark.parametrize("chunk_rows", [1, 7, 256])
     @pytest.mark.parametrize("shape", [(600,), (31, 5), (3, 300)])
@@ -250,6 +288,66 @@ def test_one_state_steps_update_one_row(monkeypatch):
     assert all(shape == {(1,)} for shape in shapes)
 
 
+class TestFlatStep:
+    @given(state=_any_states, t=st.integers(0, 50))
+    @settings(max_examples=150)
+    def test_local_reference(self, state, t):
+        centers, sigmas = partitioned_flat_step(state, LocalReference(), t)
+        ref_c, ref_s = flat_step(state.centers, state.sigmas, state.d, state.b)
+        assert_same_bits(centers, ref_c)
+        assert_same_bits(sigmas, ref_s)
+
+    @given(state=_any_states, offsets=st.lists(st.floats(-5.0, 5.0), min_size=12, max_size=12), t=st.integers(0, 50))
+    @settings(max_examples=150)
+    def test_external_reference_per_agent(self, state, offsets, t):
+        scheme = ExternalReference(lambda t, i: offsets[i] + 0.1 * t)
+        centers, sigmas = partitioned_flat_step(state, scheme, t)
+        ref_c, ref_s = flat_step(state.centers, state.sigmas, state.d, state.b, signals(scheme, t, state.n))
+        assert_same_bits(centers, ref_c)
+        assert_same_bits(sigmas, ref_s)
+
+
+class TestGroupStep:
+    @given(state=_group_states, leader=st.sampled_from([0.0, -0.0]) | st.floats(-10.0, 10.0),
+           local=st.booleans())
+    @settings(max_examples=150)
+    def test_both_schemes(self, state, leader, local):
+        scheme = LocalReference() if local else LeaderReference()
+        centers, sigmas = partitioned_group_step(state, leader, scheme)
+        ref_c, ref_s = group_step(state.centers, state.sigmas, state.d, state.b, leader, local)
+        assert_same_bits(centers, ref_c)
+        assert_same_bits(sigmas, ref_s)
+
+
+@pytest.mark.parametrize("n", [1, 7, 64])
+@pytest.mark.parametrize("equal", [False, True])
+def test_all_distinct_and_all_equal(n, equal):
+    rng = np.random.default_rng(n)
+    centers, sigmas = rng.uniform(-5, 5, n), rng.uniform(0, 2, n)
+    if equal:
+        centers, sigmas = np.full(n, centers[0]), np.full(n, sigmas[0])
+    state = NetworkState(centers, sigmas, 0.6, 0.4)
+    assert distinct(state)[0].size == (1 if equal else n)
+    for got, ref in zip(partitioned_flat_step(state), flat_step(centers, sigmas, state.d, state.b)):
+        assert_same_bits(got, ref)
+    for got, ref in zip(partitioned_group_step(state, 1.5, LeaderReference()),
+                        group_step(centers, sigmas, state.d, state.b, 1.5, False)):
+        assert_same_bits(got, ref)
+
+
+def test_many_steps_of_a_merging_population():
+    """Along a whole run the distinct-state path never drifts from the dense one."""
+    rng = np.random.default_rng(11)
+    state = NetworkState(rng.uniform(5, 25, 200), rng.uniform(0, 1, 200), 0.45, 0.5)
+    dense = state.centers, state.sigmas
+    for t in range(60):
+        state = NetworkState(*partitioned_flat_step(state, LocalReference(), t), state.d, state.b)
+        dense = flat_step(*dense, state.d, state.b)
+        assert_same_bits(state.centers, dense[0])
+        assert_same_bits(state.sigmas, dense[1])
+    assert distinct(state)[0].size < 200
+
+
 def test_an_external_reference_takes_no_partition():
     state = NetworkState([1.0, 1.0, 2.0], [0.5, 0.5, 0.5], 0.5, 1.0)
     scheme = ExternalReference(lambda t, i: float(i))
@@ -263,7 +361,34 @@ def pooled_state(n, seed, d, b):
     return NetworkState(rng.choice([5.0, 6.0, 9.0, 15.0, 25.0], n), rng.choice([0.0, 0.5, 1.5], n), d, b)
 
 
+def assert_same_record(record, reference):
+    assert_same_bits(record.centers, reference[0])
+    assert_same_bits(record.sigmas, reference[1])
+
+
+def n_states(record, k):
+    """Distinct (center, sigma) pairs at row k of a record."""
+    return np.unique(np.stack([record.centers[k], record.sigmas[k]], axis=1), axis=0).shape[0]
+
+
 class TestCarriedPartition:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_flat_run_local(self, seed):
+        rng = np.random.default_rng(seed)
+        state = pooled_state(80, seed, rng.choice([0.3, 0.6], 80), rng.choice([0.2, 0.5], 80))
+        record = run_bcfon(state, 60, LocalReference())
+        assert_same_record(record, reference_record(lambda c, s, t: flat_step(c, s, state.d, state.b), state, 60))
+        assert n_states(record, -1) < n_states(record, 0)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_flat_run_external(self, seed):
+        offsets = np.random.default_rng(seed).choice([0.0, 2.0], 80)
+        scheme = ExternalReference(lambda t, i: 10.0 + offsets[i] * (t % 3))
+        state = pooled_state(80, seed, 0.5, 0.3)
+        record = run_bcfon(state, 40, scheme)
+        assert_same_record(record, reference_record(
+            lambda c, s, t: flat_step(c, s, state.d, state.b, signals(scheme, t, state.n)), state, 40))
+
     def test_shared_state_splits_under_external_signals(self):
         # agents 0 and 1 share a state at t = 0; their signals differ, so their sigmas part at
         # t = 1, and at t = 2 only agent 1 is wide enough to hear agent 2
@@ -274,6 +399,29 @@ class TestCarriedPartition:
         assert record.sigmas[1].tolist() == [0.5, 2.5, 0.5]
         assert record.centers[1, 0] == record.centers[1, 1]
         assert record.centers[2, 0] != record.centers[2, 1]
+
+    @pytest.mark.parametrize("scheme", [LocalReference(), LeaderReference()])
+    @pytest.mark.parametrize("moving", [False, True])
+    def test_group_run(self, scheme, moving):
+        leader = (lambda t: 10.0 + 0.5 * t) if moving else 10.0
+        state = pooled_state(60, 7, 0.4, 0.3)
+        record = run_blfg(state, 60, scheme, leader)
+        local = isinstance(scheme, LocalReference)
+        assert_same_record(record, reference_record(
+            lambda c, s, t: group_step(c, s, state.d, state.b, leader(t) if moving else leader, local), state, 60))
+        assert n_states(record, -1) < n_states(record, 0)
+
+    def test_phased_run_across_changes_of_d(self):
+        phases = (Phase(0.2, 0), Phase(0.9, 15), Phase(0.3, 20), Phase(0.0, 0), Phase(0.7, 10))
+        # the state's own d and b differ per agent; each phase's d replaces every d, b stays
+        rng = np.random.default_rng(3)
+        state = pooled_state(90, 3, rng.uniform(0.0, 1.0, 90), rng.uniform(0.1, 1.0, 90))
+        record = run_bu(state, phases)
+        d_at = {t: span.d for span in record.phases for t in range(span.t_start, span.t_end)}
+        steps = record.n_samples - 1
+        assert steps == 45
+        assert_same_record(record, reference_record(
+            lambda c, s, t: flat_step(c, s, np.full(state.n, d_at[t]), state.b), state, steps))
 
     def test_carried_partition_equals_a_full_one(self):
         state = pooled_state(120, 5, 0.45, 0.5)

@@ -77,6 +77,16 @@ class TestStep:
         with pytest.raises(ConfigurationError, match="t=0, agent=0"):
             step(state, ExternalReference(broken))
 
+    @given(n=st.integers(1, 8), seed=st.integers(0, 2**32), d=st.floats(0.0, 1.0))
+    @settings(max_examples=60)
+    def test_matches_reference_stepper(self, n, seed, d):
+        rng = np.random.default_rng(seed)
+        state = NetworkState(rng.uniform(-5, 5, n), rng.uniform(0.1, 2.0, n), d, 0.3)
+        centers, sigmas = step(state)
+        ref_c, ref_s = flat_step(state.centers, state.sigmas, state.d, state.b)
+        assert centers.tobytes() == ref_c.tobytes()
+        assert sigmas.tobytes() == ref_s.tobytes()
+
     @given(n=st.integers(1, 10), seed=st.integers(0, 2**32))
     @settings(max_examples=40)
     def test_centers_stay_in_hull(self, n, seed):
@@ -121,6 +131,13 @@ class TestRun:
         record = run_bcfon(state, 3, ExternalReference(signal))
         assert record.times.tolist() == [0, 1, 2, 3]
         assert seen == [0, 1, 2]
+
+    def test_run_matches_repeated_steps(self):
+        state = NetworkState([0.0, 1.0, 5.0], [1.0, 1.0, 1.0], 0.5, 0.2)
+        record = run_bcfon(state, 4)
+        centers, sigmas = reference_record(lambda c, s, t: flat_step(c, s, state.d, state.b), state, 4)
+        assert record.centers.tobytes() == centers.tobytes()
+        assert record.sigmas.tobytes() == sigmas.tobytes()
 
     def test_no_state_is_built_inside_a_run(self, monkeypatch):
         # the initial state is validated once; steps work on raw arrays

@@ -18,6 +18,7 @@ from hfon import (
     run_td,
     step_td,
 )
+from reference import reference_record, tree_step
 
 
 TOP = 10.0  # the top group's exogenous leader
@@ -103,6 +104,21 @@ class TestStepping:
             with pytest.raises(ConfigurationError, match="^leader center must be finite$"):
                 run_td(*tiny_tree(), steps, LocalReference(), leader)
 
+    @pytest.mark.parametrize("scheme", [LocalReference(), LeaderReference()])
+    def test_level_blocks_match_per_group_updates(self, scheme):
+        spec = HierarchySpec((3, 2, 4))
+        rng = np.random.default_rng(5)
+        state = NetworkState(
+            rng.uniform(0.0, 20.0, spec.n_agents), rng.uniform(0.0, 2.0, spec.n_agents),
+            rng.uniform(0.0, 0.9, spec.n_agents), 0.1,
+        )
+        centers, sigmas = step(spec, state, scheme)
+        # the reference steps one group at a time, each led by its agent one level up or by TOP
+        ref_c, ref_s = tree_step(spec.group_sizes, state.centers, state.sigmas, state.d, state.b, TOP,
+                                 isinstance(scheme, LocalReference))
+        assert centers.tobytes() == ref_c.tobytes()
+        assert sigmas.tobytes() == ref_s.tobytes()
+
     def test_scheme_and_threshold_guards(self):
         # checked once, at run entry, even when nothing is stepped
         spec, state = tiny_tree()
@@ -127,6 +143,25 @@ class TestStepping:
 
 
 class TestMixedSizes:
+    @pytest.mark.parametrize("sizes", [(3, 2, 4), (4, 4, 1, 3), (2, 5), (1,)])
+    @pytest.mark.parametrize("scheme", [LocalReference(), LeaderReference()])
+    def test_run_equals_per_level_steps(self, sizes, scheme):
+        spec = HierarchySpec(sizes)
+        n = spec.n_agents
+        rng = np.random.default_rng(sum(sizes))
+        # centers from a small pool, so groups reach exact consensus along the run
+        state = NetworkState(
+            rng.choice([0.0, 5.0, 5.5, 20.0], n), rng.uniform(0.0, 2.0, n),
+            rng.uniform(0.0, 0.95, n), rng.uniform(0.01, 0.5, n),
+        )
+        record = run_td(spec, state, 80, scheme, TOP)
+        local = isinstance(scheme, LocalReference)
+        centers, sigmas = reference_record(
+            lambda c, s, t: tree_step(sizes, c, s, state.d, state.b, TOP, local), state, 80
+        )
+        assert record.centers.tobytes() == centers.tobytes()
+        assert record.sigmas.tobytes() == sigmas.tobytes()
+
     @given(sizes=st.lists(st.integers(1, 5), min_size=1, max_size=4))
     @settings(max_examples=100, deadline=None)
     def test_one_block_per_group_size(self, sizes):

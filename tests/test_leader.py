@@ -28,6 +28,7 @@ from hfon import (
     steps_to_error_fraction,
 )
 from hfon.leader import step_blfg
+from reference import group_step
 
 
 def make_record(times, centers, sigmas=None):
@@ -79,6 +80,22 @@ class TestStepBlfg:
         for steps in (0, 3):
             with pytest.raises(ConfigurationError, match=r"thresholds d must lie in \[0, 1\) inside a group"):
                 run_blfg(state, steps, LocalReference(), 10.0)
+
+    @given(
+        n=st.integers(1, 7),
+        seed=st.integers(0, 2**32),
+        d=st.floats(0.0, 0.99),
+        leader=st.floats(-20, 20),
+        local=st.booleans(),
+    )
+    @settings(max_examples=60)
+    def test_matches_reference_stepper(self, n, seed, d, leader, local):
+        rng = np.random.default_rng(seed)
+        state = NetworkState(rng.uniform(-5, 5, n), rng.uniform(0.1, 2.0, n), d, 0.3)
+        centers, sigmas = step(state, leader, LocalReference() if local else LeaderReference())
+        ref_c, ref_s = group_step(state.centers, state.sigmas, state.d, state.b, leader, local)
+        assert centers.tobytes() == ref_c.tobytes()
+        assert sigmas.tobytes() == ref_s.tobytes()
 
 
 class TestRun:
