@@ -21,7 +21,6 @@ from .engine import (
     TrajectoryRecord,
     detect_consensus_partition,
     run_bcfon,
-    step_bcfon,
     steps_to_target,
 )
 from .leader import (
@@ -39,7 +38,6 @@ from .leader import (
 from .hierarchy import (
     HierarchySpec,
     run_td,
-    step_td,
 )
 from .phases import (
     ClusterReport,
@@ -101,8 +99,6 @@ __all__ = [
     "run_blfg",
     "run_bu",
     "run_td",
-    "step_bcfon",
-    "step_td",
     "steps_to_error_fraction",
     "steps_to_target",
     "write_summary_json",

@@ -8,7 +8,6 @@ one step read the same frozen snapshot.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 from typing import Callable, Union
 
@@ -139,71 +138,75 @@ class TrajectoryRecord:
         )
 
 
-def _run(step, state: NetworkState, steps: int, partition=None, changes=None) -> TrajectoryRecord:
-    """Trajectory of centers, sigmas = step(centers, sigmas, t, rows) for t = 0 .. steps - 1.
+def _run(state: NetworkState, segments, still: bool = True) -> TrajectoryRecord:
+    """Trajectory of state stepped through segments in order, row 0 being the state.
 
-    The initial state, row 0, is the run's only validated object.  A step keeps
-    sigmas non-negative but its sums can overflow, so the record is checked
-    once, after the loop: the first row holding a non-finite center or sigma
-    is reported as the step that overflowed.  A step that raises after an
-    overflow reports that overflow instead, as the earlier failure.
+    Each segment is (steps, step, partition) and takes its steps with
+    centers, sigmas = step(centers, sigmas, t, rows), t counted from the
+    run's start.  The initial state is the run's only validated object.  A
+    step keeps sigmas non-negative but its sums can overflow, so the record
+    is checked once, after the loop: the first row holding a non-finite
+    center or sigma is reported as the step that overflowed.  A step that
+    raises after an overflow reports that overflow instead, as the earlier
+    failure.
 
-    rows is None unless partition gives the step's (d, b); then it is the
-    Partition of the step's input, and the step returns one (center, sigma)
-    per distinct state, which is written to the record row as new[inverse]
-    (a broadcast for k = 1).  Agents that share a state get the same update
-    and never split, so the next partition is built from the k outputs
-    alone.  A step whose per-agent inputs can split shared states passes no
-    partition and returns every agent's row.
+    rows is None unless the segment's partition gives its (d, b); then a
+    non-empty segment builds the Partition of its first row, and the step
+    returns one (center, sigma) per distinct state, which is written to the
+    record row as new[inverse] (a broadcast for k = 1).  Agents that share a
+    state get the same update and never split, so the next partition is
+    built from the k outputs alone.  A step whose per-agent inputs can split
+    shared states passes no partition and returns every agent's row.
 
-    changes lists the change points: the times t at which step itself may
-    differ from the step at t - 1.  Between change points a step is a pure
-    function of (centers, sigmas), so once a step's output equals its input
-    in every bit, the state is copied forward up to the next change point (or
-    the run's end) and stepping resumes there; the record is the same as if
-    every step had been taken.  Agents of one state share their old bits and
-    their new bits, so with a partition the k outputs are compared with the
-    k inputs.  () means step never changes; None, for steps that read t,
-    never fast-forwards.
+    Within a segment a step is a pure function of (centers, sigmas) unless
+    still is False, as it must be for a step that reads t.  So once a step's
+    output equals its input in every bit, the state is copied forward to
+    the segment's end and stepping resumes with the next segment; the record
+    is the same as if every step had been taken.  Agents of one state share
+    their old bits and their new bits, so with a partition the k outputs are
+    compared with the k inputs.
     """
-    if steps < 0:
+    if any(steps < 0 for steps, _, _ in segments):
         raise ValueError("steps must be >= 0")
-    centers = np.empty((steps + 1, state.n), dtype=np.float64)
-    sigmas = np.empty((steps + 1, state.n), dtype=np.float64)
+    total = sum(steps for steps, _, _ in segments)
+    centers = np.empty((total + 1, state.n), dtype=np.float64)
+    sigmas = np.empty((total + 1, state.n), dtype=np.float64)
     centers[0] = state.centers
     sigmas[0] = state.sigmas
-    # row indices where a fast-forward stops: each change point inside the run, and its end
-    stops = None if changes is None else [t for t in sorted(changes) if 0 < t < steps] + [steps]
-    rows = None if partition is None else distinct_agents(state.centers, state.sigmas, *partition)
     k = 0
     try:
         # a step on overflowed values may divide by zero or make NaNs; reported below
         with np.errstate(all="ignore"):
-            while k < steps:
-                new_c, new_s = step(centers[k], sigmas[k], k, rows)
-                if rows is None:
-                    old_c, old_s = centers[k], sigmas[k]
-                    centers[k + 1], sigmas[k + 1] = new_c, new_s
+            for steps, step, partition in segments:
+                end = k + steps
+                if steps and partition is not None:
+                    rows = distinct_agents(centers[k], sigmas[k], *partition)
                 else:
-                    old_c, old_s = rows.centers, rows.sigmas
-                    if new_c.shape[0] == 1:
-                        centers[k + 1], sigmas[k + 1] = new_c, new_s  # one state, broadcast
+                    rows = None
+                while k < end:
+                    new_c, new_s = step(centers[k], sigmas[k], k, rows)
+                    if rows is None:
+                        old_c, old_s = centers[k], sigmas[k]
+                        centers[k + 1], sigmas[k + 1] = new_c, new_s
                     else:
-                        np.take(new_c, rows.inverse, out=centers[k + 1])
-                        np.take(new_s, rows.inverse, out=sigmas[k + 1])
-                    rows = _regroup(rows, new_c, new_s)
-                k += 1
-                # bits, not values: -0.0 == 0.0 and NaN != NaN as floats
-                if stops is not None and new_c.tobytes() == old_c.tobytes() and new_s.tobytes() == old_s.tobytes():
-                    stop = stops[bisect.bisect_left(stops, k)]
-                    centers[k + 1:stop + 1] = centers[k]
-                    sigmas[k + 1:stop + 1] = sigmas[k]
-                    k = stop
+                        old_c, old_s = rows.centers, rows.sigmas
+                        if new_c.shape[0] == 1:
+                            centers[k + 1], sigmas[k + 1] = new_c, new_s  # one state, broadcast
+                        else:
+                            np.take(new_c, rows.inverse, out=centers[k + 1])
+                            np.take(new_s, rows.inverse, out=sigmas[k + 1])
+                        rows = _regroup(rows, new_c, new_s)
+                    k += 1
+                    # bits, not values: -0.0 == 0.0 and NaN != NaN as floats
+                    if still and new_c.tobytes() == old_c.tobytes() and new_s.tobytes() == old_s.tobytes():
+                        centers[k + 1:end + 1] = centers[k]
+                        sigmas[k + 1:end + 1] = sigmas[k]
+                        k = end
     except Exception:
         _check_finite(centers[:k + 1], sigmas[:k + 1])
         raise
     _check_finite(centers, sigmas)
-    return TrajectoryRecord(times=np.arange(steps + 1), centers=centers, sigmas=sigmas)
+    return TrajectoryRecord(times=np.arange(total + 1), centers=centers, sigmas=sigmas)
 
 
 def _check_finite(centers, sigmas):
@@ -236,10 +239,10 @@ def run_bcfon(initial: NetworkState, steps: int, scheme: ReferenceScheme = Local
         raise ConfigurationError("a flat network has no leader; use a leader-follower group")
     # per-agent signals split shared states, and the step reads t
     local = not isinstance(scheme, ExternalReference)
-    return _run(
-        lambda c, s, t, rows: step_bcfon(c, s, initial.d, initial.b, scheme, t, rows),
-        initial, steps, partition=(initial.d, initial.b) if local else None, changes=() if local else None,
-    )
+    return _run(initial, [(
+        steps, lambda c, s, t, rows: step_bcfon(c, s, initial.d, initial.b, scheme, t, rows),
+        (initial.d, initial.b) if local else None,
+    )], still=local)
 
 
 def _initial_spread(record: TrajectoryRecord) -> float:

@@ -105,8 +105,8 @@ def run_td(
     _check_group_scheme(scheme)
     _check_group_thresholds(initial.d)
     _check_group_leader(leader)
-    record = _run(
-        lambda c, s, t, rows: step_td(spec, c, s, initial.d, initial.b, leader, scheme), initial, steps, changes=()
-    )
+    record = _run(initial, [(
+        steps, lambda c, s, t, rows: step_td(spec, c, s, initial.d, initial.b, leader, scheme), None
+    )])
     record.levels, record.groups = spec._agent_addresses()
     return record

@@ -95,7 +95,7 @@ def run_blfg(
         return step_blfg(centers, sigmas, initial.d, initial.b, float(value), scheme, rows)
 
     # a moving leader changes the step at any t
-    return _run(step, initial, steps, partition=(initial.d, initial.b), changes=None if moving else ())
+    return _run(initial, [(steps, step, (initial.d, initial.b))], still=not moving)
 
 
 @dataclass(frozen=True)

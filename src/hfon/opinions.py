@@ -138,9 +138,9 @@ def neighborhood_sums(centers, sigmas, d, rows=None):
     center, tested on the distinct states when rows is given, the call costs
     O(n): equal finite centers are exp(0) = 1 >= d close whatever the sigmas
     (crisp or not), so every agent hears its whole row, and a full row's
-    masked sums are the plain contiguous row sums.  Finite (n,) vectors that
-    need more than one chunk take their rows in center order and compute
-    each chunk's closeness only within its center window (_windowed_sums).
+    masked sums are the plain contiguous row sums.  (n,) vectors that need
+    more than one chunk take their rows in center order and compute each
+    chunk's closeness only within its center window (_windowed_sums).
     """
     row_c, row_s, row_d = centers, sigmas, np.asarray(d)
     if rows is not None:
@@ -156,7 +156,7 @@ def neighborhood_sums(centers, sigmas, d, rows=None):
         return out[0], out[1], out[2]
     # one row index along the last axis pairs with centers.size (row, column) cells
     chunk = max(1, _CHUNK_PAIRS // centers.size)
-    if row_c.shape[-1] > chunk and centers.ndim == 1 and np.isfinite(centers).all() and np.isfinite(sigmas).all():
+    if row_c.shape[-1] > chunk and centers.ndim == 1:
         return _windowed_sums(centers, sigmas, row_c, row_s, row_d, chunk)
     parts = []
     for start in range(0, row_c.shape[-1], chunk):
@@ -171,7 +171,7 @@ def neighborhood_sums(centers, sigmas, d, rows=None):
 
 
 def _windowed_sums(centers, sigmas, row_c, row_s, row_d, chunk):
-    """neighborhood_sums of finite (n,) vectors, chunk rows at a time in center order.
+    """neighborhood_sums of (n,) vectors, chunk rows at a time in center order.
 
     A chunk's rows, centers lo..hi, compute closeness only against the
     columns with lo - R <= c_j <= hi + R, where R = (max row sigma + max
@@ -179,7 +179,8 @@ def _windowed_sums(centers, sigmas, row_c, row_s, row_d, chunk):
     most d^2 e^-1e-9 < d close, a margin far wider than the rounding of the
     closeness, so the pairs left out are exactly those the dense mask
     rejects.  R is padded against the rounding of lo - R and hi + R; a chunk
-    whose R is not finite (d = 0) takes every column.  The masked centers
+    whose R is not finite takes every column: d = 0, or any non-finite center
+    or sigma, whose spacing or maximum is NaN or inf.  The masked centers
     and sigmas go into a zeroed (rows, n) buffer in id order, so every row
     is the dense step's full-row reduction bit for bit; counts are integer
     sums, exact in any order.

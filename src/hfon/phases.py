@@ -54,22 +54,12 @@ def run_bu(initial: NetworkState, phases: Sequence[Phase]) -> TrajectoryRecord:
     for phase in phases:
         spans.append(PhaseSpan(d=phase.d, t_start=t, t_end=t + phase.steps))
         t += phase.steps
-    # every step lies in exactly one non-empty span; its d applies from the span's first step,
-    # and the first non-empty span starts at 0 whenever anything is stepped
-    starts = {span.t_start: span.d for span in spans if span.t_end > span.t_start}
-    d = np.full(initial.n, float(starts.get(0, phases[0].d)))
 
-    def step(centers, sigmas, t: int, rows):
-        nonlocal d
-        if t in starts:
-            d = np.full(initial.n, float(starts[t]))
-        # every agent shares the phase's d, so any k of them are the k states' thresholds
-        return step_bcfon(centers, sigmas, d, initial.b, scheme, t, rows._replace(d=d[:rows.first.size]))
+    def segment(phase: Phase):
+        d = np.full(initial.n, float(phase.d))
+        return phase.steps, lambda c, s, t, rows: step_bcfon(c, s, d, initial.b, scheme, t, rows), (d, initial.b)
 
-    # every agent shares each phase's d, so a phase change splits no state and the
-    # partition over the first phase's d holds for every phase
-    # the step changes only where a phase's d takes over
-    record = _run(step, initial, t, partition=(d, initial.b), changes=starts)
+    record = _run(initial, [segment(phase) for phase in phases])
     record.phases = spans
     return record
 

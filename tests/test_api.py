@@ -7,6 +7,7 @@ import dataclasses
 import inspect
 
 import hfon
+import hfon.hierarchy
 
 PUBLIC_NAMES = [
     "ClusterReport",
@@ -44,8 +45,6 @@ PUBLIC_NAMES = [
     "run_blfg",
     "run_bu",
     "run_td",
-    "step_bcfon",
-    "step_td",
     "steps_to_error_fraction",
     "steps_to_target",
     "write_summary_json",
@@ -55,7 +54,7 @@ PUBLIC_NAMES = [
 
 def test_public_names_are_pinned():
     assert sorted(hfon.__all__) == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == len(set(PUBLIC_NAMES)) == 41
+    assert len(PUBLIC_NAMES) == len(set(PUBLIC_NAMES)) == 39
 
 
 def test_every_public_name_resolves():
@@ -79,4 +78,4 @@ def test_hierarchy_spec_holds_only_the_shape():
     # the top leader is a run input, passed as run_blfg takes a group's leader
     assert [f.name for f in dataclasses.fields(hfon.HierarchySpec)] == ["group_sizes"]
     params = ["spec", "centers", "sigmas", "d", "b", "leader", "scheme"]
-    assert list(inspect.signature(hfon.step_td).parameters) == params
+    assert list(inspect.signature(hfon.hierarchy.step_td).parameters) == params

@@ -39,9 +39,8 @@ from hfon import (
     run_bcfon,
     run_blfg,
     run_bu,
-    step_bcfon,
 )
-from hfon.engine import _regroup
+from hfon.engine import _regroup, step_bcfon
 from hfon.leader import step_blfg
 from hfon.opinions import distinct_agents, neighborhood_sums
 from reference import center_values, flat_step, group_step, reference_record, states, sums

@@ -21,10 +21,9 @@ from hfon import (
     run_blfg,
     run_bu,
     run_td,
-    step_bcfon,
     steps_to_target,
 )
-from hfon.engine import _run
+from hfon.engine import _run, step_bcfon
 from reference import flat_step, group_step, reference_record, tree_step
 
 
@@ -223,7 +222,7 @@ def has_fixed_point(centers, sigmas, before: int) -> bool:
 
 
 class TestFastForward:
-    """A run copies a bitwise fixed point forward to the next change point of its step.
+    """A run copies a bitwise fixed point forward to the end of its segment.
 
     Each record equals the dense reference, which takes every step, bit for bit,
     and the step calls show where the run jumped.
@@ -324,15 +323,16 @@ class TestFastForward:
         assert len(log) < 10
 
     @staticmethod
-    def _record(step, steps, changes, center=0.0):
-        return _run(step, NetworkState([center, 1.0], [1.0, 1.0], 0.5, 0.5), steps, changes=changes)
+    def _record(step, segments, still=True, center=0.0):
+        """_run over one segment of each length in segments, every one stepping step."""
+        return _run(NetworkState([center, 1.0], [1.0, 1.0], 0.5, 0.5), [(n, step, None) for n in segments], still)
 
     def test_states_are_compared_by_their_bits(self):
         # -0.0 -> 0.0 is no fixed point, although the two compare equal as floats
         def step(c, s, t, rows):
             return np.where(np.signbit(c), 0.0, np.minimum(c + 1.0, 2.0)), s
 
-        record = self._record(step, 6, (), center=-0.0)
+        record = self._record(step, [6], center=-0.0)
         assert record.centers[:, 0].tolist() == [0.0, 0.0, 1.0, 2.0, 2.0, 2.0, 2.0]
         assert np.signbit(record.centers[0, 0])
 
@@ -343,10 +343,10 @@ class TestFastForward:
             seen.append(t)
             return c + (t in (4, 9)), s
 
-        record = self._record(step, 12, (4, 9, 30, -1), center=0.0)
+        record = self._record(step, [4, 5, 3], center=0.0)
         assert seen == [0, 4, 5, 9, 10]
         assert record.centers[:, 0].tolist() == [0.0] * 5 + [1.0] * 5 + [2.0] * 3
-        assert len(self._record(step, 12, None).times) == 13
+        assert len(self._record(step, [4, 5, 3], still=False).times) == 13
         assert seen[5:] == list(range(12))
 
     def test_a_step_that_raises_after_a_jump_reports_the_earlier_overflow(self):
@@ -357,9 +357,9 @@ class TestFastForward:
             return c * (1e100 if t < 3 else 1.0), s
 
         with pytest.raises(ValueError, match=r"step 2 -> 3 overflowed"):
-            self._record(step, 20, (10,), center=1e100)
+            self._record(step, [10, 10], center=1e100)
         with pytest.raises(ConfigurationError, match="step 10 failed"):
-            self._record(step, 20, (10,), center=1.0)
+            self._record(step, [10, 10], center=1.0)
 
 
 class TestStepsToTarget:

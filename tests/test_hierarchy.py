@@ -16,8 +16,8 @@ from hfon import (
     NetworkState,
     run_blfg,
     run_td,
-    step_td,
 )
+from hfon.hierarchy import step_td
 from reference import reference_record, tree_step
 
 

@@ -12,8 +12,8 @@ from hfon import (
     phase_summary,
     run_bcfon,
     run_bu,
-    step_bcfon,
 )
+from hfon.engine import step_bcfon
 from hfon.opinions import distinct_rows
 
 
