@@ -153,7 +153,9 @@ def _run(state: NetworkState, segments, still: bool = True) -> TrajectoryRecord:
     rows is None unless the segment's partition gives its (d, b); then a
     non-empty segment builds the Partition of its first row, and the step
     returns one (center, sigma) per distinct state, which is written to the
-    record row as new[inverse] (a broadcast for k = 1).  Agents that share a
+    record row as new[inverse] (a broadcast for k = 1).  Once one state with
+    a finite center is left, the partition holds it as float64 scalars, so
+    each step is a few scalar operations and two O(n) sums.  Agents that share a
     state get the same update and never split, so the next partition is
     built from the k outputs alone.  A step whose per-agent inputs can split
     shared states passes no partition and returns every agent's row.
@@ -166,8 +168,9 @@ def _run(state: NetworkState, segments, still: bool = True) -> TrajectoryRecord:
     their old bits and their new bits, so with a partition the k outputs are
     compared with the k inputs.
     """
-    if any(steps < 0 for steps, _, _ in segments):
-        raise ValueError("steps must be >= 0")
+    for steps, _, _ in segments:
+        if not (isinstance(steps, int) and steps >= 0):
+            raise ValueError(f"steps must be an integer >= 0, got {steps!r}")
     total = sum(steps for steps, _, _ in segments)
     centers = np.empty((total + 1, state.n), dtype=np.float64)
     sigmas = np.empty((total + 1, state.n), dtype=np.float64)
@@ -190,7 +193,7 @@ def _run(state: NetworkState, segments, still: bool = True) -> TrajectoryRecord:
                         centers[k + 1], sigmas[k + 1] = new_c, new_s
                     else:
                         old_c, old_s = rows.centers, rows.sigmas
-                        if new_c.shape[0] == 1:
+                        if new_c.size == 1:
                             centers[k + 1], sigmas[k + 1] = new_c, new_s  # one state, broadcast
                         else:
                             np.take(new_c, rows.inverse, out=centers[k + 1])
@@ -224,12 +227,18 @@ def _regroup(rows: Partition, centers, sigmas) -> Partition:
 
     Only the k states are regrouped, O(k log k), and composed with the old
     inverse when some of them merged, O(n); first then need not hold the
-    lowest ids.
+    lowest ids.  One state with a finite center is held as float64 scalars,
+    which neighborhood_sums answers without its kernel; a non-finite one as
+    (1,) arrays, which take the kernel.
     """
     if rows.first.size > 1:
         sub = distinct_agents(centers, sigmas, rows.d, rows.b)
         if sub.first.size < rows.first.size:
             return sub._replace(first=rows.first[sub.first], inverse=sub.inverse[rows.inverse])
+    elif centers.ndim and np.isfinite(centers[0]):  # one finite state: float64 scalars from here
+        return Partition(rows.first, rows.inverse, centers[0], sigmas[0], rows.d[0], rows.b[0])
+    elif not (centers.ndim or np.isfinite(centers)):  # an overflowed scalar: back to (1,) arrays
+        return Partition(rows.first, rows.inverse, *(np.full(1, v) for v in (centers, sigmas, rows.d, rows.b)))
     return Partition(rows.first, rows.inverse, centers, sigmas, rows.d, rows.b)
 
 

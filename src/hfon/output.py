@@ -65,7 +65,9 @@ def write_trajectory_csv(record: TrajectoryRecord, path, stride: int = 1):
     Rows go out in blocks of whole steps, at most _BLOCK_ROWS rows each (one
     step when a step has more).  Within a block, each distinct (center, sigma)
     pair, keyed on its exact bits so that -0.0 and 0.0 stay apart, is
-    formatted once and shared by every row holding it.  A record with no
+    formatted once and shared by every row holding it.  A block whose every
+    step holds one pair in all its rows writes each step as one join of the
+    addresses; other blocks build each row from three pieces.  A record with no
     steps or no agents is refused before any file is created.  The file
     appears at path only once it is complete.
     """
@@ -99,12 +101,18 @@ def write_trajectory_csv(record: TrajectoryRecord, path, stride: int = 1):
             head = np.ones(centers.size, dtype=bool)
             np.not_equal(center_bits[1:], center_bits[:-1], out=head[1:])
             head[1:] |= sigma_bits[1:] != sigma_bits[:-1]
+            head[::n] = True  # and at every step's first row, so a step of one pair is one run
             pairs = np.stack([centers, sigmas], axis=1)
             starts, lengths, first, inverse = _distinct_runs(pairs.view(_PAIR_BITS).ravel(), head)
             texts = np.array([_PAIR_FORMAT % (c, s) for c, s in pairs[starts[first]].tolist()], dtype=object)
-            rows[:, :, 0] = np.array([f"{int(t)}," for t in record.times[block].tolist()], dtype=object)[:, None]
-            rows[:, :, 2] = np.repeat(texts[inverse], lengths).reshape(len(block), n)
-            fh.write("".join(rows.ravel().tolist()))
+            prefixes = [f"{int(t)}," for t in record.times[block].tolist()]
+            if starts.size == len(block):  # every step one pair: its rows are one join
+                pair_texts = texts[inverse].tolist()
+                fh.write("".join(t + (p + t).join(addresses) + p for t, p in zip(prefixes, pair_texts)))
+            else:
+                rows[:, :, 0] = np.array(prefixes, dtype=object)[:, None]
+                rows[:, :, 2] = np.repeat(texts[inverse], lengths).reshape(len(block), n)
+                fh.write("".join(rows.ravel().tolist()))
 
 
 def _distinct_runs(keys: np.ndarray, head=None) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -230,11 +230,17 @@ class TestEquivalence:
     )
     def test_any_record_matches_row_by_row_writer(self, work_dir, data, steps, n, stride, addressed, block_rows):
         # pairs drawn from a pool of at most four, so equal runs form within steps, across
-        # step boundaries and across blocks
+        # step boundaries and across blocks.  A step holds one pair of the pool in all its rows
+        # at every step or at some steps, so whole blocks of one-pair steps form, and blocks
+        # that mix them with steps of several pairs
         value = st.sampled_from([0.0, -0.0, 1.0, float("inf"), -float("inf")]) | st.floats(allow_nan=False)
         pool = data.draw(st.lists(st.tuples(value, value), min_size=1, max_size=4))
-        rows = (steps + 1) * n
-        pairs = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=rows, max_size=rows)))
+        some = st.lists(st.booleans(), min_size=steps + 1, max_size=steps + 1)
+        one_pair = data.draw(st.just([True] * (steps + 1)) | some)
+        step_rows = st.lists(st.sampled_from(pool), min_size=n, max_size=n)
+        pairs = np.array([
+            [data.draw(st.sampled_from(pool))] * n if one else data.draw(step_rows) for one in one_pair
+        ]).reshape(-1, 2)
         record = TrajectoryRecord(
             times=np.arange(steps + 1, dtype=np.intp) * 3,
             centers=pairs[:, 0].reshape(steps + 1, n),

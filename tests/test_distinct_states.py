@@ -271,7 +271,8 @@ def test_emergence_computes_closeness_only_in_center_windows(monkeypatch, tmp_pa
 
 def test_one_state_steps_update_one_row(monkeypatch):
     """Once every follower of example1-leader shares one state, each step updates that one
-    state: the kernel and the update return (1,) arrays, not one row per agent."""
+    state: the first such step returns (1,) arrays, and every later one 0-d scalars, not
+    one row per agent."""
     group_update, shapes = hfon.leader.group_update, []
 
     def traced(centers, sigmas, d, b, leader_center, scheme, rows=None):
@@ -284,7 +285,8 @@ def test_one_state_steps_update_one_row(monkeypatch):
     record = execute_scenario(builtin_scenarios()["example1-leader"]).record
     assert record.n_agents == 156
     assert len(shapes) >= 1400
-    assert all(shape == {(1,)} for shape in shapes)
+    assert shapes[0] == {(1,)}
+    assert all(shape == {()} for shape in shapes[1:])
 
 
 class TestFlatStep:

@@ -1,6 +1,7 @@
 """Flat network stepping, trajectory records, cluster partition, steps_to_target."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -118,6 +119,22 @@ class TestRun:
         state = NetworkState([1.0], [1.0], 0.5, 0.5)
         with pytest.raises(ValueError):
             run_bcfon(state, -1)
+
+    @pytest.mark.parametrize("steps", [2.0, 2.5, "3", -1])
+    @pytest.mark.parametrize("engine", ["bcfon", "blfg", "td", "bu"])
+    def test_steps_must_be_an_integer(self, engine, steps):
+        # run_bu's Phase checks its own steps, as a ConfigurationError, which is a ValueError
+        state = NetworkState([1.0, 2.0], [1.0, 1.0], 0.5, 0.5)
+        message = "phase steps must be an integer >= 0"
+        if engine != "bu":
+            message = f"steps must be an integer >= 0, got {steps!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            {
+                "bcfon": lambda: run_bcfon(state, steps),
+                "blfg": lambda: run_blfg(state, steps, LocalReference(), 1.0),
+                "td": lambda: run_td(HierarchySpec((2,)), state, steps, LocalReference(), 1.0),
+                "bu": lambda: run_bu(state, [Phase(0.5, steps)]),
+            }[engine]()
 
     def test_times_and_signal_start_at_zero(self):
         seen = []
@@ -310,17 +327,25 @@ class TestFastForward:
     def test_overflow_then_a_nan_fixed_point_names_the_same_step(self, monkeypatch):
         import hfon.engine
 
-        # the sum overflows at step 0 -> 1; from there the state turns NaN and holds still
-        state = NetworkState([1e308, 1.7e308], [1.0, 1.0], 0.0, 0.5)
-        with np.errstate(all="ignore"):
-            centers, sigmas = reference_record(lambda c, s, t: flat_step(c, s, state.d, state.b), state, 50)
-        assert np.isnan(centers[-1]).all() and has_fixed_point(centers, sigmas, before=49)
-        first_bad = int(np.argmin(np.isfinite(centers).all(axis=1) & np.isfinite(sigmas).all(axis=1)))
-        assert first_bad == 1
         log = calls_to(monkeypatch, hfon.engine, "step_bcfon")
-        with pytest.raises(ValueError, match=rf"step {first_bad - 1} -> {first_bad} overflowed"):
-            run_bcfon(state, 50)
-        assert len(log) < 10
+        for state, expected in [
+            # the sum overflows at step 0 -> 1; from there the state turns NaN and holds still
+            (NetworkState([1e308, 1.7e308], [1.0, 1.0], 0.0, 0.5), 1),
+            # one shared state from the start: step 0 -> 1 rounds its center up, and step
+            # 1 -> 2, on float64 scalars, overflows the center sum
+            (NetworkState(np.full(39, 4.609469576570039e306), np.ones(39), 0.0, 0.5), 2),
+        ]:
+            with np.errstate(all="ignore"):
+                centers, sigmas = reference_record(lambda c, s, t: flat_step(c, s, state.d, state.b), state, 50)
+            assert np.isnan(centers[-1]).all() and has_fixed_point(centers, sigmas, before=49)
+            first_bad = int(np.argmin(np.isfinite(centers).all(axis=1) & np.isfinite(sigmas).all(axis=1)))
+            assert first_bad == expected
+            log.clear()
+            with pytest.raises(ValueError, match=rf"step {first_bad - 1} -> {first_bad} overflowed"):
+                run_bcfon(state, 50)
+            assert len(log) < 10
+        # the shared state steps as (1,) arrays, then as scalars, then back in (1,) arrays once overflowed
+        assert [np.ndim(args[-1].centers) for args in log[:3]] == [1, 0, 1]
 
     @staticmethod
     def _record(step, segments, still=True, center=0.0):

@@ -11,6 +11,7 @@ merge layer by layer, is pinned too; its pins equal the benchmark's
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -116,3 +117,14 @@ def test_emergence_outputs_match_pins(tmp_path, capsys):
     assert _sha256(out / "emergence.trajectory.csv") == csv_sha
     assert _sha256(out / "emergence.summary.json") == json_sha
     assert _clusters_sha256(out / "emergence.trajectory.csv", capsys) == clusters_sha
+
+
+def test_pins_equal_the_benchmarks():
+    # bench/golden.json (read only) pins the same files; a pin changed in one place only
+    # would pass here and fail only as a benchmark verdict
+    bench = json.loads((Path(__file__).resolve().parents[1] / "bench" / "golden.json").read_text(encoding="utf-8"))
+    ours = {**GOLDEN, "emergence-seed0": EMERGENCE_PINS}
+    shared = sorted(set(bench) & set(ours))
+    assert "emergence-seed0" in shared
+    for stem in shared:
+        assert dict(zip(("csv", "json", "clusters"), ours[stem][1:])) == bench[stem], stem
