@@ -8,11 +8,7 @@ bottom-up emergence under falling confidence thresholds.
 """
 
 from .errors import ConfigurationError
-from .opinions import (
-    NetworkState,
-    closeness_matrix,
-    neighbor_mask,
-)
+from .opinions import NetworkState, closeness_matrix
 from .engine import (
     ExternalReference,
     LeaderReference,
@@ -87,7 +83,6 @@ __all__ = [
     "execute_scenario",
     "convergence_conditions",
     "leader_weight_matrix",
-    "neighbor_mask",
     "parse_scenario",
     "phase_summary",
     "predict_center",

@@ -185,6 +185,8 @@ def _clusters_command(args) -> int:
     _check_nonnegative(args.gap, "--gap")
     record = read_trajectory_csv(args.trajectory)
     gap = _default_gap(record) if args.gap is None else args.gap
+    if not math.isfinite(gap):  # --gap is checked above, so this is the default
+        raise ConfigurationError(f"the default gap, 5% of the first row's center range, is {gap!r}; set one with --gap")
     report = _cluster_report(record, -1, gap)
     print(f"t={report.t_end} clusters={report.cluster_count} gap={gap!r}")
     for center, size in zip(report.representatives, report.cluster_sizes):

@@ -169,7 +169,7 @@ def _run(state: NetworkState, segments, still: bool = True) -> TrajectoryRecord:
     compared with the k inputs.
     """
     for steps, _, _ in segments:
-        if not (isinstance(steps, int) and steps >= 0):
+        if isinstance(steps, bool) or not (isinstance(steps, int) and steps >= 0):
             raise ValueError(f"steps must be an integer >= 0, got {steps!r}")
     total = sum(steps for steps, _, _ in segments)
     centers = np.empty((total + 1, state.n), dtype=np.float64)
@@ -255,8 +255,8 @@ def run_bcfon(initial: NetworkState, steps: int, scheme: ReferenceScheme = Local
 
 
 def _initial_spread(record: TrajectoryRecord) -> float:
-    """Range of the record's first-row centers."""
-    return float(record.centers[0].max() - record.centers[0].min())
+    """Range of the record's first-row centers (inf or nan, with no numpy warning, when not finite)."""
+    return float(record.centers[0].max()) - float(record.centers[0].min())
 
 
 def steps_to_target(record: TrajectoryRecord, target: float, fraction: float = 0.01) -> int | None:

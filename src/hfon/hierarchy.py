@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .engine import ReferenceScheme, TrajectoryRecord, _run
-from .leader import _check_group_leader, _check_group_scheme, _check_group_thresholds, group_update
+from .leader import _check_group, group_update
 from .opinions import NetworkState
 
 
@@ -33,7 +33,7 @@ class HierarchySpec:
     def __post_init__(self):
         if len(self.group_sizes) == 0:
             raise ConfigurationError("a hierarchy needs at least one level of groups")
-        if any(not (isinstance(s, int) and s >= 1) for s in self.group_sizes):
+        if any(isinstance(s, bool) or not (isinstance(s, int) and s >= 1) for s in self.group_sizes):
             raise ConfigurationError("every group size must be an integer >= 1")
 
     @property
@@ -102,9 +102,7 @@ def run_td(
     flattened layout (level 1 first) and the top leader is not recorded."""
     if initial.n != spec.n_agents:
         raise ConfigurationError(f"hierarchy expects {spec.n_agents} agents, state has {initial.n}")
-    _check_group_scheme(scheme)
-    _check_group_thresholds(initial.d)
-    _check_group_leader(leader)
+    _check_group(scheme, initial.d, leader)
     record = _run(initial, [(
         steps, lambda c, s, t, rows: step_td(spec, c, s, initial.d, initial.b, leader, scheme), None
     )])

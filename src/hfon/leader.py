@@ -44,20 +44,15 @@ def group_update(centers, sigmas, d, b, leader_center, scheme, rows=None):
     return new_centers, new_sigmas
 
 
-def _check_group_scheme(scheme: ReferenceScheme):
+def _check_group(scheme: ReferenceScheme, d: np.ndarray, leader: float | None):
+    """A group run's preconditions, in this order; leader None stands for a moving leader."""
     if not isinstance(scheme, (LocalReference, LeaderReference)):
         raise ConfigurationError(
             "leader-follower groups accept only the local or leader reference scheme"
         )
-
-
-def _check_group_thresholds(d: np.ndarray):
     if np.any(d >= 1.0):
         raise ConfigurationError("follower thresholds d must lie in [0, 1) inside a group")
-
-
-def _check_group_leader(leader: float):
-    if not np.isfinite(leader):
+    if leader is not None and not np.isfinite(leader):
         raise ConfigurationError("leader center must be finite")
 
 
@@ -80,11 +75,8 @@ def run_blfg(
     t -> center for a moving leader, checked at every step.  The closed-form
     predictors assume a constant leader.
     """
-    _check_group_scheme(scheme)
-    _check_group_thresholds(initial.d)
     moving = callable(leader)
-    if not moving:
-        _check_group_leader(leader)
+    _check_group(scheme, initial.d, None if moving else leader)
 
     def step(centers, sigmas, t: int, rows):
         value = leader
@@ -139,11 +131,11 @@ def detect_consensus_time(record: TrajectoryRecord, tol: float | None = None) ->
 
 
 def _check_predictor_args(n: int, t_offset: int):
-    if not (isinstance(n, int) and n >= 1):
+    if isinstance(n, bool) or not (isinstance(n, int) and n >= 1):
         raise ValueError("n must be an integer >= 1")
     if n / (n + 1) == 1.0:
         raise ValueError(f"n = {n} is too large: n / (n + 1) rounds to 1")
-    if not (isinstance(t_offset, int) and t_offset >= 0):
+    if isinstance(t_offset, bool) or not (isinstance(t_offset, int) and t_offset >= 0):
         raise ValueError("t_offset must be an integer >= 0")
 
 
@@ -189,7 +181,7 @@ def steps_to_error_fraction(n: int, epsilon: float) -> float:
 
     log(epsilon) / (log n - log(n+1)); epsilon must lie strictly inside (0, 1).
     """
-    if not (isinstance(n, int) and n >= 1):
+    if isinstance(n, bool) or not (isinstance(n, int) and n >= 1):
         raise ValueError("n must be an integer >= 1")
     if not (np.isfinite(epsilon) and 0.0 < epsilon < 1.0):
         raise ValueError("epsilon must lie strictly between 0 and 1")

@@ -71,7 +71,7 @@ def write_trajectory_csv(record: TrajectoryRecord, path, stride: int = 1):
     steps or no agents is refused before any file is created.  The file
     appears at path only once it is complete.
     """
-    if not (isinstance(stride, int) and stride >= 1):
+    if isinstance(stride, bool) or not (isinstance(stride, int) and stride >= 1):
         raise ValueError("stride must be an integer >= 1")
     n_samples, n = record.centers.shape
     if n_samples == 0:
@@ -273,9 +273,9 @@ def read_trajectory_csv(path) -> TrajectoryRecord:
     n = agents.size
     if agents[0] != 0 or agents[-1] != n - 1:
         raise ValueError("agent ids must be contiguous from 0")
-    cell = t_row * n + a_row
-    counts = np.bincount(cell, minlength=times.size * n)
-    if not counts.all():
+    cell, cells = t_row * n + a_row, times.size * n
+    # fewer rows than cells: refused before the grid of cells, which can grow as rows squared
+    if cells > rows.size or not (counts := np.bincount(cell, minlength=cells)).all():
         raise ValueError("trajectory file is missing some (t, agent) rows")
     if counts.size != rows.size:
         raise ValueError("trajectory file repeats some (t, agent) rows")

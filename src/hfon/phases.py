@@ -36,7 +36,7 @@ class Phase:
     def __post_init__(self):
         if not (np.isfinite(self.d) and 0.0 <= self.d <= 1.0):
             raise ConfigurationError("phase threshold d must lie in [0, 1]")
-        if not (isinstance(self.steps, int) and self.steps >= 0):
+        if isinstance(self.steps, bool) or not (isinstance(self.steps, int) and self.steps >= 0):
             raise ConfigurationError("phase steps must be an integer >= 0")
 
 

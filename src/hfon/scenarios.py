@@ -25,7 +25,6 @@ from .phases import Phase, run_bu
 
 SCHEMA_VERSION = 1
 
-_KINDS = ("blfg", "bcfon", "topdown", "bottomup")
 # largest (steps + 1) x agents a scenario may record: each of the two trajectory
 # arrays then takes at most 800 MB
 _MAX_RECORDED = 10**8
@@ -45,7 +44,7 @@ _EVERY_KIND_KEYS = ("name", "kind", "initial", "b", "seed")
 
 def ramp_initials(n: int, low: float = 5.0, high: float = 25.0) -> np.ndarray:
     """Evenly spaced centers from low to high; a single agent sits at low."""
-    if not (isinstance(n, int) and n >= 1):
+    if isinstance(n, bool) or not (isinstance(n, int) and n >= 1):
         raise ConfigurationError("ramp needs an integer agent count >= 1")
     if n == 1:
         return np.array([float(low)])
@@ -86,11 +85,9 @@ class InitialSpec:
         return self.centers == "uniform" or self.sigma == "uniform"
 
     def build(self, n: int, seed: int | None):
-        if not self.needs_seed:
-            return ramp_initials(n, self.low, self.high), np.full(n, float(self.sigma))
-        if seed is None:
+        if self.needs_seed and seed is None:
             raise ConfigurationError("this scenario draws random initials and needs a seed")
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(seed) if self.needs_seed else None
         if self.centers == "uniform":
             centers = rng.uniform(self.low, self.high, n)
         else:
@@ -126,7 +123,7 @@ class ScenarioConfig:
                 f"scenario name must be a plain file stem (not empty, no leading dot, "
                 f"no path separator), got {self.name!r}"
             )
-        if self.kind not in _KINDS:
+        if self.kind not in _KIND_KEYS:
             raise ConfigurationError(f"unknown scenario kind {self.kind!r}")
         if self.b is None:
             raise ConfigurationError("scenario requires key 'b'")
@@ -141,9 +138,11 @@ class ScenarioConfig:
             raise ConfigurationError("scheme must be 'local' or 'leader'")
         if self.kind == "bcfon" and self.scheme not in (None, "local"):
             raise ConfigurationError("flat runs support only the local scheme")
-        if self.n is not None and not (isinstance(self.n, int) and self.n >= 1):
+        if self.n is not None and (isinstance(self.n, bool) or not (isinstance(self.n, int) and self.n >= 1)):
             raise ConfigurationError(f"key 'n' must be an integer >= 1, got {self.n!r}")
-        if self.steps is not None and not (isinstance(self.steps, int) and self.steps >= 0):
+        if self.steps is not None and (
+            isinstance(self.steps, bool) or not (isinstance(self.steps, int) and self.steps >= 0)
+        ):
             raise ConfigurationError("steps must be an integer >= 0")
         if self.d is not None and not (0.0 <= self.d <= 1.0):
             raise ConfigurationError("threshold d must lie in [0, 1]")
@@ -217,36 +216,25 @@ def execute_scenario(config: ScenarioConfig, seed: int | None = None) -> Scenari
     return ScenarioRun(config, seed, record)
 
 
-def _example1(scheme: str) -> ScenarioConfig:
-    return ScenarioConfig(
-        name=f"example1-{scheme}",
-        kind="blfg",
-        n=156,
-        steps=1500,
-        d=0.6,
-        b=0.01,
-        scheme=scheme,
-        leader=10.0,
-        initial=InitialSpec(centers="ramp", low=5.0, high=25.0, sigma=1.0),
-    )
+# Examples 1 and 2: one ramp population led to 10.0, run as one flat group and as
+# 3- and 4-level trees, each under both reference schemes
+_EXAMPLE_SHAPES = (
+    ("example1", dict(kind="blfg", n=156, steps=1500)),
+    ("example2-3level", dict(kind="topdown", group_sizes=(12, 12), steps=800)),
+    ("example2-4level", dict(kind="topdown", group_sizes=(5, 5, 5), steps=800)),
+)
+_RAMP = InitialSpec(centers="ramp", low=5.0, high=25.0, sigma=1.0)
 
 
-def _example2(sizes: tuple[int, ...], tag: str, scheme: str) -> ScenarioConfig:
-    return ScenarioConfig(
-        name=f"example2-{tag}-{scheme}",
-        kind="topdown",
-        group_sizes=sizes,
-        steps=800,
-        d=0.6,
-        b=0.01,
-        scheme=scheme,
-        leader=10.0,
-        initial=InitialSpec(centers="ramp", low=5.0, high=25.0, sigma=1.0),
-    )
-
-
-def _example3() -> ScenarioConfig:
-    return ScenarioConfig(
+def builtin_scenarios() -> dict[str, ScenarioConfig]:
+    out = {
+        f"{stem}-{scheme}": ScenarioConfig(
+            name=f"{stem}-{scheme}", d=0.6, b=0.01, scheme=scheme, leader=10.0, initial=_RAMP, **shape
+        )
+        for stem, shape in _EXAMPLE_SHAPES
+        for scheme in ("local", "leader")
+    }
+    out["example3"] = ScenarioConfig(
         name="example3",
         kind="bottomup",
         n=200,
@@ -255,18 +243,7 @@ def _example3() -> ScenarioConfig:
         initial=InitialSpec(centers="uniform", low=5.0, high=25.0, sigma="uniform"),
         seed=42,
     )
-
-
-def builtin_scenarios() -> dict[str, ScenarioConfig]:
-    return {
-        "example1-local": _example1("local"),
-        "example1-leader": _example1("leader"),
-        "example2-3level-local": _example2((12, 12), "3level", "local"),
-        "example2-3level-leader": _example2((12, 12), "3level", "leader"),
-        "example2-4level-local": _example2((5, 5, 5), "4level", "local"),
-        "example2-4level-leader": _example2((5, 5, 5), "4level", "leader"),
-        "example3": _example3(),
-    }
+    return out
 
 
 _TOP_KEYS = {f.name for f in fields(ScenarioConfig)} | {"schema_version"}

@@ -5,6 +5,9 @@ The list is literal on purpose: adding or removing a public name must edit it.
 
 import dataclasses
 import inspect
+import re
+
+import pytest
 
 import hfon
 import hfon.hierarchy
@@ -33,7 +36,6 @@ PUBLIC_NAMES = [
     "detect_consensus_time",
     "execute_scenario",
     "leader_weight_matrix",
-    "neighbor_mask",
     "parse_scenario",
     "phase_summary",
     "predict_center",
@@ -54,7 +56,7 @@ PUBLIC_NAMES = [
 
 def test_public_names_are_pinned():
     assert sorted(hfon.__all__) == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == len(set(PUBLIC_NAMES)) == 39
+    assert len(PUBLIC_NAMES) == len(set(PUBLIC_NAMES)) == 38
 
 
 def test_every_public_name_resolves():
@@ -79,3 +81,31 @@ def test_hierarchy_spec_holds_only_the_shape():
     assert [f.name for f in dataclasses.fields(hfon.HierarchySpec)] == ["group_sizes"]
     params = ["spec", "centers", "sigmas", "d", "b", "leader", "scheme"]
     assert list(inspect.signature(hfon.hierarchy.step_td).parameters) == params
+
+
+_RAMP = hfon.InitialSpec("ramp", 5.0, 25.0, 1.0)
+_RECORD = hfon.run_bcfon(hfon.NetworkState([0.0, 1.0], [1.0, 1.0], 0.5, 0.3), 2)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda tmp: hfon.Phase(0.5, True), "phase steps must be an integer >= 0"),
+        (lambda tmp: hfon.HierarchySpec((True, 2)), "every group size must be an integer >= 1"),
+        (lambda tmp: hfon.ScenarioConfig(name="x", kind="bcfon", initial=_RAMP, b=0.1, n=True, d=0.5, steps=2),
+         "key 'n' must be an integer >= 1, got True"),
+        (lambda tmp: hfon.ScenarioConfig(name="x", kind="bcfon", initial=_RAMP, b=0.1, n=2, d=0.5, steps=True),
+         "steps must be an integer >= 0"),
+        (lambda tmp: hfon.ramp_initials(True), "ramp needs an integer agent count >= 1"),
+        (lambda tmp: hfon.predict_center(1.0, 0.0, True, 1), "n must be an integer >= 1"),
+        (lambda tmp: hfon.predict_center(1.0, 0.0, 2, True), "t_offset must be an integer >= 0"),
+        (lambda tmp: hfon.steps_to_error_fraction(True, 0.5), "n must be an integer >= 1"),
+        (lambda tmp: hfon.write_trajectory_csv(_RECORD, tmp / "run.csv", stride=True), "stride must be an integer >= 1"),
+    ],
+    ids=["phase-steps", "group-size", "scenario-n", "scenario-steps", "ramp-n", "predictor-n", "predictor-t_offset",
+         "error-fraction-n", "stride"],
+)
+def test_a_bool_is_not_a_count(tmp_path, call, message):
+    # True is an int to isinstance; every count check refuses it rather than reading it as 1
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(tmp_path)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -466,6 +467,23 @@ class TestClustersCommand:
         traj.write_bytes(b"t,agent,level,group,center,sigma\n0,0,,,1,1\n0,1,,," + b"9" * 10**7 + b",1\n")
         assert main(["clusters", str(traj)]) == 1
         assert "line 3, field 5: 10000000 bytes, more than the 64" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rows, gap", [
+        (b"0,0,,,inf,1.0\n", "nan"),
+        (b"0,0,,,1e308,1\n0,1,,,0,1\n0,2,,,-1e308,1\n", "inf"),  # finite centers whose range overflows
+    ])
+    def test_a_non_finite_default_gap_is_named(self, tmp_path, capsys, rows, gap):
+        # the reader accepts infinite centers; a range that is not finite gives no default gap
+        traj = tmp_path / "inf.csv"
+        traj.write_bytes(b"t,agent,level,group,center,sigma\n" + rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["clusters", str(traj)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: the default gap, 5% of the first row's center range, is {gap}; set one with --gap\n"
+        )
+        assert main(["clusters", str(traj), "--gap", "0.5"]) == 0
+        assert capsys.readouterr().out.startswith("t=0 clusters=")
 
     def test_missing_trajectory(self, tmp_path, capsys):
         assert main(["clusters", str(tmp_path / "nope.csv")]) == 1

@@ -10,6 +10,7 @@ accepted (see `NEWLY_REJECTED`), never the other way round.
 """
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -332,6 +333,21 @@ class TestRejections:
         reference_read(path)  # took the last row's level
         with pytest.raises(ValueError, match="level or group differs"):
             read_trajectory_csv(path)
+
+    def test_sparse_rows_refused_before_the_grid(self, work_dir):
+        # 2,000 rows with t = agent = i span a grid of 2,000^2 (t, agent) cells (30.5 MiB of
+        # int64 counts); fewer rows than cells are refused before the grid is allocated
+        path = work_dir / "sparse.csv"
+        rows = b"".join(b"%d,%d,,,1,1\n" % (i, i) for i in range(2000))
+        path.write_bytes(b"t,agent,level,group,center,sigma\n" + rows)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="^trajectory file is missing some \\(t, agent\\) rows$"):
+                read_trajectory_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
     @pytest.mark.parametrize(
         "row, message",

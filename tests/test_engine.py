@@ -120,7 +120,7 @@ class TestRun:
         with pytest.raises(ValueError):
             run_bcfon(state, -1)
 
-    @pytest.mark.parametrize("steps", [2.0, 2.5, "3", -1])
+    @pytest.mark.parametrize("steps", [2.0, 2.5, "3", -1, True])
     @pytest.mark.parametrize("engine", ["bcfon", "blfg", "td", "bu"])
     def test_steps_must_be_an_integer(self, engine, steps):
         # run_bu's Phase checks its own steps, as a ConfigurationError, which is a ValueError

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import hfon.opinions
-from hfon import NetworkState, closeness_matrix, neighbor_mask
-from hfon.opinions import distinct_agents, neighborhood_sums
+from hfon import NetworkState, closeness_matrix
+from hfon.opinions import distinct_agents, neighbor_mask, neighborhood_sums
 
 
 def ref_closeness(c1, s1, c2, s2):
