@@ -199,10 +199,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(_join_float_values(sys.argv[1:] if argv is None else list(argv)))
         return args.func(args)
-    except (ConfigurationError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # ConfigurationError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - defensive

@@ -153,9 +153,9 @@ def _run(state: NetworkState, segments, still: bool = True) -> TrajectoryRecord:
     rows is None unless the segment's partition gives its (d, b); then a
     non-empty segment builds the Partition of its first row, and the step
     returns one (center, sigma) per distinct state, which is written to the
-    record row as new[inverse] (a broadcast for k = 1).  Once one state with
-    a finite center is left, the partition holds it as float64 scalars, so
-    each step is a few scalar operations and two O(n) sums.  Agents that share a
+    record row as new[inverse] (a broadcast for k = 1).  Once one state is
+    left, the partition holds it as float64 scalars, so each step is a few
+    scalar operations and two O(n) sums.  Agents that share a
     state get the same update and never split, so the next partition is
     built from the k outputs alone.  A step whose per-agent inputs can split
     shared states passes no partition and returns every agent's row.
@@ -227,18 +227,17 @@ def _regroup(rows: Partition, centers, sigmas) -> Partition:
 
     Only the k states are regrouped, O(k log k), and composed with the old
     inverse when some of them merged, O(n); first then need not hold the
-    lowest ids.  One state with a finite center is held as float64 scalars,
-    which neighborhood_sums answers without its kernel; a non-finite one as
-    (1,) arrays, which take the kernel.
+    lowest ids.  One state is held as float64 scalars, which
+    neighborhood_sums answers without its kernel.  A non-finite state is
+    already in the record, which _check_finite reports whatever the later
+    steps compute.
     """
     if rows.first.size > 1:
         sub = distinct_agents(centers, sigmas, rows.d, rows.b)
         if sub.first.size < rows.first.size:
             return sub._replace(first=rows.first[sub.first], inverse=sub.inverse[rows.inverse])
-    elif centers.ndim and np.isfinite(centers[0]):  # one finite state: float64 scalars from here
+    elif centers.ndim:  # one state: float64 scalars from here
         return Partition(rows.first, rows.inverse, centers[0], sigmas[0], rows.d[0], rows.b[0])
-    elif not (centers.ndim or np.isfinite(centers)):  # an overflowed scalar: back to (1,) arrays
-        return Partition(rows.first, rows.inverse, *(np.full(1, v) for v in (centers, sigmas, rows.d, rows.b)))
     return Partition(rows.first, rows.inverse, centers, sigmas, rows.d, rows.b)
 
 
@@ -290,5 +289,6 @@ def detect_consensus_partition(centers, gap: float) -> list[np.ndarray]:
     if not (np.isfinite(gap) and gap >= 0.0):
         raise ValueError("gap must be finite and >= 0")
     order = np.argsort(centers, kind="stable")
-    breaks = np.nonzero(np.diff(centers[order]) > gap)[0]
+    with np.errstate(over="ignore"):  # a gap past float range is inf, which splits as it should
+        breaks = np.nonzero(np.diff(centers[order]) > gap)[0]
     return [np.sort(block) for block in np.split(order, breaks + 1)]

@@ -139,13 +139,13 @@ def neighborhood_sums(centers, sigmas, d, rows=None):
     O(n): equal finite centers are exp(0) = 1 >= d close whatever the sigmas
     (crisp or not), so every agent hears its whole row, and a full row's
     masked sums are the plain contiguous row sums.  A partition holding its
-    one state as float64 scalars, which engine._regroup builds only for a
-    finite center, takes that rule untested: (n, center sum, sigma sum),
-    scalars.  Array partitions always return (k,) sums.  (n,) vectors that need
-    more than one chunk take their rows in center order and compute each
-    chunk's closeness only within its center window (_windowed_sums).
+    one state as float64 scalars, as engine._regroup builds it for any one
+    state, takes that rule untested: (n, center sum, sigma sum), scalars.
+    Array partitions always return (k,) sums.  (n,) vectors that need more
+    than one chunk take their rows in center order and compute each chunk's
+    closeness only within its center window (_windowed_sums).
     """
-    if rows is not None and not rows.centers.ndim:  # one finite state (engine._regroup): the one-center rule below
+    if rows is not None and not rows.centers.ndim:  # one state (engine._regroup): the one-center rule below
         return centers.shape[0], np.add.reduce(centers), np.add.reduce(sigmas)
     row_c, row_s, row_d = centers, sigmas, np.asarray(d)
     if rows is not None:

@@ -10,7 +10,7 @@ counterparts, and the 200-agent falling-threshold run.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from pathlib import Path
 
@@ -40,6 +40,8 @@ _KIND_KEYS = {
     "bottomup": ("n", "phases"),
 }
 _EVERY_KIND_KEYS = ("name", "kind", "initial", "b", "seed")
+# a document's keys besides schema_version, in the order echo() writes them
+_KEYS = ("name", "kind", "n", "group_sizes", "steps", "d", "b", "scheme", "leader", "phases", "initial", "seed")
 
 
 def ramp_initials(n: int, low: float = 5.0, high: float = 25.0) -> np.ndarray:
@@ -87,6 +89,9 @@ class InitialSpec:
     def build(self, n: int, seed: int | None):
         if self.needs_seed and seed is None:
             raise ConfigurationError("this scenario draws random initials and needs a seed")
+        # one ramp agent sits at low; every other draw or ramp needs high - low in float range
+        if (n != 1 or self.centers == "uniform") and not np.isfinite(float(self.high) - float(self.low)):
+            raise ConfigurationError(f"initial range from {self.low!r} to {self.high!r} is too wide: high - low overflows")
         rng = np.random.default_rng(seed) if self.needs_seed else None
         if self.centers == "uniform":
             centers = rng.uniform(self.low, self.high, n)
@@ -164,23 +169,12 @@ class ScenarioConfig:
         return HierarchySpec(self.group_sizes)
 
     def echo(self) -> dict:
-        """Scenario as a JSON-ready dict with a fixed key order."""
-        out: dict = {"schema_version": SCHEMA_VERSION, "name": self.name, "kind": self.kind}
-        for key in ("n", "group_sizes", "steps", "d", "b", "scheme", "leader"):
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = list(value) if isinstance(value, tuple) else value
-        if self.phases is not None:
-            out["phases"] = [{"d": p.d, "steps": p.steps} for p in self.phases]
-        out["initial"] = {
-            "centers": self.initial.centers,
-            "low": self.initial.low,
-            "high": self.initial.high,
-            "sigma": self.initial.sigma,
+        """Scenario as a JSON-ready dict: its non-null keys in _KEYS order, tuples as lists."""
+        values = asdict(self)
+        return {"schema_version": SCHEMA_VERSION} | {
+            key: list(values[key]) if isinstance(values[key], tuple) else values[key]
+            for key in _KEYS if values[key] is not None
         }
-        if self.seed is not None:
-            out["seed"] = self.seed
-        return out
 
 
 @dataclass
@@ -246,8 +240,22 @@ def builtin_scenarios() -> dict[str, ScenarioConfig]:
     return out
 
 
-_TOP_KEYS = {f.name for f in fields(ScenarioConfig)} | {"schema_version"}
-_INITIAL_KEYS = tuple(f.name for f in fields(InitialSpec))
+def _object(value, what: str, keys: tuple, required: tuple, version: int | None = None) -> dict:
+    """value if it is a JSON object with no key outside keys, then (given a version) that
+    schema_version, then every key in required; what names the object in each refusal."""
+    if not isinstance(value, dict):
+        raise ConfigurationError(
+            "scenario document must be a JSON object" if what == "scenario" else f"key {what!r} must be an object"
+        )
+    unknown = sorted(set(value).difference(keys))
+    if unknown:
+        raise ConfigurationError(f"unknown {what} key {unknown[0]!r}")
+    if version is not None and value.get("schema_version") != version:
+        raise ConfigurationError(f"key 'schema_version' must be {version}, got {value.get('schema_version')!r}")
+    for key in required:
+        if key not in value:
+            raise ConfigurationError(f"{what} is missing key {key!r}")
+    return value
 
 
 def _integer(value, key: str) -> int:
@@ -264,71 +272,50 @@ def _number(value, key: str) -> float:
     return float(value)
 
 
+def _group_sizes(value, key: str) -> tuple[int, ...]:
+    if not isinstance(value, list):
+        raise ConfigurationError(f"key {key!r} must be a list of integers")
+    return tuple(_integer(size, f"{key}[{k}]") for k, size in enumerate(value))
+
+
+def _phases(value, key: str) -> tuple[Phase, ...]:
+    if not isinstance(value, list) or not value:
+        raise ConfigurationError(f"key {key!r} must be a non-empty list")
+    if not all(isinstance(row, dict) and set(row) == {"d", "steps"} for row in value):
+        raise ConfigurationError("each phase needs exactly the keys 'd' and 'steps'")
+    return tuple(
+        Phase(d=_number(row["d"], f"{key}[{k}].d"), steps=_integer(row["steps"], f"{key}[{k}].steps"))
+        for k, row in enumerate(value)
+    )
+
+
+# the reader of each optional key, in reading order; a null value reads as an absent key
+_READERS = {
+    "phases": _phases, "group_sizes": _group_sizes, "steps": _integer, "n": _integer,
+    "d": _number, "scheme": lambda value, key: value, "leader": _number, "seed": _integer,
+}
+
+
 def _scenario_from_dict(doc: dict, fallback_name: str) -> ScenarioConfig:
-    if not isinstance(doc, dict):
-        raise ConfigurationError("scenario document must be a JSON object")
-    unknown = set(doc) - _TOP_KEYS
-    if unknown:
-        raise ConfigurationError(f"unknown scenario key {sorted(unknown)[0]!r}")
-    version = doc.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ConfigurationError(
-            f"key 'schema_version' must be {SCHEMA_VERSION}, got {version!r}"
-        )
-    if "kind" not in doc:
-        raise ConfigurationError("scenario is missing key 'kind'")
-    if "initial" not in doc:
-        raise ConfigurationError("scenario is missing key 'initial'")
-    init_doc = doc["initial"]
-    if not isinstance(init_doc, dict):
-        raise ConfigurationError("key 'initial' must be an object")
-    unknown = set(init_doc).difference(_INITIAL_KEYS)
-    if unknown:
-        raise ConfigurationError(f"unknown initial key {sorted(unknown)[0]!r}")
-    for key in _INITIAL_KEYS:
-        if key not in init_doc:
-            raise ConfigurationError(f"initial is missing key {key!r}")
+    _object(doc, "scenario", _KEYS + ("schema_version",), ("kind", "initial"), SCHEMA_VERSION)
+    keys = tuple(f.name for f in fields(InitialSpec))
+    init = _object(doc["initial"], "initial", keys, keys)
     # float() and the dataclasses raise TypeError or OverflowError on wrong JSON types
     try:
-        phases = None
-        if doc.get("phases") is not None:
-            if not isinstance(doc["phases"], list) or not doc["phases"]:
-                raise ConfigurationError("key 'phases' must be a non-empty list")
-            rows = []
-            for k, row in enumerate(doc["phases"]):
-                if not isinstance(row, dict) or set(row) != {"d", "steps"}:
-                    raise ConfigurationError("each phase needs exactly the keys 'd' and 'steps'")
-                d = _number(row["d"], f"phases[{k}].d")
-                rows.append(Phase(d=d, steps=_integer(row["steps"], f"phases[{k}].steps")))
-            phases = tuple(rows)
         name = doc.get("name", fallback_name)
         if not isinstance(name, str):
             raise ConfigurationError(f"key 'name' must be a string, got {name!r}")
-        group_sizes = None
-        if doc.get("group_sizes") is not None:
-            if not isinstance(doc["group_sizes"], list):
-                raise ConfigurationError("key 'group_sizes' must be a list of integers")
-            sizes = enumerate(doc["group_sizes"])
-            group_sizes = tuple(_integer(s, f"group_sizes[{k}]") for k, s in sizes)
-        sigma = init_doc["sigma"]
         return ScenarioConfig(
             name=name,
             kind=doc["kind"],
             initial=InitialSpec(
-                centers=init_doc["centers"],
-                low=_number(init_doc["low"], "initial.low"),
-                high=_number(init_doc["high"], "initial.high"),
-                sigma=sigma if isinstance(sigma, str) else _number(sigma, "initial.sigma"),
+                centers=init["centers"],
+                low=_number(init["low"], "initial.low"),
+                high=_number(init["high"], "initial.high"),
+                sigma=init["sigma"] if isinstance(init["sigma"], str) else _number(init["sigma"], "initial.sigma"),
             ),
             b=_number(doc["b"], "b") if "b" in doc else None,
-            steps=_integer(doc["steps"], "steps") if doc.get("steps") is not None else None,
-            n=_integer(doc["n"], "n") if doc.get("n") is not None else None,
-            d=_number(doc["d"], "d") if doc.get("d") is not None else None,
-            scheme=doc.get("scheme"),
-            leader=_number(doc["leader"], "leader") if doc.get("leader") is not None else None,
-            group_sizes=group_sizes,
-            phases=phases,
-            seed=_integer(doc["seed"], "seed") if doc.get("seed") is not None else None,
+            **{key: read(doc[key], key) for key, read in _READERS.items() if doc.get(key) is not None},
         )
     except (TypeError, OverflowError) as exc:
         raise ConfigurationError(f"malformed scenario: {exc}") from exc

@@ -217,6 +217,27 @@ class TestRunCommand:
         assert "error: step 0 -> 1 overflowed: a center or sigma is not finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("centers, n, seed", [("ramp", 3, None), ("uniform", 3, 1), ("uniform", 1, 1)])
+    def test_initial_range_past_float_range_is_refused(self, tmp_path, capsys, centers, n, seed):
+        # high - low overflows: named before numpy would warn (ramp) or raise OverflowError (uniform)
+        initial = {"centers": centers, "low": -1e308, "high": 1e308, "sigma": 1.0}
+        src = write_doc(tmp_path, drop_nones(scenario_doc(n=n, seed=seed, initial=initial)))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", src, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: initial range from -1e+308 to 1e+308 is too wide: high - low overflows\n"
+        assert not out.exists()
+
+    def test_one_agent_ramp_on_a_range_past_float_range_runs(self, tmp_path, capsys):
+        # a single ramp agent sits at low and never computes high - low
+        initial = {"centers": "ramp", "low": -1e308, "high": 1e308, "sigma": 1.0}
+        src = write_doc(tmp_path, scenario_doc(n=1, initial=initial))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", src, "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("kind", ["blfg", "topdown"])
     @pytest.mark.parametrize("leader, literal", [(float("nan"), "NaN"), (float("inf"), "Infinity"),
                                                  (-float("inf"), "-Infinity")])
@@ -484,6 +505,17 @@ class TestClustersCommand:
         )
         assert main(["clusters", str(traj), "--gap", "0.5"]) == 0
         assert capsys.readouterr().out.startswith("t=0 clusters=")
+
+    def test_a_gap_past_float_range_splits_without_a_warning(self, tmp_path, capsys):
+        # the sorted gap 1e308 - -1e308 overflows to inf, which is greater than any finite gap
+        traj = tmp_path / "wide.csv"
+        traj.write_bytes(b"t,agent,level,group,center,sigma\n0,0,,,1e308,1\n0,1,,,-1e308,1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["clusters", str(traj), "--gap", "0.5"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "t=0 clusters=2 gap=0.5\ncenter=-1e+308 size=1\ncenter=1e+308 size=1\n"
+        assert captured.err == ""
 
     def test_missing_trajectory(self, tmp_path, capsys):
         assert main(["clusters", str(tmp_path / "nope.csv")]) == 1
