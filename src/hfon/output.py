@@ -12,7 +12,7 @@ import io
 import json
 import os
 import re
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +38,10 @@ _PAIR_BITS = np.dtype((np.void, 16))
 _BLOCK_ROWS = 1 << 14
 # the longest center or sigma text the reader accepts; the writer's longest is 24
 _MAX_FLOAT_FIELD = 64
+# the longest row the writer writes, LF included: four int64 fields, two floats, five commas
+_MAX_ROW = 4 * 20 + 2 * 24 + 6
+# LF and the t and agent fields of a row for agent 0: in a written file, the first row of a step after the first
+_STEP_HEAD = re.compile(rb"\n[^,\n]*,0,")
 
 
 @contextmanager
@@ -81,38 +85,44 @@ def write_trajectory_csv(record: TrajectoryRecord, path, stride: int = 1):
     keep = list(range(0, n_samples, stride))
     if keep[-1] != n_samples - 1:
         keep.append(n_samples - 1)
-    ids = range(n)
+    with _replacing(path) as fh:
+        fh.write(",".join(CSV_HEADER) + "\n")
+        for block in _render_blocks(record, keep):
+            fh.write(block)
+
+
+def _render_blocks(record: TrajectoryRecord, keep: list[int]):
+    """The rows of the steps keep as write_trajectory_csv writes them, one string per block."""
+    n = record.n_agents
     if record.levels is None:
-        addresses = [f"{i},,," for i in ids]
+        addresses = [f"{i},,," for i in range(n)]
     else:
-        addresses = [f"{i},{int(lv)},{int(g)}," for i, lv, g in zip(ids, record.levels, record.groups)]
+        addresses = [f"{i},{int(lv)},{int(g)}," for i, lv, g in zip(range(n), record.levels, record.groups)]
     steps = max(1, _BLOCK_ROWS // n)
     # one row is [t prefix, address, center and sigma]; the addresses never change
     cells = np.empty((steps, n, 3), dtype=object)
     cells[:, :, 1] = addresses
-    with _replacing(path) as fh:
-        fh.write(",".join(CSV_HEADER) + "\n")
-        for start in range(0, len(keep), steps):
-            block = keep[start:start + steps]
-            rows = cells[:len(block)]
-            centers, sigmas = record.centers[block].ravel(), record.sigmas[block].ravel()
-            # a run starts where a row's center or sigma bits differ from the row before
-            center_bits, sigma_bits = centers.view(np.uint64), sigmas.view(np.uint64)
-            head = np.ones(centers.size, dtype=bool)
-            np.not_equal(center_bits[1:], center_bits[:-1], out=head[1:])
-            head[1:] |= sigma_bits[1:] != sigma_bits[:-1]
-            head[::n] = True  # and at every step's first row, so a step of one pair is one run
-            pairs = np.stack([centers, sigmas], axis=1)
-            starts, lengths, first, inverse = _distinct_runs(pairs.view(_PAIR_BITS).ravel(), head)
-            texts = np.array([_PAIR_FORMAT % (c, s) for c, s in pairs[starts[first]].tolist()], dtype=object)
-            prefixes = [f"{int(t)}," for t in record.times[block].tolist()]
-            if starts.size == len(block):  # every step one pair: its rows are one join
-                pair_texts = texts[inverse].tolist()
-                fh.write("".join(t + (p + t).join(addresses) + p for t, p in zip(prefixes, pair_texts)))
-            else:
-                rows[:, :, 0] = np.array(prefixes, dtype=object)[:, None]
-                rows[:, :, 2] = np.repeat(texts[inverse], lengths).reshape(len(block), n)
-                fh.write("".join(rows.ravel().tolist()))
+    for start in range(0, len(keep), steps):
+        block = keep[start:start + steps]
+        rows = cells[:len(block)]
+        centers, sigmas = record.centers[block].ravel(), record.sigmas[block].ravel()
+        # a run starts where a row's center or sigma bits differ from the row before
+        center_bits, sigma_bits = centers.view(np.uint64), sigmas.view(np.uint64)
+        head = np.ones(centers.size, dtype=bool)
+        np.not_equal(center_bits[1:], center_bits[:-1], out=head[1:])
+        head[1:] |= sigma_bits[1:] != sigma_bits[:-1]
+        head[::n] = True  # and at every step's first row, so a step of one pair is one run
+        pairs = np.stack([centers, sigmas], axis=1)
+        starts, lengths, first, inverse = _distinct_runs(pairs.view(_PAIR_BITS).ravel(), head)
+        texts = np.array([_PAIR_FORMAT % (c, s) for c, s in pairs[starts[first]].tolist()], dtype=object)
+        prefixes = [f"{int(t)}," for t in record.times[block].tolist()]
+        if starts.size == len(block):  # every step one pair: its rows are one join
+            pair_texts = texts[inverse].tolist()
+            yield "".join(t + (p + t).join(addresses) + p for t, p in zip(prefixes, pair_texts))
+        else:
+            rows[:, :, 0] = np.array(prefixes, dtype=object)[:, None]
+            rows[:, :, 2] = np.repeat(texts[inverse], lengths).reshape(len(block), n)
+            yield "".join(rows.ravel().tolist())
 
 
 def _distinct_runs(keys: np.ndarray, head=None) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -133,16 +143,75 @@ def _distinct_runs(keys: np.ndarray, head=None) -> tuple[np.ndarray, np.ndarray,
     return starts, np.diff(starts, append=keys.size), first, inverse
 
 
-def _check_layout(raw: bytes) -> tuple[bool, int]:
+def _read_canonical(raw: bytes, ends: np.ndarray) -> TrajectoryRecord | None:
+    """The record whose stride-1 CSV is exactly raw, or None; may raise on what no writer writes.
+
+    ends are raw's LF positions.  Step 0, which ends where the next row for
+    agent 0 begins, gives n and the addresses; t is parsed at each step's
+    first row.  A step that is the writer's one join of its first row's pair
+    holds that pair in every row; unless the last and most steps end in that
+    pair, the file is declined before any row is parsed.  The guess is
+    returned only if no value is NaN, the times strictly increase and
+    _render_blocks renders it to raw byte for byte: the checked parse
+    returns it from such a file.
+    """
+    rows = ends.size - 1  # ends[0] ends the header
+    step_1 = _STEP_HEAD.search(raw, int(ends[1]))
+    n = rows if step_1 is None else int(np.searchsorted(ends, step_1.start()))
+    steps, rest = divmod(rows, n)
+    if rest:
+        return None
+    starts = (ends[::n] + 1).tolist()  # step k is raw[starts[k]:starts[k + 1]]
+    times, heads, single = [0] * steps, [b""] * steps, np.zeros(steps, dtype=bool)
+    for k in reversed(range(steps)):
+        t, _, _, _, center, sigma = raw[starts[k]:raw.index(b"\n", starts[k])].split(b",")
+        times[k] = int(t)
+        heads[k] = (b"%d," % times[k], center + b"," + sigma + b"\n")  # its first row's prefix and pair
+        single[k] = raw.endswith(b"," + heads[k][1], starts[k], starts[k + 1])  # and its last row's pair
+        if not single[-1]:  # merged states never split, so a file worth guessing ends in one pair
+            return None
+    if 2 * np.count_nonzero(single) < steps:
+        return None
+    first = [row.split(b",") for row in raw[starts[0]:starts[1] - 1].split(b"\n")]
+    addresses = [b",".join(f[1:4]) + b"," for f in first]
+    levels = groups = None
+    if first[0][2]:
+        levels, groups = (np.array([int(f[j]) for f in first], dtype=np.intp) for j in (2, 3))
+    for k in np.flatnonzero(single).tolist():
+        prefix, pair = heads[k]
+        single[k] = raw.startswith(prefix + (pair + prefix).join(addresses) + pair, starts[k])
+    if 2 * np.count_nonzero(single) < steps or int(np.diff(ends).max()) > _MAX_ROW:
+        return None
+    centers, sigmas = np.empty((steps, n)), np.empty((steps, n))
+    pairs = b"".join(heads[k][1] for k in np.flatnonzero(single).tolist())
+    values = np.loadtxt(io.BytesIO(pairs), dtype=np.float64, delimiter=",", comments=None, ndmin=2)
+    centers[single], sigmas[single] = values[:, :1], values[:, 1:]
+    edges = np.flatnonzero(np.diff(np.concatenate([[False], ~single, [False]]))).tolist()
+    for a, b in zip(edges[::2], edges[1::2]):  # each span of steps with several pairs
+        values = np.loadtxt(io.BytesIO(raw[starts[a]:starts[b]]), dtype=np.float64, delimiter=",",
+                            comments=None, usecols=(4, 5), ndmin=2)
+        centers[a:b], sigmas[a:b] = values[:, 0].reshape(b - a, n), values[:, 1].reshape(b - a, n)
+    times = np.array(times, dtype=np.intp)
+    if np.isnan(centers).any() or np.isnan(sigmas).any() or (np.diff(times) <= 0).any():
+        return None
+    record = TrajectoryRecord(times=times, centers=centers, sigmas=sigmas, levels=levels, groups=groups)
+    at = starts[0]
+    for block in map(str.encode, _render_blocks(record, list(range(steps)))):
+        if not raw.startswith(block, at):
+            return None
+        at += len(block)
+    return record if at == len(raw) else None
+
+
+def _check_layout(raw: bytes, buf: np.ndarray, ends: np.ndarray) -> tuple[bool, int]:
     """Check a trajectory CSV's bytes line by line; (True for a flat file, widest center or sigma).
 
-    Every line must be printable ASCII ending in LF and hold exactly six
-    fields; level and group must be empty on every row (flat) or set on every
-    row (addressed); no center or sigma may be longer than _MAX_FLOAT_FIELD
-    bytes.  Raises ValueError naming the first offending line.
+    buf is raw as uint8 and ends its LF positions.  Every line must be
+    printable ASCII ending in LF and hold exactly six fields; level and group
+    must be empty on every row (flat) or set on every row (addressed); no
+    center or sigma may be longer than _MAX_FLOAT_FIELD bytes.  Raises
+    ValueError naming the first offending line.
     """
-    buf = np.frombuffer(raw, dtype=np.uint8)
-    ends = np.flatnonzero(buf == ord("\n"))  # line k + 1 ends at ends[k]
     # bytes outside printable ASCII wrap past "~" when shifted down by " "; LF is one of them
     outside = buf - ord(" ") > ord("~") - ord(" ")
     if np.count_nonzero(outside) != ends.size:
@@ -252,8 +321,9 @@ def _float_columns(rows: np.ndarray) -> list[np.ndarray]:
 def read_trajectory_csv(path) -> TrajectoryRecord:
     """Parse a trajectory CSV back into a record (phase annotations are not stored in CSV).
 
-    The whole file is checked: see README's "Reading a trajectory back" for
-    what is accepted.  Any malformed input raises ValueError.
+    A file the writer wrote is read by rendering a guessed record back to its
+    bytes, and any other is checked whole: see README's "Reading a trajectory
+    back" for what is accepted.  Any malformed input raises ValueError.
     """
     raw = Path(path).read_bytes()
     if not raw.startswith(_HEADER_LINE):
@@ -261,7 +331,13 @@ def read_trajectory_csv(path) -> TrajectoryRecord:
         raise ValueError(f"unexpected trajectory header {header!r}")
     if len(raw) == len(_HEADER_LINE):
         raise ValueError("trajectory file has no data rows")
-    flat, width = _check_layout(raw)
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))  # line k + 1 ends at ends[k]
+    with suppress(ValueError, OverflowError, IndexError):  # e.g. a row of too few fields or a t past int64
+        if (record := _read_canonical(raw, ends)) is not None:
+            return record
+    flat, width = _check_layout(raw, buf, ends)
+    del buf, ends
     rows = _load_rows(raw, flat, width)
     del raw
     row_centers, row_sigmas = _float_columns(rows)

@@ -89,9 +89,16 @@ class InitialSpec:
     def build(self, n: int, seed: int | None):
         if self.needs_seed and seed is None:
             raise ConfigurationError("this scenario draws random initials and needs a seed")
-        # one ramp agent sits at low; every other draw or ramp needs high - low in float range
-        if (n != 1 or self.centers == "uniform") and not np.isfinite(float(self.high) - float(self.low)):
+        # one ramp agent sits at low; every other draw or ramp needs high - low in float range, and
+        # a ramp multiplies it by n - 1 before it divides (the order every built-in's bits rest on)
+        span = float(self.high) - float(self.low)
+        if (n != 1 or self.centers == "uniform") and not np.isfinite(span):
             raise ConfigurationError(f"initial range from {self.low!r} to {self.high!r} is too wide: high - low overflows")
+        if self.centers == "ramp" and n != 1 and not np.isfinite(span * (n - 1)):
+            raise ConfigurationError(
+                f"initial range from {self.low!r} to {self.high!r} is too wide for a ramp of {n} agents: "
+                "(high - low) * (n - 1) overflows"
+            )
         rng = np.random.default_rng(seed) if self.needs_seed else None
         if self.centers == "uniform":
             centers = rng.uniform(self.low, self.high, n)

@@ -229,6 +229,20 @@ class TestRunCommand:
         assert capsys.readouterr().err == "error: initial range from -1e+308 to 1e+308 is too wide: high - low overflows\n"
         assert not out.exists()
 
+    def test_ramp_range_times_n_minus_1_past_float_range_is_refused(self, tmp_path, capsys):
+        # high - low is finite, but the ramp multiplies it by n - 1 = 2 before it divides
+        initial = {"centers": "ramp", "low": -8e307, "high": 8e307, "sigma": 1.0}
+        src = write_doc(tmp_path, scenario_doc(n=3, initial=initial))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", src, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: initial range from -8e+307 to 8e+307 is too wide for a ramp of 3 agents: "
+            "(high - low) * (n - 1) overflows\n"
+        )
+        assert not out.exists()
+
     def test_one_agent_ramp_on_a_range_past_float_range_runs(self, tmp_path, capsys):
         # a single ramp agent sits at low and never computes high - low
         initial = {"centers": "ramp", "low": -1e308, "high": 1e308, "sigma": 1.0}

@@ -6,11 +6,16 @@ writer produces, in file order or shuffled, the vectorised reader must return
 the reference's record bit for bit, and the writer must produce the
 reference's bytes, whatever the block size.  On mutated files the reader must either return the
 reference's record or raise ValueError; it rejects some files the reference
-accepted (see `NEWLY_REJECTED`), never the other way round.
+accepted (see `NEWLY_REJECTED`), never the other way round.  A file the
+writer wrote is read through a guessed record rendered back to its bytes;
+on such files and their mutations the outcome must equal the checked
+parse's, record or message (`TestCanonicalPath`).
 """
 
 import csv
 import tracemalloc
+import warnings
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -23,11 +28,14 @@ from hfon import (
     LocalReference,
     NetworkState,
     TrajectoryRecord,
+    builtin_scenarios,
+    execute_scenario,
     read_trajectory_csv,
     run_bcfon,
     run_td,
     write_trajectory_csv,
 )
+from hfon.cli import main
 
 HEADER = ["t", "agent", "level", "group", "center", "sigma"]
 
@@ -497,3 +505,210 @@ def test_mutated_csv_is_read_as_before_or_rejected(work_dir, raw):
     if got is not None:
         assert expected is not None, "accepted a file the csv-based reader rejected"
         assert_same_record(got, expected)
+
+
+# The canonical path: a file the writer wrote at stride 1 is read by re-rendering a guessed
+# record; every other file goes to the checked parse, and the outcome never differs.
+
+
+def checked_read(path) -> TrajectoryRecord:
+    """read_trajectory_csv with the canonical guess declining every file: the checked parse alone."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hfon.output, "_read_canonical", lambda raw, ends: None)
+        return read_trajectory_csv(path)
+
+
+def read_outcome(read, path):
+    """(record, None) or (None, the ValueError message); any other exception escapes."""
+    try:
+        return read(path), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+@contextmanager
+def canonical_reads():
+    """A list that gets, for each read, whether the canonical guess returned its record."""
+    taken = []
+    guess = hfon.output._read_canonical
+
+    def spy(raw, ends):
+        taken.append(False)
+        record = guess(raw, ends)
+        taken[-1] = record is not None
+        return record
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hfon.output, "_read_canonical", spy)
+        yield taken
+
+
+def assert_read_as_checked(path) -> bool:
+    """The read's record or message equals the checked parse's; True when the guess took the file."""
+    with canonical_reads() as taken, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = read_outcome(read_trajectory_csv, path)
+    expected = read_outcome(checked_read, path)
+    assert got[1] == expected[1]
+    if expected[0] is not None:
+        assert_same_record(got[0], expected[0])
+    return taken == [True]
+
+
+def tail_record(n=3, times=(0, 10, 20, 30, 40, 50)):
+    """A first step of two states, its first and last rows alike, then one (center, sigma) pair per step."""
+    centers = np.array([[1.0, 2.0, 1.0]] + [[1.5 + k / 10] * n for k in range(len(times) - 1)])
+    return TrajectoryRecord(times=np.array(times, dtype=np.intp), centers=centers, sigmas=np.ones_like(centers))
+
+
+def _set_fields(line: bytes, values: dict) -> bytes:
+    fields = line.split(b",")
+    for i, value in values.items():
+        if i < len(fields):
+            fields[i] = value
+    return b",".join(fields)
+
+
+def _step_rows(raw: bytes, n: int, k: int, edit) -> bytes:
+    """raw with edit applied to the rows of step k (data rows 1 + k n ... from line 2)."""
+    lines = raw.split(b"\n")
+    rows = slice(1 + k * n, 1 + (k + 1) * n)
+    lines[rows] = edit(lines[rows])
+    return b"\n".join(lines)
+
+
+def _in_step_3(edit):
+    return lambda raw: _step_rows(raw, 3, 3, edit)
+
+
+# edits of tail_record's file: (edit, the checked parse's message or None when it reads the file)
+CANONICAL_MUTATIONS = {
+    "decreasing t": (_in_step_3(lambda rows: [_set_fields(r, {0: b"15"}) for r in rows]), None),
+    "repeated step": (_in_step_3(lambda rows: rows + rows), "trajectory file repeats some (t, agent) rows"),
+    "nan in a single-pair step": (_in_step_3(lambda rows: [_set_fields(r, {4: b"nan"}) for r in rows]),
+                                  "line 11: center or sigma is NaN"),
+    "t of 2^70": (_in_step_3(lambda rows: [_set_fields(r, {0: b"%d" % 2**70}) for r in rows]),
+                  "line 11, field 1: could not convert string '1180591620717411303424' to int64"),
+    "t written as 01": (_in_step_3(lambda rows: [_set_fields(r, {0: b"0" + r.split(b",")[0]}) for r in rows]), None),
+    "two rows of a step swapped": (_in_step_3(lambda rows: [rows[1], rows[0]] + rows[2:]), None),
+    "bytes after the last line end": (lambda raw: raw + b"60,0,,,1,1", "line 20: no line end (truncated file?)"),
+}
+
+
+class TestCanonicalPath:
+    @pytest.mark.parametrize("case", sorted(CANONICAL_MUTATIONS))
+    def test_mutated_file_declines_to_the_checked_parse(self, work_dir, capsys, case):
+        mutate, message = CANONICAL_MUTATIONS[case]
+        path = work_dir / "canonical.csv"
+        write_trajectory_csv(tail_record(), path)
+        assert assert_read_as_checked(path)
+        path.write_bytes(mutate(path.read_bytes()))
+        assert not assert_read_as_checked(path)
+        assert read_outcome(read_trajectory_csv, path)[1] == message
+        capsys.readouterr()
+        assert main(["clusters", str(path)]) == (0 if message is None else 1)
+        assert capsys.readouterr().err == ("" if message is None else f"error: {message}\n")
+
+    def test_over_long_row_declined_before_parsing(self, work_dir, monkeypatch):
+        # a row longer than any the writer writes, in a file whose other steps are canonical
+        def no_parse(*args, **kwargs):
+            raise AssertionError("parsed rows with an over-long row")
+
+        path = work_dir / "long.csv"
+        write_trajectory_csv(tail_record(), path)
+        long = b"0." + b"0" * 197 + b"1"
+        path.write_bytes(_step_rows(path.read_bytes(), 3, 0, lambda rows: [_set_fields(rows[0], {5: long})] + rows[1:]))
+        monkeypatch.setattr(np, "loadtxt", no_parse)
+        with pytest.raises(ValueError, match=r"^line 2, field 6: 200 bytes, more than the 64 "):
+            read_trajectory_csv(path)
+
+    @pytest.fixture(scope="class")
+    def builtin_runs(self):
+        return {name: execute_scenario(config).record for name, config in builtin_scenarios().items()}
+
+    @pytest.mark.parametrize("name", sorted(builtin_scenarios()))
+    @pytest.mark.parametrize("stride", [1, 10])
+    def test_builtin_files_read_as_checked(self, work_dir, monkeypatch, builtin_runs, name, stride):
+        path = work_dir / f"{name}-{stride}.csv"
+        write_trajectory_csv(builtin_runs[name], path, stride=stride)
+        took = assert_read_as_checked(path)
+        if name.startswith("example1-"):
+            assert took
+        if name.startswith("example2-"):
+            # no single-pair step: declined before any row is parsed
+            def no_parse(*args, **kwargs):
+                raise AssertionError("parsed rows of a declined file")
+
+            raw = path.read_bytes()
+            ends = np.flatnonzero(np.frombuffer(raw, dtype=np.uint8) == ord("\n"))
+            monkeypatch.setattr(np, "loadtxt", no_parse)
+            assert hfon.output._read_canonical(raw, ends) is None
+
+    def test_mutated_canonical_files_read_as_checked(self, work_dir):
+        path = work_dir / "canonical-fuzz.csv"
+        taken = []
+
+        @settings(max_examples=250, deadline=None)
+        @given(raw=mutated_canonical_csv())
+        def check(raw):
+            path.write_bytes(raw)
+            taken.append(assert_read_as_checked(path))
+
+        check()
+        assert sum(taken) > 0
+
+
+_VALUES = st.sampled_from([0.0, -0.0, 0.1, 1.0, 5e-324, float("inf"), -float("inf")]) | st.floats(allow_nan=False)
+_PAIR_TEXTS = _VALUES.map(lambda v: b"%.17g" % v) | st.sampled_from(
+    [b"nan", b"1.0", b"+1", b"1e0", b"0.10", b" 1", b"Infinity", b"1_0", b""])
+_T_TEXTS = st.sampled_from([b"01", b"+1", b" 1", b"-0", b"1_0", b"%d" % 2**63, b"%d" % 2**70]) | st.integers(
+    -3, 60).map(lambda v: b"%d" % v)
+
+
+@st.composite
+def mutated_canonical_csv(draw):
+    """A written file of a record whose last steps hold one pair each, with 0-3 edits."""
+    n = draw(st.integers(1, 5))
+    several, one = draw(st.integers(0, 3)), draw(st.integers(1, 6))
+    steps = [draw(st.lists(st.tuples(_VALUES, _VALUES), min_size=n, max_size=n)) for _ in range(several)]
+    steps += [[draw(st.tuples(_VALUES, _VALUES))] * n for _ in range(one)]
+    pairs = np.array(steps, dtype=np.float64)
+    gaps = draw(st.lists(st.integers(1, 3), min_size=len(steps), max_size=len(steps)))
+    addressed = draw(st.booleans())
+    record = TrajectoryRecord(
+        times=np.cumsum(gaps, dtype=np.intp) + draw(st.sampled_from([-5, 0, 2**62])),
+        centers=pairs[:, :, 0],
+        sigmas=pairs[:, :, 1],
+        levels=np.arange(n) % 2 + 1 if addressed else None,
+        groups=np.arange(n) // 2 if addressed else None,
+    )
+    raw = reference_write(record)
+    for _ in range(draw(st.integers(0, 3))):
+        k = draw(st.integers(0, len(steps) - 1))
+        op = draw(st.sampled_from(["t", "pair", "field", "repeat", "swap", "swap rows", "drop", "byte"]))
+        if op == "t":
+            text = draw(_T_TEXTS)
+            raw = _step_rows(raw, n, k, lambda rows: [_set_fields(r, {0: text}) for r in rows])
+        elif op == "pair":
+            center, sigma = draw(_PAIR_TEXTS), draw(_PAIR_TEXTS)
+            raw = _step_rows(raw, n, k, lambda rows: [_set_fields(r, {4: center, 5: sigma}) for r in rows])
+        elif op == "field":
+            i, f = draw(st.integers(0, n - 1)), draw(st.integers(0, 5))
+            text = draw(_MUTATIONS | _T_TEXTS | _PAIR_TEXTS)
+            raw = _step_rows(raw, n, k, lambda rows: [_set_fields(r, {f: text}) if j == i else r
+                                                       for j, r in enumerate(rows)])
+        elif op == "repeat":
+            raw = _step_rows(raw, n, k, lambda rows: rows + rows)
+        elif op == "swap":
+            j = draw(st.integers(0, len(steps) - 1))
+            lines = raw.split(b"\n")
+            mine, theirs = lines[1 + k * n:1 + (k + 1) * n], lines[1 + j * n:1 + (j + 1) * n]
+            raw = _step_rows(_step_rows(raw, n, k, lambda rows: theirs), n, j, lambda rows: mine)
+        elif op == "swap rows":
+            raw = _step_rows(raw, n, k, lambda rows: rows[::-1])
+        elif op == "drop":
+            raw = _step_rows(raw, n, k, lambda rows: rows[1:])
+        else:
+            pos = draw(st.integers(0, len(raw)))
+            raw = raw[:pos] + draw(_MUTATIONS) + raw[pos + draw(st.integers(0, 2)):]
+    return raw

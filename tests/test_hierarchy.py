@@ -14,6 +14,8 @@ from hfon import (
     LocalReference,
     HierarchySpec,
     NetworkState,
+    convergence_conditions,
+    leader_weight_matrix,
     run_blfg,
     run_td,
 )
@@ -214,3 +216,27 @@ class TestTwoLevelReduction:
         tree = run_td(HierarchySpec((n,)), state, steps, scheme, leader)
         assert group.centers.tobytes() == tree.centers.tobytes()
         assert group.sigmas.tobytes() == tree.sigmas.tobytes()
+
+
+class TestRandomTrees:
+    @given(
+        sizes=st.lists(st.integers(1, 6), min_size=1, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+        d=st.floats(0.0, 0.99),
+        b=st.floats(0.0, 0.5, exclude_min=True),
+        leader=st.floats(-10.0, 10.0),
+        local=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_every_center_reaches_the_leader(self, sizes, seed, d, b, leader, local):
+        # the paper's top-down claim on any tree: every opinion converges to the top leader's,
+        # and at the first steps every group's stacked weight matrix meets the convergence conditions
+        spec = HierarchySpec(tuple(sizes))
+        rng = np.random.default_rng(seed)
+        state = NetworkState(rng.uniform(-10.0, 10.0, spec.n_agents), rng.uniform(0.0, 2.0, spec.n_agents), d, b)
+        record = run_td(spec, state, 400, LocalReference() if local else LeaderReference(), leader)
+        assert np.abs(record.centers[-1] - leader).max() <= 2e-8
+        for sl, (g, k) in spec._levels:
+            centers = record.centers[:5, sl].reshape(-1, g, k)
+            sigmas = record.sigmas[:5, sl].reshape(-1, g, k)
+            assert convergence_conditions(leader_weight_matrix(centers, sigmas, d)).ok
