@@ -164,13 +164,13 @@ def _read_canonical(raw: bytes, ends: np.ndarray) -> TrajectoryRecord | None:
     starts = (ends[::n] + 1).tolist()  # step k is raw[starts[k]:starts[k + 1]]
     times, heads, single = [0] * steps, [b""] * steps, np.zeros(steps, dtype=bool)
     for k in reversed(range(steps)):
-        t, _, _, _, center, sigma = raw[starts[k]:raw.index(b"\n", starts[k])].split(b",")
+        t, agent, _, _, center, sigma = raw[starts[k]:raw.index(b"\n", starts[k])].split(b",")
         times[k] = int(t)
         heads[k] = (b"%d," % times[k], center + b"," + sigma + b"\n")  # its first row's prefix and pair
         single[k] = raw.endswith(b"," + heads[k][1], starts[k], starts[k + 1])  # and its last row's pair
-        if not single[-1]:  # merged states never split, so a file worth guessing ends in one pair
+        if agent != b"0" or not single[-1]:  # a step starts at agent 0; merged states never split
             return None
-    if 2 * np.count_nonzero(single) < steps:
+    if 2 * np.count_nonzero(single) < steps:  # decline before parsing step 0 and joining each step
         return None
     first = [row.split(b",") for row in raw[starts[0]:starts[1] - 1].split(b"\n")]
     addresses = [b",".join(f[1:4]) + b"," for f in first]
@@ -192,7 +192,7 @@ def _read_canonical(raw: bytes, ends: np.ndarray) -> TrajectoryRecord | None:
                             comments=None, usecols=(4, 5), ndmin=2)
         centers[a:b], sigmas[a:b] = values[:, 0].reshape(b - a, n), values[:, 1].reshape(b - a, n)
     times = np.array(times, dtype=np.intp)
-    if np.isnan(centers).any() or np.isnan(sigmas).any() or (np.diff(times) <= 0).any():
+    if np.isnan(centers).any() or np.isnan(sigmas).any() or (times[1:] <= times[:-1]).any():
         return None
     record = TrajectoryRecord(times=times, centers=centers, sigmas=sigmas, levels=levels, groups=groups)
     at = starts[0]

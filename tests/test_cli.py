@@ -217,30 +217,27 @@ class TestRunCommand:
         assert "error: step 0 -> 1 overflowed: a center or sigma is not finite" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("centers, n, seed", [("ramp", 3, None), ("uniform", 3, 1), ("uniform", 1, 1)])
-    def test_initial_range_past_float_range_is_refused(self, tmp_path, capsys, centers, n, seed):
-        # high - low overflows: named before numpy would warn (ramp) or raise OverflowError (uniform)
-        initial = {"centers": centers, "low": -1e308, "high": 1e308, "sigma": 1.0}
+    @pytest.mark.parametrize(
+        "centers, n, seed, high, message",
+        [
+            ("ramp", 3, None, 1e308, "initial range from -1e+308 to 1e+308 is too wide: high - low overflows"),
+            ("uniform", 3, 1, 1e308, "initial range from -1e+308 to 1e+308 is too wide: high - low overflows"),
+            ("uniform", 1, 1, 1e308, "initial range from -1e+308 to 1e+308 is too wide: high - low overflows"),
+            # high - low is finite, but the ramp multiplies it by n - 1 = 2 before it divides
+            ("ramp", 3, None, 8e307, "initial range from -8e+307 to 8e+307 is too wide for a ramp of 3 agents: "
+             "(high - low) * (n - 1) overflows"),
+        ],
+        ids=["ramp-3-None", "uniform-3-1", "uniform-1-1", "ramp-3-None-times-n-minus-1"],
+    )
+    def test_initial_range_past_float_range_is_refused(self, tmp_path, capsys, centers, n, seed, high, message):
+        # named before numpy would warn (ramp) or raise OverflowError (uniform)
+        initial = {"centers": centers, "low": -high, "high": high, "sigma": 1.0}
         src = write_doc(tmp_path, drop_nones(scenario_doc(n=n, seed=seed, initial=initial)))
         out = tmp_path / "out"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["run", src, "--out", str(out)]) == 1
-        assert capsys.readouterr().err == "error: initial range from -1e+308 to 1e+308 is too wide: high - low overflows\n"
-        assert not out.exists()
-
-    def test_ramp_range_times_n_minus_1_past_float_range_is_refused(self, tmp_path, capsys):
-        # high - low is finite, but the ramp multiplies it by n - 1 = 2 before it divides
-        initial = {"centers": "ramp", "low": -8e307, "high": 8e307, "sigma": 1.0}
-        src = write_doc(tmp_path, scenario_doc(n=3, initial=initial))
-        out = tmp_path / "out"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert main(["run", src, "--out", str(out)]) == 1
-        assert capsys.readouterr().err == (
-            "error: initial range from -8e+307 to 8e+307 is too wide for a ramp of 3 agents: "
-            "(high - low) * (n - 1) overflows\n"
-        )
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_one_agent_ramp_on_a_range_past_float_range_runs(self, tmp_path, capsys):

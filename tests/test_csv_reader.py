@@ -581,18 +581,39 @@ def _in_step_3(edit):
     return lambda raw: _step_rows(raw, 3, 3, edit)
 
 
+def _times(texts: dict):
+    """An edit writing texts[k] as the t of every row of step k."""
+    def edit(raw):
+        for k, text in texts.items():
+            raw = _step_rows(raw, 3, k, lambda rows: [_set_fields(r, {0: text}) for r in rows])
+        return raw
+    return edit
+
+
 # edits of tail_record's file: (edit, the checked parse's message or None when it reads the file)
 CANONICAL_MUTATIONS = {
-    "decreasing t": (_in_step_3(lambda rows: [_set_fields(r, {0: b"15"}) for r in rows]), None),
+    "decreasing t": (_times({3: b"15"}), None),
+    # t falls by 1e19, which wraps past int64 to a rise when subtracted
+    "t falling by more than int64 holds": (_times({4: b"%d" % (5 * 10**18), 5: b"%d" % (-5 * 10**18)}), None),
     "repeated step": (_in_step_3(lambda rows: rows + rows), "trajectory file repeats some (t, agent) rows"),
     "nan in a single-pair step": (_in_step_3(lambda rows: [_set_fields(r, {4: b"nan"}) for r in rows]),
                                   "line 11: center or sigma is NaN"),
-    "t of 2^70": (_in_step_3(lambda rows: [_set_fields(r, {0: b"%d" % 2**70}) for r in rows]),
+    "t of 2^70": (_times({3: b"%d" % 2**70}),
                   "line 11, field 1: could not convert string '1180591620717411303424' to int64"),
     "t written as 01": (_in_step_3(lambda rows: [_set_fields(r, {0: b"0" + r.split(b",")[0]}) for r in rows]), None),
     "two rows of a step swapped": (_in_step_3(lambda rows: [rows[1], rows[0]] + rows[2:]), None),
     "bytes after the last line end": (lambda raw: raw + b"60,0,,,1,1", "line 20: no line end (truncated file?)"),
 }
+
+
+def assert_declined_unparsed(raw: bytes, monkeypatch):
+    """The canonical guess declines raw without calling np.loadtxt."""
+    def no_parse(*args, **kwargs):
+        raise AssertionError("parsed rows of a declined file")
+
+    ends = np.flatnonzero(np.frombuffer(raw, dtype=np.uint8) == ord("\n"))
+    monkeypatch.setattr(np, "loadtxt", no_parse)
+    assert hfon.output._read_canonical(raw, ends) is None
 
 
 class TestCanonicalPath:
@@ -636,13 +657,17 @@ class TestCanonicalPath:
             assert took
         if name.startswith("example2-"):
             # no single-pair step: declined before any row is parsed
-            def no_parse(*args, **kwargs):
-                raise AssertionError("parsed rows of a declined file")
+            assert_declined_unparsed(path.read_bytes(), monkeypatch)
 
-            raw = path.read_bytes()
-            ends = np.flatnonzero(np.frombuffer(raw, dtype=np.uint8) == ord("\n"))
-            monkeypatch.setattr(np, "loadtxt", no_parse)
-            assert hfon.output._read_canonical(raw, ends) is None
+    def test_file_sorted_by_agent_declined_before_parsing(self, work_dir, monkeypatch):
+        # agent 0's rows come first, so each row looks like a one-agent step, half of them agent 0's
+        centers = np.array([[1.0, 2.0], [1.5, 1.5], [1.6, 1.6]])
+        path = work_dir / "by-agent.csv"
+        write_trajectory_csv(TrajectoryRecord(np.array([0, 10, 20]), centers, np.ones_like(centers)), path)
+        header, *rows = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(header + b"".join(sorted(rows, key=lambda r: [int(f) for f in r.split(b",")[1::-1]])))
+        assert not assert_read_as_checked(path)
+        assert_declined_unparsed(path.read_bytes(), monkeypatch)
 
     def test_mutated_canonical_files_read_as_checked(self, work_dir):
         path = work_dir / "canonical-fuzz.csv"
@@ -661,7 +686,8 @@ class TestCanonicalPath:
 _VALUES = st.sampled_from([0.0, -0.0, 0.1, 1.0, 5e-324, float("inf"), -float("inf")]) | st.floats(allow_nan=False)
 _PAIR_TEXTS = _VALUES.map(lambda v: b"%.17g" % v) | st.sampled_from(
     [b"nan", b"1.0", b"+1", b"1e0", b"0.10", b" 1", b"Infinity", b"1_0", b""])
-_T_TEXTS = st.sampled_from([b"01", b"+1", b" 1", b"-0", b"1_0", b"%d" % 2**63, b"%d" % 2**70]) | st.integers(
+_T_TEXTS = st.sampled_from([b"01", b"+1", b" 1", b"-0", b"1_0", b"%d" % 2**63, b"%d" % 2**70,
+                            b"%d" % (5 * 10**18), b"%d" % (-5 * 10**18)]) | st.integers(
     -3, 60).map(lambda v: b"%d" % v)
 
 
