@@ -94,10 +94,7 @@ def write_trajectory_csv(record: TrajectoryRecord, path, stride: int = 1):
 def _render_blocks(record: TrajectoryRecord, keep: list[int]):
     """The rows of the steps keep as write_trajectory_csv writes them, one string per block."""
     n = record.n_agents
-    if record.levels is None:
-        addresses = [f"{i},,," for i in range(n)]
-    else:
-        addresses = [f"{i},{int(lv)},{int(g)}," for i, lv, g in zip(range(n), record.levels, record.groups)]
+    addresses, join = _one_pair_join(n, record.levels, record.groups)
     steps = max(1, _BLOCK_ROWS // n)
     # one row is [t prefix, address, center and sigma]; the addresses never change
     cells = np.empty((steps, n, 3), dtype=object)
@@ -117,12 +114,18 @@ def _render_blocks(record: TrajectoryRecord, keep: list[int]):
         texts = np.array([_PAIR_FORMAT % (c, s) for c, s in pairs[starts[first]].tolist()], dtype=object)
         prefixes = [f"{int(t)}," for t in record.times[block].tolist()]
         if starts.size == len(block):  # every step one pair: its rows are one join
-            pair_texts = texts[inverse].tolist()
-            yield "".join(t + (p + t).join(addresses) + p for t, p in zip(prefixes, pair_texts))
+            yield "".join(map(join, prefixes, texts[inverse].tolist()))
         else:
             rows[:, :, 0] = np.array(prefixes, dtype=object)[:, None]
             rows[:, :, 2] = np.repeat(texts[inverse], lengths).reshape(len(block), n)
             yield "".join(rows.ravel().tolist())
+
+
+def _one_pair_join(n: int, levels, groups, text=str):
+    """The writer's row addresses ("i,level,group," or "i,,," when flat), each through text (str or
+    str.encode), and join(t prefix, pair text): the rows of a step whose every row holds that pair."""
+    addresses = [text(f"{i},,," if levels is None else f"{i},{int(levels[i])},{int(groups[i])},") for i in range(n)]
+    return addresses, lambda prefix, pair: prefix + (pair + prefix).join(addresses) + pair
 
 
 def _distinct_runs(keys: np.ndarray, head=None) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -146,20 +149,19 @@ def _distinct_runs(keys: np.ndarray, head=None) -> tuple[np.ndarray, np.ndarray,
 def _read_canonical(raw: bytes, ends: np.ndarray) -> TrajectoryRecord | None:
     """The record whose stride-1 CSV is exactly raw, or None; may raise on what no writer writes.
 
-    ends are raw's LF positions.  Step 0, which ends where the next row for
-    agent 0 begins, gives n and the addresses; t is parsed at each step's
-    first row.  A step that is the writer's one join of its first row's pair
-    holds that pair in every row; unless the last and most steps end in that
-    pair, the file is declined before any row is parsed.  The guess is
-    returned only if no value is NaN, the times strictly increase and
-    _render_blocks renders it to raw byte for byte: the checked parse
-    returns it from such a file.
+    ends are raw's LF positions.  Step 0 ends where the next row for agent 0
+    begins; t is parsed at each step's first row.  Unless the last and most
+    steps end in their first row's pair, no row is parsed.  Such a step holds
+    that pair if it is the writer's one join of the pair's parsed value; each
+    other step's distinct pair texts are parsed once, and it must equal its
+    _render_blocks rendering.  With no NaN and strictly increasing times, the
+    checked parse returns the same record.
     """
     rows = ends.size - 1  # ends[0] ends the header
     step_1 = _STEP_HEAD.search(raw, int(ends[1]))
     n = rows if step_1 is None else int(np.searchsorted(ends, step_1.start()))
     steps, rest = divmod(rows, n)
-    if rest:
+    if rest or ends[-1] != len(raw) - 1:  # whole steps, and nothing after the last LF
         return None
     starts = (ends[::n] + 1).tolist()  # step k is raw[starts[k]:starts[k + 1]]
     times, heads, single = [0] * steps, [b""] * steps, np.zeros(steps, dtype=bool)
@@ -170,37 +172,41 @@ def _read_canonical(raw: bytes, ends: np.ndarray) -> TrajectoryRecord | None:
         single[k] = raw.endswith(b"," + heads[k][1], starts[k], starts[k + 1])  # and its last row's pair
         if agent != b"0" or not single[-1]:  # a step starts at agent 0; merged states never split
             return None
-    if 2 * np.count_nonzero(single) < steps:  # decline before parsing step 0 and joining each step
-        return None
-    first = [row.split(b",") for row in raw[starts[0]:starts[1] - 1].split(b"\n")]
-    addresses = [b",".join(f[1:4]) + b"," for f in first]
-    levels = groups = None
-    if first[0][2]:
-        levels, groups = (np.array([int(f[j]) for f in first], dtype=np.intp) for j in (2, 3))
-    for k in np.flatnonzero(single).tolist():
-        prefix, pair = heads[k]
-        single[k] = raw.startswith(prefix + (pair + prefix).join(addresses) + pair, starts[k])
     if 2 * np.count_nonzero(single) < steps or int(np.diff(ends).max()) > _MAX_ROW:
         return None
-    centers, sigmas = np.empty((steps, n)), np.empty((steps, n))
-    pairs = b"".join(heads[k][1] for k in np.flatnonzero(single).tolist())
-    values = np.loadtxt(io.BytesIO(pairs), dtype=np.float64, delimiter=",", comments=None, ndmin=2)
-    centers[single], sigmas[single] = values[:, :1], values[:, 1:]
-    edges = np.flatnonzero(np.diff(np.concatenate([[False], ~single, [False]]))).tolist()
-    for a, b in zip(edges[::2], edges[1::2]):  # each span of steps with several pairs
-        values = np.loadtxt(io.BytesIO(raw[starts[a]:starts[b]]), dtype=np.float64, delimiter=",",
-                            comments=None, usecols=(4, 5), ndmin=2)
-        centers[a:b], sigmas[a:b] = values[:, 0].reshape(b - a, n), values[:, 1].reshape(b - a, n)
+    first = [row.split(b",") for row in raw[starts[0]:starts[1] - 1].split(b"\n")]
+    levels, groups = (np.array([int(f[j]) for f in first], dtype=np.intp) if first[0][2] else None for j in (2, 3))
+    addresses, join = _one_pair_join(n, levels, groups, str.encode)
+    centers, sigmas, pair_format = np.empty((steps, n)), np.empty((steps, n)), _PAIR_FORMAT.encode()
+
+    def parse(texts):  # one (center, sigma) row per text
+        return np.loadtxt(io.BytesIO(b"".join(texts)), dtype=np.float64, delimiter=",", comments=None, ndmin=2)
+
+    ks = np.flatnonzero(single).tolist()
+    for k, (center, sigma) in zip(ks, parse(heads[k][1] for k in ks).tolist()):
+        centers[k], sigmas[k] = center, sigma
+        single[k] = raw.startswith(join(heads[k][0], pair_format % (center, sigma)), starts[k])
+    if 2 * np.count_nonzero(single) < steps:
+        return None
+    skip = np.array([len(a) for a in addresses])  # from a row's start to its pair text, less its t prefix
+    for k in np.flatnonzero(~single).tolist():
+        row = ends[k * n:(k + 1) * n + 1] + 1  # where each row of step k starts, then where the step ends
+        texts = {}  # each distinct pair text of the step, to its id
+        ids = [texts.setdefault(raw[a:b], len(texts))
+               for a, b in zip((row[:-1] + len(heads[k][0]) + skip).tolist(), row[1:].tolist())]
+        centers[k], sigmas[k] = parse(texts)[ids].T
     times = np.array(times, dtype=np.intp)
     if np.isnan(centers).any() or np.isnan(sigmas).any() or (times[1:] <= times[:-1]).any():
         return None
     record = TrajectoryRecord(times=times, centers=centers, sigmas=sigmas, levels=levels, groups=groups)
-    at = starts[0]
-    for block in map(str.encode, _render_blocks(record, list(range(steps)))):
-        if not raw.startswith(block, at):
-            return None
-        at += len(block)
-    return record if at == len(raw) else None
+    edges = np.flatnonzero(np.diff(np.concatenate([[False], ~single, [False]]))).tolist()
+    for a, b in zip(edges[::2], edges[1::2]):  # each span of steps with several pairs
+        at = starts[a]
+        for block in map(str.encode, _render_blocks(record, list(range(a, b)))):
+            if not raw.startswith(block, at):
+                return None
+            at += len(block)
+    return record
 
 
 def _check_layout(raw: bytes, buf: np.ndarray, ends: np.ndarray) -> tuple[bool, int]:
@@ -332,7 +338,9 @@ def read_trajectory_csv(path) -> TrajectoryRecord:
     if len(raw) == len(_HEADER_LINE):
         raise ValueError("trajectory file has no data rows")
     buf = np.frombuffer(raw, dtype=np.uint8)
-    ends = np.flatnonzero(buf == ord("\n"))  # line k + 1 ends at ends[k]
+    # line k + 1 ends at ends[k]; a file over 1 MiB is scanned 1 MiB at a time, so no mask its size is held
+    ends = np.flatnonzero(buf == ord("\n")) if buf.size <= 2**20 else np.concatenate(
+        [np.flatnonzero(buf[i:i + 2**20] == ord("\n")) + i for i in range(0, buf.size, 2**20)])
     with suppress(ValueError, OverflowError, IndexError):  # e.g. a row of too few fields or a t past int64
         if (record := _read_canonical(raw, ends)) is not None:
             return record
@@ -377,13 +385,8 @@ def read_trajectory_csv(path) -> TrajectoryRecord:
 
 
 def _check(name: str, expected: float, actual: float, tolerance: float) -> dict:
-    return {
-        "name": name,
-        "expected": expected,
-        "actual": actual,
-        "tolerance": tolerance,
-        "pass": bool(abs(actual - expected) <= tolerance),
-    }
+    passed = bool(abs(actual - expected) <= tolerance)
+    return {"name": name, "expected": expected, "actual": actual, "tolerance": tolerance, "pass": passed}
 
 
 def _group_tracking_checks(record: TrajectoryRecord, leader: float, scheme: str, b: float, tol) -> tuple[dict | None, list[dict]]:
@@ -443,10 +446,8 @@ def _cluster_dict(report: ClusterReport) -> dict:
 def build_summary(run: ScenarioRun, gap: float | None = None, tol: float | None = None) -> dict:
     """Run summary with a fixed key order; see README for the field meanings."""
     config = run.config
-    consensus = None
+    consensus = clusters = target_steps = None
     checks: list[dict] = []
-    clusters = None
-    target_steps = None
     if config.kind == "blfg":
         consensus, checks = _group_tracking_checks(
             run.record, config.leader, config.scheme, config.b, tol
@@ -469,7 +470,7 @@ def build_summary(run: ScenarioRun, gap: float | None = None, tol: float | None 
         clusters = [_cluster_dict(r) for r in phase_summary(run.record, gap)]
     else:  # bcfon
         clusters = [_cluster_dict(_cluster_report(run.record, -1, gap))]
-    summary = {
+    return {
         "schema_version": SCHEMA_VERSION,
         "scenario": config.echo(),
         "seed": run.seed,
@@ -478,7 +479,6 @@ def build_summary(run: ScenarioRun, gap: float | None = None, tol: float | None 
         "clusters": clusters,
         "steps_to_target": target_steps,
     }
-    return summary
 
 
 def write_summary_json(summary: dict, path):

@@ -603,6 +603,16 @@ CANONICAL_MUTATIONS = {
     "t written as 01": (_in_step_3(lambda rows: [_set_fields(r, {0: b"0" + r.split(b",")[0]}) for r in rows]), None),
     "two rows of a step swapped": (_in_step_3(lambda rows: [rows[1], rows[0]] + rows[2:]), None),
     "bytes after the last line end": (lambda raw: raw + b"60,0,,,1,1", "line 20: no line end (truncated file?)"),
+    # read alike by the checked parse, but not as the writer writes them
+    "single pair written 1.50": (lambda raw: _step_rows(raw, 3, 1, lambda rows: [_set_fields(r, {4: b"1.50"})
+                                                                                 for r in rows]), None),
+    "agent written 01 in step 0": (lambda raw: _step_rows(raw, 3, 0, lambda rows: [rows[0], _set_fields(
+        rows[1], {1: b"01"}), rows[2]]), None),
+    "center written 1.0 in step 0": (lambda raw: _step_rows(raw, 3, 0, lambda rows: [_set_fields(
+        rows[0], {4: b"1.0"})] + rows[1:]), None),
+    # rows no longer a whole number of steps, each step still starting at agent 0's row
+    "a row missing from the last step": (lambda raw: _step_rows(raw, 3, 5, lambda rows: rows[:2]),
+                                         "trajectory file is missing some (t, agent) rows"),
 }
 
 
@@ -658,6 +668,39 @@ class TestCanonicalPath:
         if name.startswith("example2-"):
             # no single-pair step: declined before any row is parsed
             assert_declined_unparsed(path.read_bytes(), monkeypatch)
+
+    def test_each_distinct_pair_text_of_a_step_parsed_once(self, work_dir, monkeypatch, builtin_runs):
+        record = builtin_runs["example1-local"]
+        path = work_dir / "example1-local.csv"
+        write_trajectory_csv(record, path)
+        # a single-pair step parses its first row; any other step each of its distinct pairs
+        bits = zip(record.centers.view(np.uint64).tolist(), record.sigmas.view(np.uint64).tolist())
+        distinct = sum(len(set(zip(*step))) for step in bits)
+        loadtxt, parsed = np.loadtxt, []
+
+        def counting(*args, **kwargs):
+            values = loadtxt(*args, **kwargs)
+            parsed.append(len(values))
+            return values
+
+        monkeypatch.setattr(np, "loadtxt", counting)
+        with canonical_reads() as taken:
+            assert_same_record(read_trajectory_csv(path), record)
+        assert taken == [True]
+        assert sum(parsed) <= distinct < record.centers.size // 10
+
+    def test_rows_swapped_in_every_step_declined(self, work_dir):
+        # each step is one join of the same addresses, but not of the writer's: agent 2's row comes first
+        centers = np.full((4, 3), 1.5)
+        record = TrajectoryRecord(np.arange(4), centers, np.ones_like(centers), np.array([1, 2, 3]), np.array([0, 0, 1]))
+        path = work_dir / "swapped.csv"
+        write_trajectory_csv(record, path)
+        raw = path.read_bytes()
+        for k in range(4):
+            raw = _step_rows(raw, 3, k, lambda rows: [rows[0], rows[2], rows[1]])
+        path.write_bytes(raw)
+        assert not assert_read_as_checked(path)
+        assert_same_record(read_trajectory_csv(path), record)  # each row keeps its agent's address
 
     def test_file_sorted_by_agent_declined_before_parsing(self, work_dir, monkeypatch):
         # agent 0's rows come first, so each row looks like a one-agent step, half of them agent 0's
