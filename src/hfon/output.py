@@ -128,19 +128,17 @@ def _one_pair_join(n: int, levels, groups, text=str):
     return addresses, lambda prefix, pair: prefix + (pair + prefix).join(addresses) + pair
 
 
-def _distinct_runs(keys: np.ndarray, head=None) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Runs of equal adjacent elements of a 1-D array, and the distinct run heads.
+def _distinct_runs(keys: np.ndarray, head: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Runs of a 1-D array, each starting where head is true, and the distinct run heads.
 
-    Returns (starts, lengths, first, inverse): where each run starts and how
-    many elements it holds, then np.unique's first index and inverse over the
-    run heads keys[starts].  So keys[starts[first]] are the distinct values,
-    sorted, and np.repeat(x[inverse], lengths) spreads one x per distinct
-    value back over keys.  head, a boolean mask true at every element unequal
-    to the one before and at element 0, may be passed when cheaper to find.
+    head is a boolean mask true at element 0 and at every element unequal to
+    the one before; it may be true elsewhere too, splitting a run of equal
+    elements.  Returns (starts, lengths, first, inverse): where each run
+    starts and how many elements it holds, then np.unique's first index and
+    inverse over the run heads keys[starts].  So keys[starts[first]] are the
+    distinct values, sorted, and np.repeat(x[inverse], lengths) spreads one x
+    per distinct value back over keys.
     """
-    if head is None:
-        head = np.ones(keys.size, dtype=bool)
-        head[1:] = keys[1:] != keys[:-1]
     starts = np.flatnonzero(head)
     _, first, inverse = np.unique(keys[starts], return_index=True, return_inverse=True)
     return starts, np.diff(starts, append=keys.size), first, inverse
@@ -150,51 +148,54 @@ def _read_canonical(raw: bytes, ends: np.ndarray) -> TrajectoryRecord | None:
     """The record whose stride-1 CSV is exactly raw, or None; may raise on what no writer writes.
 
     ends are raw's LF positions.  Step 0 ends where the next row for agent 0
-    begins; t is parsed at each step's first row.  Unless the last and most
-    steps end in their first row's pair, no row is parsed.  Such a step holds
-    that pair if it is the writer's one join of the pair's parsed value; each
-    other step's distinct pair texts are parsed once, and it must equal its
-    _render_blocks rendering.  With no NaN and strictly increasing times, the
-    checked parse returns the same record.
+    begins; t is parsed at each step's first row.  A partial step, bytes
+    after the last LF, a row longer than the writer's longest or a step head
+    not for agent 0 declines raw before any row is parsed.  A step that ends
+    in its first row's pair holds that pair if it is the writer's one join of
+    the pair's parsed value.  The pair texts of all other steps are parsed,
+    each distinct text once, and those steps must equal their _render_blocks
+    rendering.  With no NaN and strictly increasing times, the checked parse
+    returns the same record.
     """
     rows = ends.size - 1  # ends[0] ends the header
     step_1 = _STEP_HEAD.search(raw, int(ends[1]))
     n = rows if step_1 is None else int(np.searchsorted(ends, step_1.start()))
     steps, rest = divmod(rows, n)
-    if rest or ends[-1] != len(raw) - 1:  # whole steps, and nothing after the last LF
+    # whole steps, nothing after the last LF, and no row longer than the writer writes
+    if rest or ends[-1] != len(raw) - 1 or int(np.diff(ends).max()) > _MAX_ROW:
         return None
     starts = (ends[::n] + 1).tolist()  # step k is raw[starts[k]:starts[k + 1]]
     times, heads, single = [0] * steps, [b""] * steps, np.zeros(steps, dtype=bool)
-    for k in reversed(range(steps)):
+    for k in reversed(range(steps)):  # last first: a file sorted by agent fails at its last row
         t, agent, _, _, center, sigma = raw[starts[k]:raw.index(b"\n", starts[k])].split(b",")
+        if agent != b"0":  # a step starts at agent 0
+            return None
         times[k] = int(t)
         heads[k] = (b"%d," % times[k], center + b"," + sigma + b"\n")  # its first row's prefix and pair
         single[k] = raw.endswith(b"," + heads[k][1], starts[k], starts[k + 1])  # and its last row's pair
-        if agent != b"0" or not single[-1]:  # a step starts at agent 0; merged states never split
-            return None
-    if 2 * np.count_nonzero(single) < steps or int(np.diff(ends).max()) > _MAX_ROW:
-        return None
     first = [row.split(b",") for row in raw[starts[0]:starts[1] - 1].split(b"\n")]
     levels, groups = (np.array([int(f[j]) for f in first], dtype=np.intp) if first[0][2] else None for j in (2, 3))
     addresses, join = _one_pair_join(n, levels, groups, str.encode)
     centers, sigmas, pair_format = np.empty((steps, n)), np.empty((steps, n)), _PAIR_FORMAT.encode()
 
-    def parse(texts):  # one (center, sigma) row per text
-        return np.loadtxt(io.BytesIO(b"".join(texts)), dtype=np.float64, delimiter=",", comments=None, ndmin=2)
+    def parse(texts):  # one (center, sigma) row per text; no loadtxt call for none, as it would warn
+        text = b"".join(texts)
+        if not text:
+            return np.empty((0, 2))
+        return np.loadtxt(io.BytesIO(text), dtype=np.float64, delimiter=",", comments=None, ndmin=2)
 
     ks = np.flatnonzero(single).tolist()
     for k, (center, sigma) in zip(ks, parse(heads[k][1] for k in ks).tolist()):
         centers[k], sigmas[k] = center, sigma
         single[k] = raw.startswith(join(heads[k][0], pair_format % (center, sigma)), starts[k])
-    if 2 * np.count_nonzero(single) < steps:
-        return None
     skip = np.array([len(a) for a in addresses])  # from a row's start to its pair text, less its t prefix
-    for k in np.flatnonzero(~single).tolist():
+    ks = np.flatnonzero(~single).tolist()
+    texts, ids = {}, []  # each distinct pair text of those steps to its id, and each of their rows' id
+    for k in ks:  # step by step, so no temporary grows with the file
         row = ends[k * n:(k + 1) * n + 1] + 1  # where each row of step k starts, then where the step ends
-        texts = {}  # each distinct pair text of the step, to its id
-        ids = [texts.setdefault(raw[a:b], len(texts))
-               for a, b in zip((row[:-1] + len(heads[k][0]) + skip).tolist(), row[1:].tolist())]
-        centers[k], sigmas[k] = parse(texts)[ids].T
+        ids += [texts.setdefault(raw[a:b], len(texts))
+                for a, b in zip((row[:-1] + len(heads[k][0]) + skip).tolist(), row[1:].tolist())]
+    centers[ks], sigmas[ks] = parse(texts)[ids].reshape(len(ks), n, 2).transpose(2, 0, 1)
     times = np.array(times, dtype=np.intp)
     if np.isnan(centers).any() or np.isnan(sigmas).any() or (times[1:] <= times[:-1]).any():
         return None
@@ -209,8 +210,8 @@ def _read_canonical(raw: bytes, ends: np.ndarray) -> TrajectoryRecord | None:
     return record
 
 
-def _check_layout(raw: bytes, buf: np.ndarray, ends: np.ndarray) -> tuple[bool, int]:
-    """Check a trajectory CSV's bytes line by line; (True for a flat file, widest center or sigma).
+def _check_layout(raw: bytes, buf: np.ndarray, ends: np.ndarray) -> bool:
+    """Check a trajectory CSV's bytes line by line; True for a flat file.
 
     buf is raw as uint8 and ends its LF positions.  Every line must be
     printable ASCII ending in LF and hold exactly six fields; level and group
@@ -252,76 +253,33 @@ def _check_layout(raw: bytes, buf: np.ndarray, ends: np.ndarray) -> tuple[bool, 
             f"line {row + 2}, field {column + 5}: {widths[row, column]} bytes, "
             f"more than the {_MAX_FLOAT_FIELD} a center or sigma may have"
         )
-    return bool(flat[0]), max(int(widths.max()), 1)
+    return bool(flat[0])
 
 
-def _conversion_error(exc: ValueError) -> tuple[int, int, str]:
-    """(row from 0, column from 1, message) of a loadtxt conversion error; re-raises anything else."""
-    where = re.fullmatch(r"(.*) at row (\d+), column (\d+)\.", str(exc))
-    if where is None:
-        raise exc
-    return int(where[2]), int(where[3]), where[1]
-
-
-def _load_rows(raw: bytes, flat: bool, width: int, max_rows: int | None = None) -> np.ndarray:
-    """The data rows: integer columns as int64, center and sigma as their texts (bytes S{width}).
+def _load_rows(raw: bytes, flat: bool) -> np.ndarray:
+    """The data rows: t, agent, level and group as int64, center and sigma as float64.
 
     A value that does not parse raises ValueError naming its line and field;
-    a center or sigma on an earlier line that does not parse either is named
-    instead, so the error is always the file's first bad value.
+    loadtxt converts row by row, field by field, so it is the file's first bad
+    value.
     """
     names = ["t", "agent", "center", "sigma"] if flat else CSV_HEADER
     try:
         return np.loadtxt(
             io.BytesIO(raw),
-            dtype=[(name, f"S{width}" if name in ("center", "sigma") else np.int64) for name in names],
+            dtype=[(name, np.float64 if name in ("center", "sigma") else np.int64) for name in names],
             delimiter=",",
             comments=None,
             skiprows=1,
             usecols=(0, 1, 4, 5) if flat else None,
             ndmin=1,
-            max_rows=max_rows,
         )
     except ValueError as exc:
         # loadtxt counts data rows from 0 and the file's columns from 1
-        row, column, message = _conversion_error(exc)
-        if row:
-            _float_columns(_load_rows(raw, flat, width, max_rows=row))
-        raise ValueError(f"line {row + 2}, field {column}: {message}") from exc
-
-
-def _float_columns(rows: np.ndarray) -> list[np.ndarray]:
-    """Center and sigma values of the rows, each distinct text converted once.
-
-    Adjacent equal texts form runs; the distinct run heads go through the
-    loadtxt float64 converter in the order they first occur, and their values
-    are spread back over the rows.  Raises ValueError naming the first line
-    with a text that does not parse, center before sigma.
-    """
-    columns, bad = [], []
-    for field, name in ((5, "center"), (6, "sigma")):
-        texts = rows[name]
-        starts, lengths, first, inverse = _distinct_runs(texts)
-        order = np.argsort(first)
-        # a comma after every text keeps an empty one a field, where alone it would be a skipped blank line
-        joined = b",\n".join(texts[starts[first[order]]].tolist()) + b",\n"
-        try:
-            parsed = np.loadtxt(
-                io.BytesIO(joined), dtype=np.float64, delimiter=",", comments=None, usecols=0, ndmin=1
-            )
-        except ValueError as exc:
-            k, _, message = _conversion_error(exc)
-            bad.append((int(starts[first[order[k]]]) + 2, field, message))
-            continue
-        if parsed.size != first.size:
-            raise ValueError(f"{name}: {parsed.size} values parsed from {first.size} distinct texts")
-        values = np.empty(first.size)
-        values[order] = parsed
-        columns.append(np.repeat(values[inverse], lengths))
-    if bad:
-        line, field, message = min(bad)
-        raise ValueError(f"line {line}, field {field}: {message}")
-    return columns
+        where = re.fullmatch(r"(.*) at row (\d+), column (\d+)\.", str(exc))
+        if where is None:
+            raise
+        raise ValueError(f"line {int(where[2]) + 2}, field {where[3]}: {where[1]}") from exc
 
 
 def read_trajectory_csv(path) -> TrajectoryRecord:
@@ -344,12 +302,11 @@ def read_trajectory_csv(path) -> TrajectoryRecord:
     with suppress(ValueError, OverflowError, IndexError):  # e.g. a row of too few fields or a t past int64
         if (record := _read_canonical(raw, ends)) is not None:
             return record
-    flat, width = _check_layout(raw, buf, ends)
+    flat = _check_layout(raw, buf, ends)
     del buf, ends
-    rows = _load_rows(raw, flat, width)
+    rows = _load_rows(raw, flat)
     del raw
-    row_centers, row_sigmas = _float_columns(rows)
-    nan = np.flatnonzero(np.isnan(row_centers) | np.isnan(row_sigmas))
+    nan = np.flatnonzero(np.isnan(rows["center"]) | np.isnan(rows["sigma"]))
     if nan.size:
         raise ValueError(f"line {nan[0] + 2}: center or sigma is NaN")
     times, t_row = np.unique(rows["t"], return_inverse=True)
@@ -365,8 +322,8 @@ def read_trajectory_csv(path) -> TrajectoryRecord:
         raise ValueError("trajectory file repeats some (t, agent) rows")
     centers = np.empty(counts.size)
     sigmas = np.empty(counts.size)
-    centers[cell] = row_centers
-    sigmas[cell] = row_sigmas
+    centers[cell] = rows["center"]
+    sigmas[cell] = rows["sigma"]
     levels = groups = None
     if not flat:
         levels = np.empty(n, dtype=np.intp)

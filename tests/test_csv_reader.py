@@ -172,11 +172,6 @@ class TestEquivalence:
         )
         path = work_dir / "shared.csv"
         write_trajectory_csv(record, path)
-        header, *rows = path.read_bytes().splitlines(keepends=True)
-        rng.shuffle(rows)
-        shuffled = work_dir / "shared-shuffled.csv"
-        shuffled.write_bytes(header + b"".join(rows))
-
         loadtxt = np.loadtxt
         converted = []
 
@@ -187,10 +182,8 @@ class TestEquivalence:
             return values
 
         monkeypatch.setattr(np, "loadtxt", counting)
-        for p in (path, shuffled):
-            converted.clear()
-            assert_same_record(read_trajectory_csv(p), record)
-            assert 0 < sum(converted) <= 2 * (steps + 1)
+        assert_same_record(read_trajectory_csv(path), record)
+        assert 0 < sum(converted) <= 2 * (steps + 1)
 
     @pytest.mark.parametrize("block_rows", [1, 7, "n - 1", None])
     @pytest.mark.parametrize("addressed", [False, True])
@@ -659,15 +652,10 @@ class TestCanonicalPath:
 
     @pytest.mark.parametrize("name", sorted(builtin_scenarios()))
     @pytest.mark.parametrize("stride", [1, 10])
-    def test_builtin_files_read_as_checked(self, work_dir, monkeypatch, builtin_runs, name, stride):
+    def test_builtin_files_read_as_checked(self, work_dir, builtin_runs, name, stride):
         path = work_dir / f"{name}-{stride}.csv"
         write_trajectory_csv(builtin_runs[name], path, stride=stride)
-        took = assert_read_as_checked(path)
-        if name.startswith("example1-"):
-            assert took
-        if name.startswith("example2-"):
-            # no single-pair step: declined before any row is parsed
-            assert_declined_unparsed(path.read_bytes(), monkeypatch)
+        assert assert_read_as_checked(path)
 
     def test_each_distinct_pair_text_of_a_step_parsed_once(self, work_dir, monkeypatch, builtin_runs):
         record = builtin_runs["example1-local"]
@@ -712,6 +700,23 @@ class TestCanonicalPath:
         assert not assert_read_as_checked(path)
         assert_declined_unparsed(path.read_bytes(), monkeypatch)
 
+    def test_any_written_file_taken_and_read_back(self, work_dir):
+        # whatever mix of one-pair and several-pair steps, at any stride
+        path = work_dir / "written.csv"
+
+        @settings(max_examples=200, deadline=None)
+        @given(record=written_records(), stride=st.integers(1, 3))
+        def check(record, stride):
+            write_trajectory_csv(record, path, stride=stride)
+            keep = sorted({*range(0, record.n_samples, stride), record.n_samples - 1})
+            with canonical_reads() as taken:
+                got = read_trajectory_csv(path)
+            assert taken == [True]
+            assert_same_record(got, TrajectoryRecord(record.times[keep], record.centers[keep], record.sigmas[keep],
+                                                     record.levels, record.groups))
+
+        check()
+
     def test_mutated_canonical_files_read_as_checked(self, work_dir):
         path = work_dir / "canonical-fuzz.csv"
         taken = []
@@ -732,6 +737,26 @@ _PAIR_TEXTS = _VALUES.map(lambda v: b"%.17g" % v) | st.sampled_from(
 _T_TEXTS = st.sampled_from([b"01", b"+1", b" 1", b"-0", b"1_0", b"%d" % 2**63, b"%d" % 2**70,
                             b"%d" % (5 * 10**18), b"%d" % (-5 * 10**18)]) | st.integers(
     -3, 60).map(lambda v: b"%d" % v)
+
+
+@st.composite
+def written_records(draw):
+    """A NaN-free record of 1-5 agents and strictly increasing times; each step holds one pair or several."""
+    n, steps = draw(st.integers(1, 5)), draw(st.integers(1, 8))
+    pool = draw(st.lists(st.tuples(_VALUES, _VALUES), min_size=1, max_size=3))
+    pair = st.sampled_from(pool) | st.tuples(_VALUES, _VALUES)
+    pairs = np.array([[draw(pair)] * n if draw(st.booleans()) else draw(st.lists(pair, min_size=n, max_size=n))
+                      for _ in range(steps)], dtype=np.float64)
+    gaps = draw(st.lists(st.integers(1, 2**40), min_size=steps, max_size=steps))
+    address = st.lists(st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n).map(lambda a: np.array(a, dtype=np.intp))
+    addressed = draw(st.booleans())
+    return TrajectoryRecord(
+        times=np.cumsum(gaps, dtype=np.intp) + draw(st.integers(-(2**62), 2**62)),
+        centers=pairs[:, :, 0],
+        sigmas=pairs[:, :, 1],
+        levels=draw(address) if addressed else None,
+        groups=draw(address) if addressed else None,
+    )
 
 
 @st.composite
