@@ -23,6 +23,7 @@ from .leader import (
     predict_sigma_leader_ref,
     predict_sigma_limit,
 )
+from .opinions import distinct_rows
 from .phases import ClusterReport, _cluster_report, phase_summary
 from .scenarios import SCHEMA_VERSION, ScenarioRun
 
@@ -32,8 +33,6 @@ _HEADER_LINE = (",".join(CSV_HEADER) + "\n").encode()
 # enough significant digits that parsing the text reproduces the exact double
 _FLOAT_FORMAT = "%.17g"
 _PAIR_FORMAT = f"{_FLOAT_FORMAT},{_FLOAT_FORMAT}\n"
-# one (center, sigma) row as a single 16-byte key, compared by its exact bits
-_PAIR_BITS = np.dtype((np.void, 16))
 # rows the writer formats and writes at once; whole steps, so one step when n is larger
 _BLOCK_ROWS = 1 << 14
 # the longest center or sigma text the reader accepts; the writer's longest is 24
@@ -92,7 +91,8 @@ def write_trajectory_csv(record: TrajectoryRecord, path, stride: int = 1):
 
 
 def _render_blocks(record: TrajectoryRecord, keep: list[int]):
-    """The rows of the steps keep as write_trajectory_csv writes them, one string per block."""
+    """The rows of the steps keep as write_trajectory_csv writes them, one string per block; a
+    block's runs of equal pairs start at each step too, and distinct_rows groups their heads."""
     n = record.n_agents
     addresses, join = _one_pair_join(n, record.levels, record.groups)
     steps = max(1, _BLOCK_ROWS // n)
@@ -109,15 +109,17 @@ def _render_blocks(record: TrajectoryRecord, keep: list[int]):
         np.not_equal(center_bits[1:], center_bits[:-1], out=head[1:])
         head[1:] |= sigma_bits[1:] != sigma_bits[:-1]
         head[::n] = True  # and at every step's first row, so a step of one pair is one run
-        pairs = np.stack([centers, sigmas], axis=1)
-        starts, lengths, first, inverse = _distinct_runs(pairs.view(_PAIR_BITS).ravel(), head)
-        texts = np.array([_PAIR_FORMAT % (c, s) for c, s in pairs[starts[first]].tolist()], dtype=object)
+        starts = np.flatnonzero(head)
+        # two 1-D gathers: a 2-D fancy index of the stacked rows takes several times as long
+        pairs = np.stack([centers[starts], sigmas[starts]], axis=1)
+        first, inverse = distinct_rows(pairs)
+        texts = np.array([_PAIR_FORMAT % (c, s) for c, s in pairs[first].tolist()], dtype=object)
         prefixes = [f"{int(t)}," for t in record.times[block].tolist()]
         if starts.size == len(block):  # every step one pair: its rows are one join
             yield "".join(map(join, prefixes, texts[inverse].tolist()))
         else:
             rows[:, :, 0] = np.array(prefixes, dtype=object)[:, None]
-            rows[:, :, 2] = np.repeat(texts[inverse], lengths).reshape(len(block), n)
+            rows[:, :, 2] = np.repeat(texts[inverse], np.diff(starts, append=centers.size)).reshape(len(block), n)
             yield "".join(rows.ravel().tolist())
 
 
@@ -126,22 +128,6 @@ def _one_pair_join(n: int, levels, groups, text=str):
     str.encode), and join(t prefix, pair text): the rows of a step whose every row holds that pair."""
     addresses = [text(f"{i},,," if levels is None else f"{i},{int(levels[i])},{int(groups[i])},") for i in range(n)]
     return addresses, lambda prefix, pair: prefix + (pair + prefix).join(addresses) + pair
-
-
-def _distinct_runs(keys: np.ndarray, head: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Runs of a 1-D array, each starting where head is true, and the distinct run heads.
-
-    head is a boolean mask true at element 0 and at every element unequal to
-    the one before; it may be true elsewhere too, splitting a run of equal
-    elements.  Returns (starts, lengths, first, inverse): where each run
-    starts and how many elements it holds, then np.unique's first index and
-    inverse over the run heads keys[starts].  So keys[starts[first]] are the
-    distinct values, sorted, and np.repeat(x[inverse], lengths) spreads one x
-    per distinct value back over keys.
-    """
-    starts = np.flatnonzero(head)
-    _, first, inverse = np.unique(keys[starts], return_index=True, return_inverse=True)
-    return starts, np.diff(starts, append=keys.size), first, inverse
 
 
 def _read_canonical(raw: bytes, ends: np.ndarray) -> TrajectoryRecord | None:

@@ -257,8 +257,9 @@ def _object(value, what: str, keys: tuple, required: tuple, version: int | None 
     unknown = sorted(set(value).difference(keys))
     if unknown:
         raise ConfigurationError(f"unknown {what} key {unknown[0]!r}")
-    if version is not None and value.get("schema_version") != version:
-        raise ConfigurationError(f"key 'schema_version' must be {version}, got {value.get('schema_version')!r}")
+    got = value.get("schema_version")
+    if version is not None and (type(got) is not int or got != version):  # true and 1.0 equal 1 but are not it
+        raise ConfigurationError(f"key 'schema_version' must be {version}, got {got!r}")
     for key in required:
         if key not in value:
             raise ConfigurationError(f"{what} is missing key {key!r}")
@@ -273,10 +274,20 @@ def _integer(value, key: str) -> int:
 
 
 def _number(value, key: str) -> float:
-    """float(value), except that a bool, a string or null names the key instead of being coerced."""
-    if value is None or isinstance(value, (bool, str)):
+    """float(value) for a JSON integer or float in double range; any other value names the key."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigurationError(f"key {key!r} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigurationError(f"key {key!r} must be a number in double range, got {value!r}") from None
+
+
+def _string(value, key: str) -> str:
+    """value if it is a JSON string; any other value names the key."""
+    if not isinstance(value, str):
+        raise ConfigurationError(f"key {key!r} must be a string, got {value!r}")
+    return value
 
 
 def _group_sizes(value, key: str) -> tuple[int, ...]:
@@ -299,7 +310,7 @@ def _phases(value, key: str) -> tuple[Phase, ...]:
 # the reader of each optional key, in reading order; a null value reads as an absent key
 _READERS = {
     "phases": _phases, "group_sizes": _group_sizes, "steps": _integer, "n": _integer,
-    "d": _number, "scheme": lambda value, key: value, "leader": _number, "seed": _integer,
+    "d": _number, "scheme": _string, "leader": _number, "seed": _integer,
 }
 
 
@@ -307,25 +318,18 @@ def _scenario_from_dict(doc: dict, fallback_name: str) -> ScenarioConfig:
     _object(doc, "scenario", _KEYS + ("schema_version",), ("kind", "initial"), SCHEMA_VERSION)
     keys = tuple(f.name for f in fields(InitialSpec))
     init = _object(doc["initial"], "initial", keys, keys)
-    # float() and the dataclasses raise TypeError or OverflowError on wrong JSON types
-    try:
-        name = doc.get("name", fallback_name)
-        if not isinstance(name, str):
-            raise ConfigurationError(f"key 'name' must be a string, got {name!r}")
-        return ScenarioConfig(
-            name=name,
-            kind=doc["kind"],
-            initial=InitialSpec(
-                centers=init["centers"],
-                low=_number(init["low"], "initial.low"),
-                high=_number(init["high"], "initial.high"),
-                sigma=init["sigma"] if isinstance(init["sigma"], str) else _number(init["sigma"], "initial.sigma"),
-            ),
-            b=_number(doc["b"], "b") if "b" in doc else None,
-            **{key: read(doc[key], key) for key, read in _READERS.items() if doc.get(key) is not None},
-        )
-    except (TypeError, OverflowError) as exc:
-        raise ConfigurationError(f"malformed scenario: {exc}") from exc
+    return ScenarioConfig(
+        name=_string(doc.get("name", fallback_name), "name"),
+        kind=_string(doc["kind"], "kind"),
+        initial=InitialSpec(
+            centers=init["centers"],
+            low=_number(init["low"], "initial.low"),
+            high=_number(init["high"], "initial.high"),
+            sigma=init["sigma"] if isinstance(init["sigma"], str) else _number(init["sigma"], "initial.sigma"),
+        ),
+        b=_number(doc["b"], "b") if "b" in doc else None,
+        **{key: read(doc[key], key) for key, read in _READERS.items() if doc.get(key) is not None},
+    )
 
 
 def parse_scenario(source: str | Path) -> ScenarioConfig:
@@ -341,6 +345,6 @@ def parse_scenario(source: str | Path) -> ScenarioConfig:
         )
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError: bad JSON, too many digits or not UTF-8
         raise ConfigurationError(f"scenario file {path} is not valid JSON: {exc}") from exc
     return _scenario_from_dict(doc, fallback_name=path.stem)

@@ -153,6 +153,24 @@ class TestRunCommand:
         assert not out.exists()
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (b"[" * 100000 + b"]" * 100000, "maximum recursion depth exceeded"),
+            (b'{"schema_version": 1, "d": ' + b"1" * 5000 + b"}", "Exceeds the limit (4300 digits)"),
+            (b'{"schema_version": 1, "name": "caf\xe9"}', "'utf-8' codec can't decode byte 0xe9"),
+        ],
+        ids=["deep", "digits", "latin-1"],
+    )
+    def test_unreadable_json_names_the_file(self, tmp_path, capsys, text, message):
+        src = tmp_path / "scenario.json"
+        src.write_bytes(text)
+        out = tmp_path / "out"
+        assert main(["run", str(src), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: scenario file {src} is not valid JSON: ") and message in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("name", ["../escaped", "a/b", "a\\b", "", ".hidden", "/abs"])
     def test_name_must_be_a_plain_stem(self, tmp_path, monkeypatch, capsys, name):
         def no_run(*args, **kwargs):

@@ -11,6 +11,10 @@ merge layer by layer, is pinned too; its pins equal the benchmark's
 
 import hashlib
 import json
+import os
+import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -128,3 +132,26 @@ def test_pins_equal_the_benchmarks():
     assert "emergence-seed0" in shared
     for stem in shared:
         assert dict(zip(("csv", "json", "clusters"), ours[stem][1:])) == bench[stem], stem
+
+
+# numpy's dispatch limited to baseline SIMD; np.exp then gives other bits than under AVX-512
+_BASELINE_SIMD = {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"}
+
+
+def test_pins_hold_under_baseline_simd():
+    # the record reads closeness only through >= d, so the pins hold unless a pinned pair sits
+    # within an ulp of its threshold; numpy ignores a feature name it does not know, so the
+    # child's own feature table, not its exit code, tells whether the limit took
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        pytest.skip("the disabled feature names are x86-64 ones")
+    env = {**os.environ, **_BASELINE_SIMD}
+    probe = "from numpy._core._multiarray_umath import __cpu_features__ as f; print(f.get('X86_V3', False))"
+    features = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    if features.stdout.strip() != "False":
+        pytest.skip("numpy still dispatches to X86_V3 with those features disabled")
+    root = Path(__file__).resolve().parents[1]
+    child = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__, "-k", "not baseline_simd"],
+        cwd=root, env=env, capture_output=True, text=True,
+    )
+    assert child.returncode == 0, child.stdout[-2000:] + child.stderr[-2000:]

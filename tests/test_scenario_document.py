@@ -1,5 +1,7 @@
 """The scenario document layer: one key tuple, one shape check, one reader table."""
 
+import copy
+import re
 from dataclasses import fields
 
 import pytest
@@ -25,6 +27,8 @@ _INITIAL = {"centers": "ramp", "low": 5.0, "high": 25.0, "sigma": 1.0}
     ([], "scenario document must be a JSON object"),
     ({"zz": 1, "aa": 2, "schema_version": 2}, "unknown scenario key 'aa'"),
     ({"schema_version": 2}, "key 'schema_version' must be 1, got 2"),
+    ({"schema_version": True}, "key 'schema_version' must be 1, got True"),
+    ({"schema_version": 1.0}, r"key 'schema_version' must be 1, got 1\.0"),
     ({"initial": _INITIAL}, "key 'schema_version' must be 1, got None"),
     ({"schema_version": 1}, "scenario is missing key 'kind'"),
     ({"schema_version": 1, "kind": "bcfon"}, "scenario is missing key 'initial'"),
@@ -35,4 +39,29 @@ _INITIAL = {"centers": "ramp", "low": 5.0, "high": 25.0, "sigma": 1.0}
 def test_shape_refusals_in_order(doc, message):
     # an unknown key first, then schema_version, then the missing keys in their listed order
     with pytest.raises(ConfigurationError, match=f"^{message}$"):
+        _scenario_from_dict(doc, "fallback")
+
+
+_BLFG = {"schema_version": 1, "kind": "blfg", "n": 3, "steps": 2, "d": 0.6, "b": 0.01,
+         "scheme": "local", "leader": 10.0, "initial": _INITIAL}
+_BOTTOMUP = {"schema_version": 1, "kind": "bottomup", "n": 3, "b": 0.5,
+             "phases": [{"d": 0.5, "steps": 2}], "initial": _INITIAL}
+_NUMBER_KEYS = ("d", "b", "leader", "initial.low", "initial.high", "initial.sigma", "phases[0].d")
+_WRONG_NUMBERS = {"list": [1.0], "object": {}, "1e400": 10**400}
+_WRONG_STRINGS = {"list": ["blfg"], "object": {}}
+
+
+@pytest.mark.parametrize("key, value", [
+    *(pytest.param(key, value, id=f"{key}-{what}") for key in _NUMBER_KEYS for what, value in _WRONG_NUMBERS.items()),
+    *(pytest.param(key, value, id=f"{key}-{what}") for key in ("name", "kind", "scheme")
+      for what, value in _WRONG_STRINGS.items()),
+])
+def test_each_reader_refuses_wrong_json_types_naming_its_key(key, value):
+    doc = copy.deepcopy(_BOTTOMUP if key.startswith("phases") else _BLFG)
+    *path, last = key.replace("[0]", ".0").split(".")
+    target = doc
+    for step in path:
+        target = target[int(step) if step.isdigit() else step]
+    target[last] = value
+    with pytest.raises(ConfigurationError, match=f"^key {re.escape(repr(key))} must be a "):
         _scenario_from_dict(doc, "fallback")

@@ -249,12 +249,12 @@ class TestParseScenario:
             (lambda d: d.pop("initial"), "'initial'"),
             (lambda d: d["initial"].pop("low"), "'low'"),
             (lambda d: d["initial"].update(shape=1), "'shape'"),
-            (lambda d: d.update(b={}), "malformed"),
+            (lambda d: d.update(b={}), r"key 'b' must be a number, got \{\}$"),
             (lambda d: d.update(b=True), "key 'b' must be a number, got True"),
             (lambda d: d.update(b=None), "key 'b' must be a number, got None"),
             (lambda d: d.update(d="0.6"), "key 'd' must be a number, got '0.6'"),
             (lambda d: d.update(leader="10"), "key 'leader' must be a number, got '10'"),
-            (lambda d: d.update(leader=10**400), "malformed scenario"),
+            (lambda d: d.update(leader=10**400), "key 'leader' must be a number in double range, got 10{400}$"),
             (lambda d: d["initial"].update(low=False), "key 'initial.low' must be a number"),
             (lambda d: d["initial"].update(high="25"), "key 'initial.high' must be a number"),
             (lambda d: d["initial"].update(sigma=True), "key 'initial.sigma' must be a number"),
@@ -368,7 +368,7 @@ def test_size_limit_boundary():
 
 def test_huge_integer_float_key_is_malformed(tmp_path):
     path = write_scenario(tmp_path, small_blfg_doc(d=10**400))
-    with pytest.raises(ConfigurationError, match="malformed scenario"):
+    with pytest.raises(ConfigurationError, match="^key 'd' must be a number in double range, got 10{400}$"):
         parse_scenario(path)
 
 
