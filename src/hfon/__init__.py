@@ -13,7 +13,6 @@ from .engine import (
     ExternalReference,
     LeaderReference,
     LocalReference,
-    PhaseSpan,
     TrajectoryRecord,
     detect_consensus_partition,
     run_bcfon,
@@ -71,7 +70,6 @@ __all__ = [
     "LocalReference",
     "NetworkState",
     "Phase",
-    "PhaseSpan",
     "ScenarioConfig",
     "ScenarioRun",
     "TrajectoryRecord",

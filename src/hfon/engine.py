@@ -8,7 +8,7 @@ one step read the same frozen snapshot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
@@ -82,19 +82,6 @@ def step_bcfon(centers, sigmas, d, b, scheme: ReferenceScheme = LocalReference()
     return neigh_mean, sigma_sums / counts + b * np.abs(centers - reference)
 
 
-@dataclass(frozen=True)
-class PhaseSpan:
-    """Annotation for one phase of a phased run: its threshold and step span.
-
-    The span covers the transitions t_start -> t_start+1 ... t_end-1 -> t_end,
-    so the state at t_end is the phase's final state.
-    """
-
-    d: float
-    t_start: int
-    t_end: int
-
-
 @dataclass
 class TrajectoryRecord:
     """Dense per-step record of every agent's (center, sigma).
@@ -102,7 +89,8 @@ class TrajectoryRecord:
     times[k] is the step index of row k.  Runs record every step including the
     initial state; file output may be strided, detectors should not be.
     levels/groups hold each agent's fixed address in hierarchical runs and are
-    None for flat ones.
+    None for flat ones.  phases is a phased run's Phase schedule, in order,
+    and empty for any other run.
     """
 
     times: np.ndarray
@@ -110,7 +98,7 @@ class TrajectoryRecord:
     sigmas: np.ndarray
     levels: np.ndarray | None = None
     groups: np.ndarray | None = None
-    phases: list[PhaseSpan] = field(default_factory=list)
+    phases: tuple = ()
 
     @property
     def n_agents(self) -> int:
@@ -134,7 +122,7 @@ class TrajectoryRecord:
             times=self.times.copy(),
             centers=self.centers[:, ids].copy(),
             sigmas=self.sigmas[:, ids].copy(),
-            phases=list(self.phases),
+            phases=self.phases,
         )
 
 
@@ -225,20 +213,19 @@ def _check_finite(centers, sigmas):
 def _regroup(rows: Partition, centers, sigmas) -> Partition:
     """The partition of a step's output, from its k states' new (centers, sigmas).
 
-    Only the k states are regrouped, O(k log k), and composed with the old
-    inverse when some of them merged, O(n); first then need not hold the
-    lowest ids.  One state is held as float64 scalars, which
-    neighborhood_sums answers without its kernel.  A non-finite state is
-    already in the record, which _check_finite reports whatever the later
-    steps compute.
+    Only the k states are regrouped, O(k log k), and the new inverse is
+    composed with the old when some of them merged, O(n).  One state is held
+    as float64 scalars, which neighborhood_sums answers without its kernel.
+    A non-finite state is already in the record, which _check_finite reports
+    whatever the later steps compute.
     """
-    if rows.first.size > 1:
+    if rows.centers.size > 1:
         sub = distinct_agents(centers, sigmas, rows.d, rows.b)
-        if sub.first.size < rows.first.size:
-            return sub._replace(first=rows.first[sub.first], inverse=sub.inverse[rows.inverse])
+        if sub.centers.size < rows.centers.size:
+            return sub._replace(inverse=sub.inverse[rows.inverse])
     elif centers.ndim:  # one state: float64 scalars from here
-        return Partition(rows.first, rows.inverse, centers[0], sigmas[0], rows.d[0], rows.b[0])
-    return Partition(rows.first, rows.inverse, centers, sigmas, rows.d, rows.b)
+        return Partition(rows.inverse, centers[0], sigmas[0], rows.d[0], rows.b[0])
+    return Partition(rows.inverse, centers, sigmas, rows.d, rows.b)
 
 
 def run_bcfon(initial: NetworkState, steps: int, scheme: ReferenceScheme = LocalReference()) -> TrajectoryRecord:

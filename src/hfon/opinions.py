@@ -92,13 +92,11 @@ def closeness_matrix(centers, sigmas, col_centers=None, col_sigmas=None) -> np.n
 class Partition(NamedTuple):
     """Agents of (n,) arrays grouped by identical (center, sigma, d, b), with each group's state.
 
-    first holds one agent id per distinct state and inverse maps every agent
-    to its state's position in first.  centers, sigmas, d and b are the k
-    states themselves, the agents' values at first, so values[inverse]
-    spreads one value per state back over the agents.
+    centers, sigmas, d and b are the k distinct states and inverse maps every
+    agent to its state's position in them, so values[inverse] spreads one
+    value per state back over the agents.
     """
 
-    first: np.ndarray
     inverse: np.ndarray
     centers: np.ndarray
     sigmas: np.ndarray
@@ -107,13 +105,13 @@ class Partition(NamedTuple):
 
 
 def distinct_agents(centers, sigmas, d, b) -> Partition:
-    """Agents of (n,) arrays grouped by identical state, first holding the lowest id of each.
+    """Agents of (n,) arrays grouped by identical state, each state the values of its lowest id.
 
     States are compared by the exact bits of (center, sigma, d, b), so -0.0
     and 0.0 stay apart.
     """
     first, inverse = distinct_rows(np.stack([centers, sigmas, d, b], axis=1))
-    return Partition(first, inverse, centers[first], sigmas[first], d[first], b[first])
+    return Partition(inverse, centers[first], sigmas[first], d[first], b[first])
 
 
 def distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

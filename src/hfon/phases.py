@@ -13,10 +13,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, _number
 from .engine import (
     LocalReference,
-    PhaseSpan,
     TrajectoryRecord,
     _default_gap,
     _run,
@@ -34,7 +33,7 @@ class Phase:
     steps: int
 
     def __post_init__(self):
-        if not (np.isfinite(self.d) and 0.0 <= self.d <= 1.0):
+        if not (np.isfinite(_number(self.d, "d")) and 0.0 <= self.d <= 1.0):
             raise ConfigurationError("phase threshold d must lie in [0, 1]")
         if isinstance(self.steps, bool) or not (isinstance(self.steps, int) and self.steps >= 0):
             raise ConfigurationError("phase steps must be an integer >= 0")
@@ -50,17 +49,13 @@ def run_bu(initial: NetworkState, phases: Sequence[Phase]) -> TrajectoryRecord:
     if len(phases) == 0:
         raise ConfigurationError("a schedule needs at least one phase")
     scheme = LocalReference()
-    spans, t = [], 0
-    for phase in phases:
-        spans.append(PhaseSpan(d=phase.d, t_start=t, t_end=t + phase.steps))
-        t += phase.steps
 
     def segment(phase: Phase):
         d = np.full(initial.n, float(phase.d))
         return phase.steps, lambda c, s, t, rows: step_bcfon(c, s, d, initial.b, scheme, t, rows), (d, initial.b)
 
     record = _run(initial, [segment(phase) for phase in phases])
-    record.phases = spans
+    record.phases = tuple(phases)
     return record
 
 
@@ -107,8 +102,9 @@ def phase_summary(record: TrajectoryRecord, gap: float | None = None) -> list[Cl
     """
     if not record.phases:
         raise ValueError("record has no phase annotations")
+    ends = np.cumsum([phase.steps for phase in record.phases])
     return [
-        _cluster_report(record, record.index_of(span.t_end), gap, phase=p, d=span.d)
-        for p, span in enumerate(record.phases)
+        _cluster_report(record, record.index_of(int(t)), gap, phase=p, d=phase.d)
+        for p, (phase, t) in enumerate(zip(record.phases, ends))
     ]
 

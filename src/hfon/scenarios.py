@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, _integer, _number, _string
 from .engine import LeaderReference, LocalReference, TrajectoryRecord, run_bcfon
 from .hierarchy import HierarchySpec, run_td
 from .leader import run_blfg
@@ -74,12 +74,13 @@ class InitialSpec:
     def __post_init__(self):
         if self.centers not in ("ramp", "uniform"):
             raise ConfigurationError("initial centers must be 'ramp' or 'uniform'")
-        if not (np.isfinite(self.low) and np.isfinite(self.high) and self.low <= self.high):
+        low, high = _number(self.low, "initial.low"), _number(self.high, "initial.high")
+        if not (np.isfinite(low) and np.isfinite(high) and low <= high):
             raise ConfigurationError("initial range must satisfy low <= high")
         if isinstance(self.sigma, str):
             if self.sigma != "uniform":
                 raise ConfigurationError("initial sigma must be a number or 'uniform'")
-        elif not (np.isfinite(self.sigma) and self.sigma >= 0.0):
+        elif not (np.isfinite(_number(self.sigma, "initial.sigma")) and self.sigma >= 0.0):
             raise ConfigurationError("initial sigma must be non-negative")
 
     @property
@@ -129,6 +130,11 @@ class ScenarioConfig:
     seed: int | None = None
 
     def __post_init__(self):
+        # the document readers' type checks, for a library caller too; they store nothing
+        for key, read in (("name", _string), ("kind", _string), ("scheme", _string), ("b", _number),
+                          ("d", _number), ("leader", _number), ("seed", _integer)):
+            if getattr(self, key) is not None:
+                read(getattr(self, key), key)
         # the name becomes the stem of both output files, which must land inside --out
         if not self.name or self.name.startswith(".") or any(c in self.name for c in "/\\\0"):
             raise ConfigurationError(
@@ -263,30 +269,6 @@ def _object(value, what: str, keys: tuple, required: tuple, version: int | None 
     for key in required:
         if key not in value:
             raise ConfigurationError(f"{what} is missing key {key!r}")
-    return value
-
-
-def _integer(value, key: str) -> int:
-    """value if it is a JSON integer; a bool, a float (2.7 or 3.0) or a string names the key."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigurationError(f"key {key!r} must be an integer, got {value!r}")
-    return value
-
-
-def _number(value, key: str) -> float:
-    """float(value) for a JSON integer or float in double range; any other value names the key."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigurationError(f"key {key!r} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ConfigurationError(f"key {key!r} must be a number in double range, got {value!r}") from None
-
-
-def _string(value, key: str) -> str:
-    """value if it is a JSON string; any other value names the key."""
-    if not isinstance(value, str):
-        raise ConfigurationError(f"key {key!r} must be a string, got {value!r}")
     return value
 
 

@@ -24,7 +24,6 @@ PUBLIC_NAMES = [
     "LocalReference",
     "NetworkState",
     "Phase",
-    "PhaseSpan",
     "ScenarioConfig",
     "ScenarioRun",
     "TrajectoryRecord",
@@ -56,7 +55,7 @@ PUBLIC_NAMES = [
 
 def test_public_names_are_pinned():
     assert sorted(hfon.__all__) == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == len(set(PUBLIC_NAMES)) == 38
+    assert len(PUBLIC_NAMES) == len(set(PUBLIC_NAMES)) == 37
 
 
 def test_every_public_name_resolves():
@@ -109,3 +108,39 @@ def test_a_bool_is_not_a_count(tmp_path, call, message):
     # True is an int to isinstance; every count check refuses it rather than reading it as 1
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(tmp_path)
+
+
+def _config(**overrides):
+    values = dict(name="x", kind="blfg", initial=_RAMP, b=0.1, n=2, d=0.5, scheme="local", leader=10.0, steps=2)
+    return hfon.ScenarioConfig(**{**values, **overrides})
+
+
+def _initial(**overrides):
+    return hfon.InitialSpec(**{"centers": "ramp", "low": 5.0, "high": 25.0, "sigma": 1.0, **overrides})
+
+
+@pytest.mark.parametrize(
+    "call, key",
+    [
+        (lambda: _config(d=True), "d"),
+        (lambda: _config(b=True), "b"),
+        (lambda: _config(leader=True), "leader"),
+        (lambda: _config(seed=True), "seed"),
+        (lambda: _config(kind=["blfg"]), "kind"),
+        (lambda: _config(scheme=["local"]), "scheme"),
+        (lambda: _config(d=[0.6]), "d"),
+        (lambda: _config(seed="1"), "seed"),
+        (lambda: _config(leader="10"), "leader"),
+        (lambda: _config(name=123), "name"),
+        (lambda: _initial(low=True), "initial.low"),
+        (lambda: _initial(low=[5.0]), "initial.low"),
+        (lambda: _initial(high="25"), "initial.high"),
+        (lambda: _initial(sigma=[1.0]), "initial.sigma"),
+        (lambda: hfon.Phase(d=True, steps=2), "d"),
+        (lambda: hfon.Phase(d="0.5", steps=2), "d"),
+    ],
+)
+def test_public_constructors_type_their_values(call, key):
+    # the document readers' checks, for a library caller: no coercion, no bare TypeError
+    with pytest.raises(hfon.ConfigurationError, match=f"^key {re.escape(repr(key))} must be "):
+        call()

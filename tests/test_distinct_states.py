@@ -42,7 +42,7 @@ from hfon import (
 )
 from hfon.engine import _regroup, step_bcfon
 from hfon.leader import step_blfg
-from hfon.opinions import distinct_agents, neighborhood_sums
+from hfon.opinions import distinct_agents, distinct_rows, neighborhood_sums
 from reference import center_values, flat_step, group_step, reference_record, states, sums
 
 
@@ -53,7 +53,7 @@ def distinct(state):
 def spread(rows, values):
     """One value per distinct state, checked to be k long, copied to every agent."""
     for a in values:
-        assert a.shape == rows.first.shape
+        assert a.shape == rows.centers.shape
     return tuple(a[rows.inverse] for a in values)
 
 
@@ -68,6 +68,12 @@ def partitioned_flat_step(state, scheme=LocalReference(), t=0):
 def partitioned_group_step(state, leader, scheme):
     rows = distinct(state)
     return spread(rows, step_blfg(state.centers, state.sigmas, state.d, state.b, leader, scheme, rows))
+
+
+def labels(inverse):
+    """inverse relabelled by each state's first agent, so two groupings compare as lists."""
+    seen = {}
+    return [seen.setdefault(k, len(seen)) for k in inverse.tolist()]
 
 
 def signals(scheme, t, n):
@@ -104,28 +110,34 @@ def blocks(draw):
     return tuple(np.array(a, dtype=np.float64).reshape(shape) for a in (rows, sigmas, d))
 
 
+def state_keys(state):
+    return np.stack([state.centers, state.sigmas, state.d, state.b], axis=1)
+
+
 class TestDistinctAgents:
     def test_groups_identical_states(self):
         state = NetworkState([1.0, 2.0, 1.0, 1.0, 2.0], [0.5, 0.5, 0.5, 0.5, 0.5], [0.1, 0.1, 0.1, 0.2, 0.1], 1.0)
-        first, inverse = distinct(state)[:2]
+        assert labels(distinct(state).inverse) == [0, 1, 0, 2, 1]
+        first, inverse = distinct_rows(state_keys(state))
         assert sorted(first.tolist()) == [0, 1, 3]
         assert first[inverse].tolist() == [0, 1, 0, 3, 1]
 
     def test_signed_zeros_stay_apart(self):
         state = NetworkState([0.0, -0.0, 0.0], [0.0, 0.0, 0.0], 0.5, 1.0)
-        first, inverse = distinct(state)[:2]
+        assert labels(distinct(state).inverse) == [0, 1, 0]
+        first, inverse = distinct_rows(state_keys(state))
         assert sorted(first.tolist()) == [0, 1]
         assert first[inverse].tolist() == [0, 1, 0]
 
     @given(state=_any_states)
     @settings(max_examples=100)
-    def test_first_occurrences_cover_every_agent(self, state):
-        rows = distinct(state)
-        first, inverse = rows.first, rows.inverse
-        keys = np.stack([state.centers, state.sigmas, state.d, state.b], axis=1)
+    def test_states_cover_every_agent(self, state):
+        rows, keys = distinct(state), state_keys(state)
+        assert_same_bits(np.stack([rows.centers, rows.sigmas, rows.d, rows.b], axis=1)[rows.inverse], keys)
+        assert len({row.tobytes() for row in keys}) == rows.centers.size
+        first, inverse = distinct_rows(keys)
+        assert_same_bits(inverse, rows.inverse)
         assert_same_bits(keys[first][inverse], keys)
-        assert_same_bits(np.stack([rows.centers, rows.sigmas, rows.d, rows.b], axis=1), keys[first])
-        assert len({row.tobytes() for row in keys[first]}) == first.size
         assert all(first[inverse[i]] <= i for i in range(state.n))
 
 
@@ -188,7 +200,7 @@ class TestNeighborhoodSums:
         # one distinct state: every agent hears every agent, whatever d in [0, 1]
         state = NetworkState(np.full(n, center), np.full(n, sigma), d, 0.5)
         rows = distinct(state)
-        assert rows[0].size == 1
+        assert rows.centers.size == 1
         expected = sums(state.centers, state.sigmas, state.d)
         assert_same_bits(expected[0], np.full(n, float(n)))
         for got in (spread(rows, neighborhood_sums(state.centers, state.sigmas, state.d, rows)),
@@ -252,7 +264,7 @@ def test_emergence_computes_closeness_only_in_center_windows(monkeypatch, tmp_pa
     kernel = hfon.engine.neighborhood_sums
 
     def traced_sums(centers, sigmas, d, rows=None):
-        calls.append([(centers.size if rows is None else rows.first.size) * centers.size, 0])
+        calls.append([(centers.size if rows is None else rows.centers.size) * centers.size, 0])
         return kernel(centers, sigmas, d, rows)
 
     def traced_closeness(*args):
@@ -277,7 +289,7 @@ def test_one_state_steps_update_one_row(monkeypatch):
 
     def traced(centers, sigmas, d, b, leader_center, scheme, rows=None):
         out = group_update(centers, sigmas, d, b, leader_center, scheme, rows)
-        if rows is not None and rows.first.size == 1:
+        if rows is not None and rows.centers.size == 1:
             shapes.append({a.shape for a in out})
         return out
 
@@ -328,7 +340,7 @@ def test_all_distinct_and_all_equal(n, equal):
     if equal:
         centers, sigmas = np.full(n, centers[0]), np.full(n, sigmas[0])
     state = NetworkState(centers, sigmas, 0.6, 0.4)
-    assert distinct(state)[0].size == (1 if equal else n)
+    assert distinct(state).centers.size == (1 if equal else n)
     for got, ref in zip(partitioned_flat_step(state), flat_step(centers, sigmas, state.d, state.b)):
         assert_same_bits(got, ref)
     for got, ref in zip(partitioned_group_step(state, 1.5, LeaderReference()),
@@ -346,7 +358,7 @@ def test_many_steps_of_a_merging_population():
         dense = flat_step(*dense, state.d, state.b)
         assert_same_bits(state.centers, dense[0])
         assert_same_bits(state.sigmas, dense[1])
-    assert distinct(state)[0].size < 200
+    assert distinct(state).centers.size < 200
 
 
 def test_an_external_reference_takes_no_partition():
@@ -418,9 +430,10 @@ class TestCarriedPartition:
         rng = np.random.default_rng(3)
         state = pooled_state(90, 3, rng.uniform(0.0, 1.0, 90), rng.uniform(0.1, 1.0, 90))
         record = run_bu(state, phases)
-        d_at = {t: span.d for span in record.phases for t in range(span.t_start, span.t_end)}
+        assert record.phases == phases
+        d_at = [phase.d for phase in phases for _ in range(phase.steps)]
         steps = record.n_samples - 1
-        assert steps == 45
+        assert steps == len(d_at) == 45
         assert_same_record(record, reference_record(
             lambda c, s, t: flat_step(c, s, np.full(state.n, d_at[t]), state.b), state, steps))
 
@@ -429,13 +442,14 @@ class TestCarriedPartition:
         record = run_bcfon(state, 50)
         rows, sizes = distinct(state), []
         for centers, sigmas in zip(record.centers, record.sigmas):
-            # a state's new value is the record's value at any of its agents
-            rows = _regroup(rows, centers[rows.first], sigmas[rows.first])
+            # a state's new value is the record's value at any of its agents: scattered, each wins
+            new_c, new_s = np.empty((2, rows.inverse.max() + 1))
+            new_c[rows.inverse], new_s[rows.inverse] = centers, sigmas
+            rows = _regroup(rows, new_c, new_s)
             full = distinct_agents(centers, sigmas, state.d, state.b)
-            pairs = np.unique(np.stack([rows[1], full[1]]), axis=1)
-            assert pairs.shape[1] == rows[0].size == full[0].size
-            keys = np.stack([centers, sigmas], axis=1)
-            assert_same_bits(keys[rows[0]][rows[1]], keys)
-            assert_same_bits(np.stack([rows.centers, rows.sigmas], axis=1), keys[rows.first])
-            sizes.append(rows[0].size)
+            pairs = np.unique(np.stack([rows.inverse, full.inverse]), axis=1)
+            assert pairs.shape[1] == rows.centers.size == full.centers.size
+            assert_same_bits(np.atleast_1d(rows.centers)[rows.inverse], centers)
+            assert_same_bits(np.atleast_1d(rows.sigmas)[rows.inverse], sigmas)
+            sizes.append(rows.centers.size)
         assert sizes[0] > sizes[-1] >= 1

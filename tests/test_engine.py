@@ -12,6 +12,7 @@ from hfon import (
     ConfigurationError,
     ExternalReference,
     HierarchySpec,
+    InitialSpec,
     LeaderReference,
     LocalReference,
     NetworkState,
@@ -431,3 +432,27 @@ class TestClusterPartition:
         lows = [centers[b].min() for b in blocks]
         for k in range(len(blocks) - 1):
             assert lows[k + 1] - reps[k] > gap
+
+
+@pytest.mark.parametrize("b", [1e-3, 0.05])
+def test_few_opinions_survive_and_their_count_follows_the_radius(b):
+    """The bottom-up "few opinions" claim as a measured law, on a flat network.
+
+    500 agents uniform on [0, L = 10] with sigma 0.1, 300 steps, seeds 0-4; a cluster is a
+    group of 2 or more at gap 1e-6.  With equal sigmas agent i hears j exactly when
+    |c_i - c_j| <= eps = 2 sigma sqrt(-ln d), and the median cluster count falls with d,
+    staying near L / (2 eps).  Measured medians for d = 0.9 ... 0.01: 53, 31, 22, 17, 12, 10
+    at b = 1e-3 and 54, 30, 21, 17, 12, 8 at b = 0.05, 0.69-0.86 x L / (2 eps); the band
+    asserted is 0.65-0.9.
+    """
+    medians, ratios = [], []
+    for d in (0.9, 0.7, 0.5, 0.3, 0.1, 0.01):
+        counts = []
+        for seed in range(5):
+            centers, sigmas = InitialSpec("uniform", 0.0, 10.0, 0.1).build(500, seed)
+            final = run_bcfon(NetworkState(centers, sigmas, d, b), 300).centers[-1]
+            counts.append(sum(ids.size >= 2 for ids in detect_consensus_partition(final, 1e-6)))
+        medians.append(np.median(counts))
+        ratios.append(medians[-1] / (10.0 / (2.0 * 2.0 * 0.1 * math.sqrt(-math.log(d)))))
+    assert all(later <= earlier for earlier, later in zip(medians, medians[1:]))
+    assert 0.65 <= min(ratios) and max(ratios) <= 0.9, ratios

@@ -13,11 +13,15 @@ from hfon import (
     LeaderReference,
     LocalReference,
     HierarchySpec,
+    InitialSpec,
     NetworkState,
+    ScenarioConfig,
     convergence_conditions,
+    execute_scenario,
     leader_weight_matrix,
     run_blfg,
     run_td,
+    steps_to_target,
 )
 from hfon.hierarchy import step_td
 from reference import reference_record, tree_step
@@ -240,3 +244,26 @@ class TestRandomTrees:
             centers = record.centers[:5, sl].reshape(-1, g, k)
             sigmas = record.sigmas[:5, sl].reshape(-1, g, k)
             assert convergence_conditions(leader_weight_matrix(centers, sigmas, d)).ok
+
+
+# every uniform tree of 120-160 agents with at least two levels of groups
+MATCHED_TREES = ((11, 11), (12, 12), (5, 5, 5), (3, 3, 3, 3), (2,) * 6)
+
+
+@pytest.mark.parametrize("scheme", ["local", "leader"])
+def test_small_groups_converge_fastest_at_matched_agent_counts(scheme):
+    """Paper claim 2 at 120-160 agents: each tree against a flat group of its n, both from
+    example 1's ramp and parameters.  Steps to within 1% of the leader, measured
+    (local/leader): trees of groups of 11 51/53, of 12 56/56, of 5 36/36, of 3 30/30 and
+    of 2 31/31, against flat groups of the same n, 282/353, 335/429, 330/423, 288/317 and 259/333."""
+    common = dict(d=0.6, b=0.01, scheme=scheme, leader=TOP, initial=InitialSpec("ramp", 5.0, 25.0, 1.0), steps=1500)
+    tree_steps, flat_steps = {}, {}
+    for sizes in MATCHED_TREES:
+        tree = execute_scenario(ScenarioConfig(name="tree", kind="topdown", group_sizes=sizes, **common)).record
+        flat = execute_scenario(ScenarioConfig(name="flat", kind="blfg", n=tree.n_agents, **common)).record
+        tree_steps[sizes], flat_steps[sizes] = steps_to_target(tree, TOP), steps_to_target(flat, TOP)
+    assert None not in {*tree_steps.values(), *flat_steps.values()}
+    assert all(flat_steps[sizes] > tree_steps[sizes] for sizes in MATCHED_TREES)
+    small = [tree_steps[sizes] for sizes in MATCHED_TREES if max(sizes) <= 5]
+    large = [tree_steps[sizes] for sizes in MATCHED_TREES if max(sizes) >= 11]
+    assert max(small) < min(large)

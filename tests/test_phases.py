@@ -47,10 +47,8 @@ class TestRunBu:
         state = NetworkState([0.0, 1.0, 5.0], [1.0] * 3, 0.9, 0.2)
         record = run_bu(state, (Phase(0.9, 3), Phase(0.5, 4)))
         assert record.n_samples == 8
-        assert [(s.d, s.t_start, s.t_end) for s in record.phases] == [
-            (0.9, 0, 3),
-            (0.5, 3, 7),
-        ]
+        assert record.phases == (Phase(0.9, 3), Phase(0.5, 4))
+        assert [(r.d, r.t_end) for r in phase_summary(record)] == [(0.9, 3), (0.5, 7)]
 
     def test_next_phase_starts_from_previous_end(self):
         state = NetworkState([0.0, 1.0, 5.0, 9.0], [1.0] * 4, 0.9, 0.2)
