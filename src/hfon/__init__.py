@@ -47,7 +47,6 @@ from .scenarios import (
     builtin_scenarios,
     execute_scenario,
     parse_scenario,
-    ramp_initials,
 )
 from .output import (
     build_summary,
@@ -86,7 +85,6 @@ __all__ = [
     "predict_center",
     "predict_sigma_leader_ref",
     "predict_sigma_limit",
-    "ramp_initials",
     "read_trajectory_csv",
     "run_bcfon",
     "run_blfg",

@@ -16,7 +16,7 @@ from .engine import _default_gap
 from .leader import predict_center, predict_sigma_leader_ref, predict_sigma_limit, steps_to_error_fraction
 from .output import build_summary, read_trajectory_csv, write_summary_json, write_trajectory_csv
 from .phases import _cluster_report
-from .scenarios import _SEED_LIMIT, builtin_scenarios, execute_scenario, parse_scenario
+from .scenarios import builtin_scenarios, execute_scenario, parse_scenario
 
 
 class _Parser(argparse.ArgumentParser):
@@ -89,8 +89,6 @@ def _check_nonnegative(value: float | None, flag: str):
 
 
 def _run_command(args) -> int:
-    if args.seed is not None and not 0 <= args.seed < _SEED_LIMIT:
-        raise ConfigurationError("--seed must fit in 64 bits")
     if args.stride < 1:
         raise ConfigurationError("--stride must be >= 1")
     _check_nonnegative(args.gap, "--gap")

@@ -13,7 +13,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, _integer
 from .opinions import NetworkState, Partition, distinct_agents, neighbor_mask, neighborhood_sums  # noqa: F401
 
 # neighbor_mask is unused here but stays importable as hfon.engine.neighbor_mask:
@@ -157,8 +157,7 @@ def _run(state: NetworkState, segments, still: bool = True) -> TrajectoryRecord:
     compared with the k inputs.
     """
     for steps, _, _ in segments:
-        if isinstance(steps, bool) or not (isinstance(steps, int) and steps >= 0):
-            raise ValueError(f"steps must be an integer >= 0, got {steps!r}")
+        _integer(steps, "steps", 0)
     total = sum(steps for steps, _, _ in segments)
     centers = np.empty((total + 1, state.n), dtype=np.float64)
     sigmas = np.empty((total + 1, state.n), dtype=np.float64)

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, _integer
 from .engine import ReferenceScheme, TrajectoryRecord, _run
 from .leader import _check_group, group_update
 from .opinions import NetworkState
@@ -33,8 +33,8 @@ class HierarchySpec:
     def __post_init__(self):
         if len(self.group_sizes) == 0:
             raise ConfigurationError("a hierarchy needs at least one level of groups")
-        if any(isinstance(s, bool) or not (isinstance(s, int) and s >= 1) for s in self.group_sizes):
-            raise ConfigurationError("every group size must be an integer >= 1")
+        for size in self.group_sizes:
+            _integer(size, "every group size", 1)
 
     @property
     def n_agents(self) -> int:

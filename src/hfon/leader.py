@@ -15,7 +15,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, _integer
 from .engine import LeaderReference, LocalReference, ReferenceScheme, TrajectoryRecord, _initial_spread, _run
 from .opinions import NetworkState, neighbor_mask, neighborhood_sums
 
@@ -131,12 +131,10 @@ def detect_consensus_time(record: TrajectoryRecord, tol: float | None = None) ->
 
 
 def _check_predictor_args(n: int, t_offset: int):
-    if isinstance(n, bool) or not (isinstance(n, int) and n >= 1):
-        raise ValueError("n must be an integer >= 1")
+    _integer(n, "n", 1)
     if n / (n + 1) == 1.0:
         raise ValueError(f"n = {n} is too large: n / (n + 1) rounds to 1")
-    if isinstance(t_offset, bool) or not (isinstance(t_offset, int) and t_offset >= 0):
-        raise ValueError("t_offset must be an integer >= 0")
+    _integer(t_offset, "t_offset", 0)
 
 
 def predict_center(consensus_center: float, leader_center: float, n: int, t_offset: int) -> float:
@@ -181,8 +179,7 @@ def steps_to_error_fraction(n: int, epsilon: float) -> float:
 
     log(epsilon) / (log n - log(n+1)); epsilon must lie strictly inside (0, 1).
     """
-    if isinstance(n, bool) or not (isinstance(n, int) and n >= 1):
-        raise ValueError("n must be an integer >= 1")
+    _integer(n, "n", 1)
     if not (np.isfinite(epsilon) and 0.0 < epsilon < 1.0):
         raise ValueError("epsilon must lie strictly between 0 and 1")
     log_ratio = math.log(n) - math.log(n + 1)

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import _integer
 from .engine import TrajectoryRecord, steps_to_target
 from .leader import (
     detect_consensus_time,
@@ -74,8 +75,7 @@ def write_trajectory_csv(record: TrajectoryRecord, path, stride: int = 1):
     steps or no agents is refused before any file is created.  The file
     appears at path only once it is complete.
     """
-    if isinstance(stride, bool) or not (isinstance(stride, int) and stride >= 1):
-        raise ValueError("stride must be an integer >= 1")
+    _integer(stride, "stride", 1)
     n_samples, n = record.centers.shape
     if n_samples == 0:
         raise ValueError("record has no steps")

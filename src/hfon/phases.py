@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, _number
+from .errors import ConfigurationError, _integer, _number
 from .engine import (
     LocalReference,
     TrajectoryRecord,
@@ -33,10 +33,10 @@ class Phase:
     steps: int
 
     def __post_init__(self):
-        if not (np.isfinite(_number(self.d, "d")) and 0.0 <= self.d <= 1.0):
+        object.__setattr__(self, "d", _number(self.d, "key 'd'"))
+        if not (np.isfinite(self.d) and 0.0 <= self.d <= 1.0):
             raise ConfigurationError("phase threshold d must lie in [0, 1]")
-        if isinstance(self.steps, bool) or not (isinstance(self.steps, int) and self.steps >= 0):
-            raise ConfigurationError("phase steps must be an integer >= 0")
+        _integer(self.steps, "phase steps", 0)
 
 
 def run_bu(initial: NetworkState, phases: Sequence[Phase]) -> TrajectoryRecord:

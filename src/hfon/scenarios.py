@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, _integer, _number, _string
+from .errors import ConfigurationError, _integer, _number, _shown, _string
 from .engine import LeaderReference, LocalReference, TrajectoryRecord, run_bcfon
 from .hierarchy import HierarchySpec, run_td
 from .leader import run_blfg
@@ -28,8 +28,6 @@ SCHEMA_VERSION = 1
 # largest (steps + 1) x agents a scenario may record: each of the two trajectory
 # arrays then takes at most 800 MB
 _MAX_RECORDED = 10**8
-# seeds, from a document or --seed, are numpy generator seeds of at most 64 bits
-_SEED_LIMIT = 2**64
 _SCHEMES = {"local": LocalReference(), "leader": LeaderReference()}
 # the keys each kind reads besides name, kind, initial, b and seed, which every kind
 # reads; all are required but a flat run's scheme, which can only be 'local'
@@ -44,10 +42,16 @@ _EVERY_KIND_KEYS = ("name", "kind", "initial", "b", "seed")
 _KEYS = ("name", "kind", "n", "group_sizes", "steps", "d", "b", "scheme", "leader", "phases", "initial", "seed")
 
 
+def _seed(value, what: str) -> int:
+    """value if it is an integer in [0, 2**64): every seed is a numpy generator seed of at most 64 bits."""
+    if not 0 <= _integer(value, what) < 2**64:
+        raise ConfigurationError(f"{what} must lie in [0, 2**64), got {_shown(value)}")
+    return value
+
+
 def ramp_initials(n: int, low: float = 5.0, high: float = 25.0) -> np.ndarray:
     """Evenly spaced centers from low to high; a single agent sits at low."""
-    if isinstance(n, bool) or not (isinstance(n, int) and n >= 1):
-        raise ConfigurationError("ramp needs an integer agent count >= 1")
+    _integer(n, "n", 1)
     if n == 1:
         return np.array([float(low)])
     return low + (high - low) * np.arange(n, dtype=np.float64) / (n - 1)
@@ -74,13 +78,14 @@ class InitialSpec:
     def __post_init__(self):
         if self.centers not in ("ramp", "uniform"):
             raise ConfigurationError("initial centers must be 'ramp' or 'uniform'")
-        low, high = _number(self.low, "initial.low"), _number(self.high, "initial.high")
-        if not (np.isfinite(low) and np.isfinite(high) and low <= high):
+        for key in ("low", "high") if isinstance(self.sigma, str) else ("low", "high", "sigma"):
+            object.__setattr__(self, key, _number(getattr(self, key), f"key 'initial.{key}'"))
+        if not (np.isfinite(self.low) and np.isfinite(self.high) and self.low <= self.high):
             raise ConfigurationError("initial range must satisfy low <= high")
         if isinstance(self.sigma, str):
             if self.sigma != "uniform":
                 raise ConfigurationError("initial sigma must be a number or 'uniform'")
-        elif not (np.isfinite(_number(self.sigma, "initial.sigma")) and self.sigma >= 0.0):
+        elif not (np.isfinite(self.sigma) and self.sigma >= 0.0):
             raise ConfigurationError("initial sigma must be non-negative")
 
     @property
@@ -88,11 +93,14 @@ class InitialSpec:
         return self.centers == "uniform" or self.sigma == "uniform"
 
     def build(self, n: int, seed: int | None):
-        if self.needs_seed and seed is None:
+        _integer(n, "n", 1)
+        if seed is not None:
+            _seed(seed, "seed")
+        elif self.needs_seed:
             raise ConfigurationError("this scenario draws random initials and needs a seed")
         # one ramp agent sits at low; every other draw or ramp needs high - low in float range, and
         # a ramp multiplies it by n - 1 before it divides (the order every built-in's bits rest on)
-        span = float(self.high) - float(self.low)
+        span = self.high - self.low
         if (n != 1 or self.centers == "uniform") and not np.isfinite(span):
             raise ConfigurationError(f"initial range from {self.low!r} to {self.high!r} is too wide: high - low overflows")
         if self.centers == "ramp" and n != 1 and not np.isfinite(span * (n - 1)):
@@ -108,7 +116,7 @@ class InitialSpec:
         if self.sigma == "uniform":
             sigmas = _positive_uniform_sigmas(rng, n)
         else:
-            sigmas = np.full(n, float(self.sigma))
+            sigmas = np.full(n, self.sigma)
         return centers, sigmas
 
 
@@ -130,21 +138,20 @@ class ScenarioConfig:
     seed: int | None = None
 
     def __post_init__(self):
-        # the document readers' type checks, for a library caller too; they store nothing
+        # each value's type, numbers stored as floats; every kind reads name, kind and b, so
+        # None is refused there as any other wrong type
         for key, read in (("name", _string), ("kind", _string), ("scheme", _string), ("b", _number),
-                          ("d", _number), ("leader", _number), ("seed", _integer)):
-            if getattr(self, key) is not None:
-                read(getattr(self, key), key)
+                          ("d", _number), ("leader", _number), ("seed", _seed)):
+            if getattr(self, key) is not None or key in ("name", "kind", "b"):
+                object.__setattr__(self, key, read(getattr(self, key), f"key {key!r}"))
         # the name becomes the stem of both output files, which must land inside --out
         if not self.name or self.name.startswith(".") or any(c in self.name for c in "/\\\0"):
             raise ConfigurationError(
                 f"scenario name must be a plain file stem (not empty, no leading dot, "
-                f"no path separator), got {self.name!r}"
+                f"no path separator), got {_shown(self.name)}"
             )
         if self.kind not in _KIND_KEYS:
-            raise ConfigurationError(f"unknown scenario kind {self.kind!r}")
-        if self.b is None:
-            raise ConfigurationError("scenario requires key 'b'")
+            raise ConfigurationError(f"unknown scenario kind {_shown(self.kind)}")
         reads = _KIND_KEYS[self.kind]
         for key in reads:
             if getattr(self, key) is None and (self.kind, key) != ("bcfon", "scheme"):
@@ -156,23 +163,18 @@ class ScenarioConfig:
             raise ConfigurationError("scheme must be 'local' or 'leader'")
         if self.kind == "bcfon" and self.scheme not in (None, "local"):
             raise ConfigurationError("flat runs support only the local scheme")
-        if self.n is not None and (isinstance(self.n, bool) or not (isinstance(self.n, int) and self.n >= 1)):
-            raise ConfigurationError(f"key 'n' must be an integer >= 1, got {self.n!r}")
-        if self.steps is not None and (
-            isinstance(self.steps, bool) or not (isinstance(self.steps, int) and self.steps >= 0)
-        ):
-            raise ConfigurationError("steps must be an integer >= 0")
+        for key, low in (("n", 1), ("steps", 0)):
+            if getattr(self, key) is not None:
+                _integer(getattr(self, key), f"key {key!r}", low)
         if self.d is not None and not (0.0 <= self.d <= 1.0):
             raise ConfigurationError("threshold d must lie in [0, 1]")
         if not (np.isfinite(self.b) and self.b > 0.0):
             raise ConfigurationError("uncertainty gain b must be positive")
-        if self.seed is not None and not 0 <= self.seed < _SEED_LIMIT:
-            raise ConfigurationError(f"key 'seed' must lie in [0, 2**64), got {self.seed}")
         agents = self._spec.n_agents if self.kind == "topdown" else self.n
         steps = sum(p.steps for p in self.phases) if self.kind == "bottomup" else self.steps
         if (steps + 1) * agents > _MAX_RECORDED:
             raise ConfigurationError(
-                f"(steps + 1) x agents = {(steps + 1) * agents} recorded values "
+                f"(steps + 1) x agents = {_shown((steps + 1) * agents)} recorded values "
                 f"is over the limit of {_MAX_RECORDED}"
             )
 
@@ -262,10 +264,10 @@ def _object(value, what: str, keys: tuple, required: tuple, version: int | None 
         )
     unknown = sorted(set(value).difference(keys))
     if unknown:
-        raise ConfigurationError(f"unknown {what} key {unknown[0]!r}")
+        raise ConfigurationError(f"unknown {what} key {_shown(unknown[0])}")
     got = value.get("schema_version")
     if version is not None and (type(got) is not int or got != version):  # true and 1.0 equal 1 but are not it
-        raise ConfigurationError(f"key 'schema_version' must be {version}, got {got!r}")
+        raise ConfigurationError(f"key 'schema_version' must be {version}, got {_shown(got)}")
     for key in required:
         if key not in value:
             raise ConfigurationError(f"{what} is missing key {key!r}")
@@ -275,7 +277,7 @@ def _object(value, what: str, keys: tuple, required: tuple, version: int | None 
 def _group_sizes(value, key: str) -> tuple[int, ...]:
     if not isinstance(value, list):
         raise ConfigurationError(f"key {key!r} must be a list of integers")
-    return tuple(_integer(size, f"{key}[{k}]") for k, size in enumerate(value))
+    return tuple(_integer(size, f"key '{key}[{k}]'") for k, size in enumerate(value))
 
 
 def _phases(value, key: str) -> tuple[Phase, ...]:
@@ -284,34 +286,24 @@ def _phases(value, key: str) -> tuple[Phase, ...]:
     if not all(isinstance(row, dict) and set(row) == {"d", "steps"} for row in value):
         raise ConfigurationError("each phase needs exactly the keys 'd' and 'steps'")
     return tuple(
-        Phase(d=_number(row["d"], f"{key}[{k}].d"), steps=_integer(row["steps"], f"{key}[{k}].steps"))
+        Phase(d=_number(row["d"], f"key '{key}[{k}].d'"), steps=_integer(row["steps"], f"key '{key}[{k}].steps'"))
         for k, row in enumerate(value)
     )
 
 
-# the reader of each optional key, in reading order; a null value reads as an absent key
-_READERS = {
-    "phases": _phases, "group_sizes": _group_sizes, "steps": _integer, "n": _integer,
-    "d": _number, "scheme": _string, "leader": _number, "seed": _integer,
-}
+# the reader of each list-valued key; the constructors type every other value
+_READERS = {"group_sizes": _group_sizes, "phases": _phases}
 
 
 def _scenario_from_dict(doc: dict, fallback_name: str) -> ScenarioConfig:
     _object(doc, "scenario", _KEYS + ("schema_version",), ("kind", "initial"), SCHEMA_VERSION)
     keys = tuple(f.name for f in fields(InitialSpec))
-    init = _object(doc["initial"], "initial", keys, keys)
-    return ScenarioConfig(
-        name=_string(doc.get("name", fallback_name), "name"),
-        kind=_string(doc["kind"], "kind"),
-        initial=InitialSpec(
-            centers=init["centers"],
-            low=_number(init["low"], "initial.low"),
-            high=_number(init["high"], "initial.high"),
-            sigma=init["sigma"] if isinstance(init["sigma"], str) else _number(init["sigma"], "initial.sigma"),
-        ),
-        b=_number(doc["b"], "b") if "b" in doc else None,
-        **{key: read(doc[key], key) for key, read in _READERS.items() if doc.get(key) is not None},
-    )
+    initial = InitialSpec(**_object(doc["initial"], "initial", keys, keys))
+    # a null optional key reads as absent; name, kind and b, which every kind reads, go on as they are
+    values = {key: _READERS[key](doc[key], key) if key in _READERS else doc[key]
+              for key in _KEYS if doc.get(key) is not None}
+    every = {"name": doc.get("name", fallback_name), "kind": doc["kind"], "b": doc.get("b"), "initial": initial}
+    return ScenarioConfig(**values | every)
 
 
 def parse_scenario(source: str | Path) -> ScenarioConfig:

@@ -11,6 +11,7 @@ import pytest
 
 import hfon
 import hfon.hierarchy
+import hfon.scenarios
 
 PUBLIC_NAMES = [
     "ClusterReport",
@@ -40,7 +41,6 @@ PUBLIC_NAMES = [
     "predict_center",
     "predict_sigma_leader_ref",
     "predict_sigma_limit",
-    "ramp_initials",
     "read_trajectory_csv",
     "run_bcfon",
     "run_blfg",
@@ -55,7 +55,7 @@ PUBLIC_NAMES = [
 
 def test_public_names_are_pinned():
     assert sorted(hfon.__all__) == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == len(set(PUBLIC_NAMES)) == 37
+    assert len(PUBLIC_NAMES) == len(set(PUBLIC_NAMES)) == 36
 
 
 def test_every_public_name_resolves():
@@ -89,17 +89,18 @@ _RECORD = hfon.run_bcfon(hfon.NetworkState([0.0, 1.0], [1.0, 1.0], 0.5, 0.3), 2)
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda tmp: hfon.Phase(0.5, True), "phase steps must be an integer >= 0"),
-        (lambda tmp: hfon.HierarchySpec((True, 2)), "every group size must be an integer >= 1"),
+        (lambda tmp: hfon.Phase(0.5, True), "phase steps must be an integer >= 0, got True"),
+        (lambda tmp: hfon.HierarchySpec((True, 2)), "every group size must be an integer >= 1, got True"),
         (lambda tmp: hfon.ScenarioConfig(name="x", kind="bcfon", initial=_RAMP, b=0.1, n=True, d=0.5, steps=2),
          "key 'n' must be an integer >= 1, got True"),
         (lambda tmp: hfon.ScenarioConfig(name="x", kind="bcfon", initial=_RAMP, b=0.1, n=2, d=0.5, steps=True),
-         "steps must be an integer >= 0"),
-        (lambda tmp: hfon.ramp_initials(True), "ramp needs an integer agent count >= 1"),
-        (lambda tmp: hfon.predict_center(1.0, 0.0, True, 1), "n must be an integer >= 1"),
-        (lambda tmp: hfon.predict_center(1.0, 0.0, 2, True), "t_offset must be an integer >= 0"),
-        (lambda tmp: hfon.steps_to_error_fraction(True, 0.5), "n must be an integer >= 1"),
-        (lambda tmp: hfon.write_trajectory_csv(_RECORD, tmp / "run.csv", stride=True), "stride must be an integer >= 1"),
+         "key 'steps' must be an integer >= 0, got True"),
+        (lambda tmp: hfon.scenarios.ramp_initials(True), "n must be an integer >= 1, got True"),
+        (lambda tmp: hfon.predict_center(1.0, 0.0, True, 1), "n must be an integer >= 1, got True"),
+        (lambda tmp: hfon.predict_center(1.0, 0.0, 2, True), "t_offset must be an integer >= 0, got True"),
+        (lambda tmp: hfon.steps_to_error_fraction(True, 0.5), "n must be an integer >= 1, got True"),
+        (lambda tmp: hfon.write_trajectory_csv(_RECORD, tmp / "run.csv", stride=True),
+         "stride must be an integer >= 1, got True"),
     ],
     ids=["phase-steps", "group-size", "scenario-n", "scenario-steps", "ramp-n", "predictor-n", "predictor-t_offset",
          "error-fraction-n", "stride"],

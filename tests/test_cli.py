@@ -192,7 +192,8 @@ class TestRunCommand:
         src = write_doc(tmp_path, scenario_doc(**{key: value}))
         out = tmp_path / "out"
         assert main(["run", src, "--out", str(out)]) == 1
-        assert f"key '{key}' must be an integer, got {value!r}" in capsys.readouterr().err
+        bound = {"n": " >= 1", "steps": " >= 0", "seed": ""}[key]
+        assert f"key '{key}' must be an integer{bound}, got {value!r}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -126,9 +126,7 @@ class TestRun:
     def test_steps_must_be_an_integer(self, engine, steps):
         # run_bu's Phase checks its own steps, as a ConfigurationError, which is a ValueError
         state = NetworkState([1.0, 2.0], [1.0, 1.0], 0.5, 0.5)
-        message = "phase steps must be an integer >= 0"
-        if engine != "bu":
-            message = f"steps must be an integer >= 0, got {steps!r}"
+        message = f"{'phase steps' if engine == 'bu' else 'steps'} must be an integer >= 0, got {steps!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             {
                 "bcfon": lambda: run_bcfon(state, steps),

@@ -1,7 +1,9 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, or restates the integer rule.
 
 An import line may keep an unused name on purpose by carrying `# noqa: F401`;
-the package's __init__ imports only to re-export and is not checked.
+the package's __init__ imports only to re-export and is not checked.  Only
+errors.py may call isinstance(x, bool): every other module checks a count
+through errors._integer.
 """
 
 import ast
@@ -40,3 +42,24 @@ def test_the_scan_finds_an_unused_import():
         "@dataclass\nclass A:\n    x: int\n"
     )
     assert unused_imports(source) == ["field"]
+
+
+def bool_checks(source: str) -> list[int]:
+    """Lines of the source's isinstance calls whose type argument is bool or a tuple holding it."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance":
+            kinds = node.args[1].elts if len(node.args) == 2 and isinstance(node.args[1], ast.Tuple) else node.args[1:]
+            if any(isinstance(kind, ast.Name) and kind.id == "bool" for kind in kinds):
+                lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "errors.py"], ids=lambda p: p.name)
+def test_only_errors_checks_for_bool(path):
+    assert bool_checks(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_scan_finds_a_bool_check():
+    source = "def f(n):\n    if isinstance(n, bool) or isinstance(n, (bool, int)):\n        pass\n    isinstance(n, int)\n"
+    assert bool_checks(source) == [2, 2]

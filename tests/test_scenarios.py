@@ -19,9 +19,8 @@ from hfon import (
     builtin_scenarios,
     execute_scenario,
     parse_scenario,
-    ramp_initials,
 )
-from hfon.scenarios import _scenario_from_dict
+from hfon.scenarios import _scenario_from_dict, ramp_initials
 
 BUILTIN_NAMES = [
     "example1-leader",
@@ -254,7 +253,8 @@ class TestParseScenario:
             (lambda d: d.update(b=None), "key 'b' must be a number, got None"),
             (lambda d: d.update(d="0.6"), "key 'd' must be a number, got '0.6'"),
             (lambda d: d.update(leader="10"), "key 'leader' must be a number, got '10'"),
-            (lambda d: d.update(leader=10**400), "key 'leader' must be a number in double range, got 10{400}$"),
+            (lambda d: d.update(leader=10**400),
+             r"key 'leader' must be a number in double range, got 10{59}\.\.\. \(401 characters\)$"),
             (lambda d: d["initial"].update(low=False), "key 'initial.low' must be a number"),
             (lambda d: d["initial"].update(high="25"), "key 'initial.high' must be a number"),
             (lambda d: d["initial"].update(sigma=True), "key 'initial.sigma' must be a number"),
@@ -368,8 +368,59 @@ def test_size_limit_boundary():
 
 def test_huge_integer_float_key_is_malformed(tmp_path):
     path = write_scenario(tmp_path, small_blfg_doc(d=10**400))
-    with pytest.raises(ConfigurationError, match="^key 'd' must be a number in double range, got 10{400}$"):
+    message = r"^key 'd' must be a number in double range, got 10{59}\.\.\. \(401 characters\)$"
+    with pytest.raises(ConfigurationError, match=message):
         parse_scenario(path)
+
+
+_HUGE_LIST = "[" * 900 + "]" * 900
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [('"d": 1' + "0" * 3999, "d"), ('"leader": ' + _HUGE_LIST, "leader")],
+    ids=["d-4000-digits", "leader-900-deep"],
+)
+def test_a_refusal_shows_a_long_value_cut_short(tmp_path, text, key):
+    path = tmp_path / "long.json"
+    doc = json.dumps(small_blfg_doc(**{key: 0})).replace(f'"{key}": 0', text)
+    path.write_text(doc, encoding="utf-8")
+    with pytest.raises(ConfigurationError) as refused:
+        parse_scenario(path)
+    message = str(refused.value)
+    assert message.startswith(f"key '{key}' must be a number") and len(message) < 200
+
+
+def test_a_library_value_too_long_for_repr_shows_its_bit_length():
+    # repr of an int past the interpreter's 4,300 digits raises ValueError, which named no key
+    initial = InitialSpec("ramp", 5.0, 25.0, 1.0)
+    with pytest.raises(ConfigurationError) as refused:
+        ScenarioConfig(name="x", kind="bcfon", initial=initial, b=0.1, n=2, d=10**5000, steps=2)
+    message = str(refused.value)
+    assert message == f"key 'd' must be a number in double range, got an integer of {(10**5000).bit_length()} bits"
+    assert len(message) < 200
+
+
+_SEEDED = ScenarioConfig(name="x", kind="bcfon", initial=InitialSpec("uniform", 5.0, 25.0, "uniform"),
+                         b=0.5, n=10, d=0.5, steps=3, seed=7)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: execute_scenario(_SEEDED, seed=True), "seed must be an integer, got True"),
+        (lambda: execute_scenario(_SEEDED, seed=1.5), "seed must be an integer, got 1.5"),
+        (lambda: execute_scenario(_SEEDED, seed="7"), "seed must be an integer, got '7'"),
+        (lambda: execute_scenario(_SEEDED, seed=-1), "seed must lie in [0, 2**64), got -1"),
+        (lambda: execute_scenario(_SEEDED, seed=2**64), f"seed must lie in [0, 2**64), got {2**64}"),
+        (lambda: execute_scenario(_SEEDED, seed=2**70), f"seed must lie in [0, 2**64), got {2**70}"),
+        (lambda: InitialSpec("uniform", 0.0, 1.0, 1.0).build(True, 0), "n must be an integer >= 1, got True"),
+    ],
+    ids=["true", "float", "string", "negative", "2**64", "2**70", "build-n-true"],
+)
+def test_a_caller_seed_and_n_follow_the_document_rules(call, message):
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 class TestExecute:
