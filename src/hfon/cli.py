@@ -11,7 +11,7 @@ import math
 import sys
 from pathlib import Path
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, _integer
 from .engine import _default_gap
 from .leader import predict_center, predict_sigma_leader_ref, predict_sigma_limit, steps_to_error_fraction
 from .output import build_summary, read_trajectory_csv, write_summary_json, write_trajectory_csv
@@ -89,8 +89,7 @@ def _check_nonnegative(value: float | None, flag: str):
 
 
 def _run_command(args) -> int:
-    if args.stride < 1:
-        raise ConfigurationError("--stride must be >= 1")
+    _integer(args.stride, "--stride", 1)
     _check_nonnegative(args.gap, "--gap")
     _check_nonnegative(args.tol, "--tol")
     config = parse_scenario(args.scenario)
@@ -144,8 +143,8 @@ def _predict_command(args) -> int:
     _check_nonnegative(sigma, "--sigma")
     if b is not None and not (math.isfinite(b) and b > 0.0):
         raise ConfigurationError(f"--b must be finite and > 0, got {b!r}")
-    if t is not None and t < 0:
-        raise ConfigurationError(f"--t-offset must be >= 0, got {t!r}")
+    if t is not None:
+        _integer(t, "--t-offset", 0)
     given = {"--center": center, "--leader": leader, "--t-offset": t, "--sigma": sigma, "--b": b}
     for flag, needs in _PREDICT_NEEDS.items():
         missing = [other for other in needs if given[other] is None]

@@ -115,16 +115,6 @@ class TrajectoryRecord:
             raise KeyError(f"step {t} is not in the record")
         return int(hits[0])
 
-    def select_agents(self, ids) -> "TrajectoryRecord":
-        """Sub-record over a subset of agent columns (addresses dropped)."""
-        ids = np.asarray(ids, dtype=np.intp)
-        return TrajectoryRecord(
-            times=self.times.copy(),
-            centers=self.centers[:, ids].copy(),
-            sigmas=self.sigmas[:, ids].copy(),
-            phases=self.phases,
-        )
-
 
 def _run(state: NetworkState, segments, still: bool = True) -> TrajectoryRecord:
     """Trajectory of state stepped through segments in order, row 0 being the state.

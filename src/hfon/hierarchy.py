@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigurationError, _integer
+from .errors import ConfigurationError, _integer, _shown
 from .engine import ReferenceScheme, TrajectoryRecord, _run
 from .leader import _check_group, group_update
 from .opinions import NetworkState
@@ -31,10 +31,10 @@ class HierarchySpec:
     group_sizes: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.group_sizes) == 0:
-            raise ConfigurationError("a hierarchy needs at least one level of groups")
-        for size in self.group_sizes:
-            _integer(size, "every group size", 1)
+        if not isinstance(self.group_sizes, (list, tuple)) or not self.group_sizes:
+            raise ConfigurationError(f"key 'group_sizes' must be a non-empty list, got {_shown(self.group_sizes)}")
+        sizes = tuple(_integer(size, f"key 'group_sizes[{k}]'", 1) for k, size in enumerate(self.group_sizes))
+        object.__setattr__(self, "group_sizes", sizes)
 
     @property
     def n_agents(self) -> int:

@@ -397,8 +397,8 @@ def build_summary(run: ScenarioRun, gap: float | None = None, tol: float | None 
         )
         target_steps = steps_to_target(run.record, config.leader)
     elif config.kind == "topdown":
-        n = run.record.n_agents
-        top = run.record.select_agents(np.arange(n - config.group_sizes[-1], n))  # the top group is last
+        k = config.group_sizes[-1]  # the top group is the last k columns
+        top = TrajectoryRecord(run.record.times, run.record.centers[:, -k:], run.record.sigmas[:, -k:])
         consensus, checks = _group_tracking_checks(
             top, config.leader, config.scheme, config.b, tol
         )

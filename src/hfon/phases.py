@@ -51,7 +51,7 @@ def run_bu(initial: NetworkState, phases: Sequence[Phase]) -> TrajectoryRecord:
     scheme = LocalReference()
 
     def segment(phase: Phase):
-        d = np.full(initial.n, float(phase.d))
+        d = np.full(initial.n, phase.d)
         return phase.steps, lambda c, s, t, rows: step_bcfon(c, s, d, initial.b, scheme, t, rows), (d, initial.b)
 
     record = _run(initial, [segment(phase) for phase in phases])

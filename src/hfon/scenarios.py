@@ -144,6 +144,8 @@ class ScenarioConfig:
                           ("d", _number), ("leader", _number), ("seed", _seed)):
             if getattr(self, key) is not None or key in ("name", "kind", "b"):
                 object.__setattr__(self, key, read(getattr(self, key), f"key {key!r}"))
+        if not isinstance(self.initial, InitialSpec):
+            raise ConfigurationError(f"key 'initial' must be an InitialSpec, got {_shown(self.initial)}")
         # the name becomes the stem of both output files, which must land inside --out
         if not self.name or self.name.startswith(".") or any(c in self.name for c in "/\\\0"):
             raise ConfigurationError(
@@ -159,6 +161,14 @@ class ScenarioConfig:
         for f in fields(self):
             if f.name not in reads + _EVERY_KIND_KEYS and getattr(self, f.name) is not None:
                 raise ConfigurationError(f"scenario kind {self.kind!r} does not read key {f.name!r}")
+        # both lists are stored as tuples; HierarchySpec types the group sizes
+        if self.group_sizes is not None:
+            object.__setattr__(self, "group_sizes", self._spec.group_sizes)
+        if self.phases is not None:
+            phases = self.phases
+            if not (isinstance(phases, (list, tuple)) and phases and all(isinstance(p, Phase) for p in phases)):
+                raise ConfigurationError(f"key 'phases' must be a non-empty list of Phase, got {_shown(phases)}")
+            object.__setattr__(self, "phases", tuple(phases))
         if self.scheme is not None and self.scheme not in _SCHEMES:
             raise ConfigurationError("scheme must be 'local' or 'leader'")
         if self.kind == "bcfon" and self.scheme not in (None, "local"):
@@ -180,7 +190,7 @@ class ScenarioConfig:
 
     @cached_property
     def _spec(self) -> HierarchySpec:
-        """A topdown run's tree, built once for the size check, the run and the summary."""
+        """A topdown run's tree, built once for the group-size and size checks, the run and the summary."""
         return HierarchySpec(self.group_sizes)
 
     def echo(self) -> dict:
@@ -274,25 +284,13 @@ def _object(value, what: str, keys: tuple, required: tuple, version: int | None 
     return value
 
 
-def _group_sizes(value, key: str) -> tuple[int, ...]:
+def _phases(value):
+    """A document's phase rows as Phases, naming each value by its place; any other value goes on as it is."""
     if not isinstance(value, list):
-        raise ConfigurationError(f"key {key!r} must be a list of integers")
-    return tuple(_integer(size, f"key '{key}[{k}]'") for k, size in enumerate(value))
-
-
-def _phases(value, key: str) -> tuple[Phase, ...]:
-    if not isinstance(value, list) or not value:
-        raise ConfigurationError(f"key {key!r} must be a non-empty list")
-    if not all(isinstance(row, dict) and set(row) == {"d", "steps"} for row in value):
-        raise ConfigurationError("each phase needs exactly the keys 'd' and 'steps'")
-    return tuple(
-        Phase(d=_number(row["d"], f"key '{key}[{k}].d'"), steps=_integer(row["steps"], f"key '{key}[{k}].steps'"))
-        for k, row in enumerate(value)
-    )
-
-
-# the reader of each list-valued key; the constructors type every other value
-_READERS = {"group_sizes": _group_sizes, "phases": _phases}
+        return value
+    rows = [_object(row, f"phases[{k}]", ("d", "steps"), ("d", "steps")) for k, row in enumerate(value)]
+    return [Phase(d=_number(row["d"], f"key 'phases[{k}].d'"), steps=_integer(row["steps"], f"key 'phases[{k}].steps'"))
+            for k, row in enumerate(rows)]
 
 
 def _scenario_from_dict(doc: dict, fallback_name: str) -> ScenarioConfig:
@@ -300,8 +298,7 @@ def _scenario_from_dict(doc: dict, fallback_name: str) -> ScenarioConfig:
     keys = tuple(f.name for f in fields(InitialSpec))
     initial = InitialSpec(**_object(doc["initial"], "initial", keys, keys))
     # a null optional key reads as absent; name, kind and b, which every kind reads, go on as they are
-    values = {key: _READERS[key](doc[key], key) if key in _READERS else doc[key]
-              for key in _KEYS if doc.get(key) is not None}
+    values = {key: _phases(doc[key]) if key == "phases" else doc[key] for key in _KEYS if doc.get(key) is not None}
     every = {"name": doc.get("name", fallback_name), "kind": doc["kind"], "b": doc.get("b"), "initial": initial}
     return ScenarioConfig(**values | every)
 

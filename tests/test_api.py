@@ -90,7 +90,7 @@ _RECORD = hfon.run_bcfon(hfon.NetworkState([0.0, 1.0], [1.0, 1.0], 0.5, 0.3), 2)
     "call, message",
     [
         (lambda tmp: hfon.Phase(0.5, True), "phase steps must be an integer >= 0, got True"),
-        (lambda tmp: hfon.HierarchySpec((True, 2)), "every group size must be an integer >= 1, got True"),
+        (lambda tmp: hfon.HierarchySpec((True, 2)), "key 'group_sizes[0]' must be an integer >= 1, got True"),
         (lambda tmp: hfon.ScenarioConfig(name="x", kind="bcfon", initial=_RAMP, b=0.1, n=True, d=0.5, steps=2),
          "key 'n' must be an integer >= 1, got True"),
         (lambda tmp: hfon.ScenarioConfig(name="x", kind="bcfon", initial=_RAMP, b=0.1, n=2, d=0.5, steps=True),
@@ -145,3 +145,37 @@ def test_public_constructors_type_their_values(call, key):
     # the document readers' checks, for a library caller: no coercion, no bare TypeError
     with pytest.raises(hfon.ConfigurationError, match=f"^key {re.escape(repr(key))} must be "):
         call()
+
+
+_TOPDOWN = dict(kind="topdown", n=None)
+_BOTTOMUP = dict(kind="bottomup", d=None, scheme=None, leader=None, steps=None, n=2)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: _config(group_sizes=3, **_TOPDOWN), "key 'group_sizes' must be a non-empty list, got 3"),
+        (lambda: _config(group_sizes=(), **_TOPDOWN), "key 'group_sizes' must be a non-empty list, got ()"),
+        (lambda: _config(group_sizes=[2, 0], **_TOPDOWN), "key 'group_sizes[1]' must be an integer >= 1, got 0"),
+        (lambda: hfon.HierarchySpec(3), "key 'group_sizes' must be a non-empty list, got 3"),
+        (lambda: hfon.HierarchySpec("22"), "key 'group_sizes' must be a non-empty list, got '22'"),
+        (lambda: _config(phases=0.5, **_BOTTOMUP), "key 'phases' must be a non-empty list of Phase, got 0.5"),
+        (lambda: _config(phases=(0.5,), **_BOTTOMUP), "key 'phases' must be a non-empty list of Phase, got (0.5,)"),
+        (lambda: _config(phases=(), **_BOTTOMUP), "key 'phases' must be a non-empty list of Phase, got ()"),
+        (lambda: _config(initial=3), "key 'initial' must be an InitialSpec, got 3"),
+    ],
+    ids=["sizes-int", "sizes-empty", "size-zero", "spec-int", "spec-str", "phases-float", "phases-of-floats",
+         "phases-empty", "initial-int"],
+)
+def test_list_fields_are_refused_naming_their_key(call, message):
+    # a value that is not a non-empty list of the right elements is refused at construction, not deep in a run
+    with pytest.raises(hfon.ConfigurationError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_list_fields_are_stored_as_tuples():
+    phases = [hfon.Phase(0.5, 2), hfon.Phase(0.2, 1)]
+    tree, phased = _config(group_sizes=[2, 3], **_TOPDOWN), _config(phases=phases, **_BOTTOMUP)
+    assert tree.group_sizes == (2, 3) and phased.phases == tuple(phases)
+    assert hfon.HierarchySpec([2, 3]).group_sizes == (2, 3)
+    assert len({tree, phased, _config(group_sizes=(2, 3), **_TOPDOWN)}) == 2  # a config is hashable and equal by value

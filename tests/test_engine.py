@@ -202,15 +202,12 @@ class TestRun:
         with pytest.raises(error, match=message):
             run_blfg(self._climbing, 50, LeaderReference(), lambda t: leader if t < 5 else math.nan)
 
-    def test_index_of_and_select_agents(self):
+    def test_index_of(self):
         state = NetworkState([0.0, 1.0, 5.0], [1.0, 1.0, 1.0], 0.5, 0.2)
         record = run_bcfon(state, 4)
         assert record.index_of(3) == 3
         with pytest.raises(KeyError):
             record.index_of(99)
-        sub = record.select_agents([2, 0])
-        assert sub.n_agents == 2
-        assert np.array_equal(sub.centers[:, 0], record.centers[:, 2])
 
 
 def calls_to(monkeypatch, module, name):
@@ -454,3 +451,24 @@ def test_few_opinions_survive_and_their_count_follows_the_radius(b):
         ratios.append(medians[-1] / (10.0 / (2.0 * 2.0 * 0.1 * math.sqrt(-math.log(d)))))
     assert all(later <= earlier for earlier, later in zip(medians, medians[1:]))
     assert 0.65 <= min(ratios) and max(ratios) <= 0.9, ratios
+
+
+@pytest.mark.parametrize("d", [0.9, 0.5, 0.1])
+def test_uncertainty_growth_merges_clusters(d):
+    """Sigma growth widens every agent's radius, so a larger b leaves no more clusters.
+
+    The runs above with b = 0.05, 0.2, 0.5 and 1.0.  Measured medians: 54, 54, 53, 50 at
+    d = 0.9; 21, 20, 18, 9 at d = 0.5; 12, 10, 6, 1 at d = 0.1, where the median max sigma
+    rises from 0.118 to 3.705 and b = 1.0 ends in one cluster for every seed.
+    """
+    medians = []
+    for b in (0.05, 0.2, 0.5, 1.0):
+        counts = []
+        for seed in range(5):
+            centers, sigmas = InitialSpec("uniform", 0.0, 10.0, 0.1).build(500, seed)
+            final = run_bcfon(NetworkState(centers, sigmas, d, b), 300).centers[-1]
+            counts.append(sum(ids.size >= 2 for ids in detect_consensus_partition(final, 1e-6)))
+        medians.append(np.median(counts))
+    assert all(later <= earlier for earlier, later in zip(medians, medians[1:])), medians
+    if d == 0.1:
+        assert counts == [1] * 5

@@ -3,10 +3,11 @@
 import dataclasses
 import json
 import re
+from contextlib import suppress
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hfon import (
@@ -54,6 +55,15 @@ def small_blfg_doc(**overrides):
     }
     doc.update(overrides)
     return doc
+
+
+# a small valid value for each key a kind reads besides name, kind, initial, b and seed
+_KIND_FIELDS = {
+    "blfg": dict(n=3, d=0.6, scheme="local", leader=10.0, steps=2),
+    "bcfon": dict(n=3, d=0.6, steps=2),
+    "topdown": dict(group_sizes=(2, 2), d=0.6, scheme="local", leader=10.0, steps=2),
+    "bottomup": dict(n=3, phases=(Phase(0.5, 2),)),
+}
 
 
 class TestInitials:
@@ -173,12 +183,7 @@ class TestScenarioConfig:
     ])
     def test_keys_the_kind_never_reads_are_refused(self, kind, extra, key):
         # a key the run ignores would still be echoed in the summary as if it had been used
-        reads = {
-            "blfg": dict(n=3, d=0.6, scheme="local", leader=10.0, steps=2),
-            "bcfon": dict(n=3, d=0.6, steps=2),
-            "topdown": dict(group_sizes=(2, 2), d=0.6, scheme="local", leader=10.0, steps=2),
-            "bottomup": dict(n=3, phases=(Phase(0.5, 2),)),
-        }[kind]
+        reads = _KIND_FIELDS[kind]
         init = InitialSpec("ramp", 5, 25, 1.0)
         ScenarioConfig(name="x", kind=kind, initial=init, b=0.1, seed=3, **reads)
         with pytest.raises(ConfigurationError, match=rf"^scenario kind '{kind}' does not read key '{key}'$"):
@@ -341,6 +346,53 @@ def test_any_json_values_give_a_config_or_a_value_error(kind, edits):
         _scenario_from_dict(doc, "fallback")
     except ValueError:
         pass
+
+
+_PYTHON_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers(-(10**30), 10**400) | st.floats() | st.text(max_size=5)
+    | st.sampled_from(["blfg", "bcfon", "topdown", "bottomup", "local", "leader", "ramp", "uniform"])
+    | st.builds(Phase, st.floats(0.0, 1.0), st.integers(0, 3)),
+    lambda inner: st.lists(inner, max_size=3) | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=5,
+)
+_RAMP = InitialSpec("ramp", 5.0, 25.0, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(_KIND_FIELDS)),
+    edits=st.lists(st.tuples(st.sampled_from([f.name for f in dataclasses.fields(ScenarioConfig)]), _PYTHON_VALUE),
+                   max_size=3),
+    args=st.lists(_PYTHON_VALUE, min_size=4, max_size=4),
+)
+@example(kind="topdown", edits=[("group_sizes", 3)], args=[3, 0.5, None, None])
+@example(kind="bottomup", edits=[("phases", 0.5)], args=[(), None, None, None])
+@example(kind="bottomup", edits=[("phases", (0.5,))], args=[None, None, None, None])
+@example(kind="bottomup", edits=[("phases", ())], args=[None, None, None, None])
+@example(kind="blfg", edits=[("initial", 3)], args=[None, None, None, None])
+def test_any_python_values_give_an_object_or_a_configuration_error(kind, edits, args):
+    # the library side of the property above: each public constructor builds or names what it
+    # refuses, and a config that builds and records at most 10^4 values runs or raises a ValueError
+    for build in (HierarchySpec, Phase):
+        with suppress(ConfigurationError):
+            build(*args[:len(dataclasses.fields(build))])
+    try:
+        initial = InitialSpec(*args)
+    except ConfigurationError:
+        initial = _RAMP
+    try:
+        config = ScenarioConfig(**{"name": "x", "kind": kind, "initial": initial, "b": 0.1, **_KIND_FIELDS[kind],
+                                   **dict(edits)})
+    except ConfigurationError:
+        return
+    agents = config._spec.n_agents if config.kind == "topdown" else config.n
+    steps = sum(p.steps for p in config.phases) if config.kind == "bottomup" else config.steps
+    if (steps + 1) * agents <= 10**4:
+        try:
+            execute_scenario(config)
+        except ValueError:
+            pass
 
 
 @pytest.mark.parametrize(
