@@ -11,7 +11,7 @@ import math
 import sys
 from pathlib import Path
 
-from .errors import ConfigurationError, _integer
+from .errors import ConfigurationError, _integer, _number
 from .engine import _default_gap
 from .leader import predict_center, predict_sigma_leader_ref, predict_sigma_limit, steps_to_error_fraction
 from .output import build_summary, read_trajectory_csv, write_summary_json, write_trajectory_csv
@@ -83,15 +83,16 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _check_nonnegative(value: float | None, flag: str):
-    if value is not None and not (math.isfinite(value) and value >= 0.0):
-        raise ConfigurationError(f"{flag} must be finite and >= 0, got {value!r}")
+def _check_flags(*checks):
+    """Each (flag, value, range) whose flag was given meets errors._number's range."""
+    for flag, value, within in checks:
+        if value is not None:
+            _number(value, flag, within)
 
 
 def _run_command(args) -> int:
     _integer(args.stride, "--stride", 1)
-    _check_nonnegative(args.gap, "--gap")
-    _check_nonnegative(args.tol, "--tol")
+    _check_flags(("--gap", args.gap, ">= 0"), ("--tol", args.tol, ">= 0"))
     config = parse_scenario(args.scenario)
     run = execute_scenario(config, seed=args.seed)
     summary = build_summary(run, gap=args.gap, tol=args.tol)
@@ -137,12 +138,7 @@ def _predict_command(args) -> int:
     """Closed-form predictions only, no simulation; every flag and every prediction is checked
     before any line is printed."""
     n, center, sigma, leader, b, t = args.n, args.center, args.sigma, args.leader, args.b, args.t_offset
-    for flag, value in (("--center", center), ("--leader", leader)):
-        if value is not None and not math.isfinite(value):
-            raise ConfigurationError(f"{flag} must be finite, got {value!r}")
-    _check_nonnegative(sigma, "--sigma")
-    if b is not None and not (math.isfinite(b) and b > 0.0):
-        raise ConfigurationError(f"--b must be finite and > 0, got {b!r}")
+    _check_flags(("--center", center, ""), ("--leader", leader, ""), ("--sigma", sigma, ">= 0"), ("--b", b, "> 0"))
     if t is not None:
         _integer(t, "--t-offset", 0)
     given = {"--center": center, "--leader": leader, "--t-offset": t, "--sigma": sigma, "--b": b}
@@ -179,7 +175,7 @@ def _predict_command(args) -> int:
 
 
 def _clusters_command(args) -> int:
-    _check_nonnegative(args.gap, "--gap")
+    _check_flags(("--gap", args.gap, ">= 0"))
     record = read_trajectory_csv(args.trajectory)
     gap = _default_gap(record) if args.gap is None else args.gap
     if not math.isfinite(gap):  # --gap is checked above, so this is the default

@@ -13,7 +13,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import ConfigurationError, _integer
+from .errors import ConfigurationError, _integer, _number, _shown
 from .opinions import NetworkState, Partition, distinct_agents, neighbor_mask, neighborhood_sums  # noqa: F401
 
 # neighbor_mask is unused here but stays importable as hfon.engine.neighbor_mask:
@@ -53,11 +53,7 @@ def _external_values(scheme: ExternalReference, t: int, n: int) -> np.ndarray:
             raise ConfigurationError(
                 f"external reference signal failed at (t={t}, agent={i}): {exc}"
             ) from exc
-        if value is None or not np.isfinite(value):
-            raise ConfigurationError(
-                f"external reference signal must be finite at (t={t}, agent={i}), got {value!r}"
-            )
-        out[i] = value
+        out[i] = _number(value, f"external reference signal at (t={t}, agent={i})")
     return out
 
 
@@ -221,6 +217,8 @@ def run_bcfon(initial: NetworkState, steps: int, scheme: ReferenceScheme = Local
     """Trajectory of `steps` synchronous updates, initial state included."""
     if isinstance(scheme, LeaderReference):
         raise ConfigurationError("a flat network has no leader; use a leader-follower group")
+    if not isinstance(scheme, (LocalReference, ExternalReference)):
+        raise ConfigurationError(f"a flat network takes LocalReference() or an ExternalReference, got {_shown(scheme)}")
     # per-agent signals split shared states, and the step reads t
     local = not isinstance(scheme, ExternalReference)
     return _run(initial, [(
@@ -262,8 +260,7 @@ def detect_consensus_partition(centers, gap: float) -> list[np.ndarray]:
     centers = np.asarray(centers, dtype=np.float64)
     if centers.ndim != 1 or centers.size == 0:
         raise ValueError("need a non-empty vector of centers")
-    if not (np.isfinite(gap) and gap >= 0.0):
-        raise ValueError("gap must be finite and >= 0")
+    gap = _number(gap, "gap", ">= 0")
     order = np.argsort(centers, kind="stable")
     with np.errstate(over="ignore"):  # a gap past float range is inf, which splits as it should
         breaks = np.nonzero(np.diff(centers[order]) > gap)[0]

@@ -1,5 +1,9 @@
 """Exception types and value checks shared across the package."""
 
+import math
+
+import numpy as np
+
 
 class ConfigurationError(ValueError):
     """A scenario, schedule or scheme is malformed or not allowed here."""
@@ -22,14 +26,23 @@ def _integer(value, what: str, low: int | None = None) -> int:
     return value
 
 
-def _number(value, what: str) -> float:
-    """float(value) for a JSON integer or float in double range; what names any other value."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+# the ranges a number may be asked to lie in, each on top of being finite
+_RANGES = {"": lambda x: True, ">= 0": lambda x: x >= 0.0, "> 0": lambda x: x > 0.0,
+           "in [0, 1]": lambda x: 0.0 <= x <= 1.0, "in (0, 1)": lambda x: 0.0 < x < 1.0}
+
+
+def _number(value, what: str, within: str = "") -> float:
+    """float(value) for an int, float or numpy integer or floating scalar, not a bool, that is finite
+    and in the range within names, a key of _RANGES; what names the value, as "key 'd'" or "--gap"."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ConfigurationError(f"{what} must be a number, got {_shown(value)}")
     try:
-        return float(value)
+        number = float(value)
     except OverflowError:
         raise ConfigurationError(f"{what} must be a number in double range, got {_shown(value)}") from None
+    if not (math.isfinite(number) and _RANGES[within](number)):
+        raise ConfigurationError(f"{what} must be finite{within and ' and ' + within}, got {_shown(value)}")
+    return number
 
 
 def _string(value, what: str) -> str:

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigurationError, _integer, _shown
+from .errors import ConfigurationError, _integer, _number, _shown
 from .engine import ReferenceScheme, TrajectoryRecord, _run
 from .leader import _check_group, group_update
 from .opinions import NetworkState
@@ -102,7 +102,8 @@ def run_td(
     flattened layout (level 1 first) and the top leader is not recorded."""
     if initial.n != spec.n_agents:
         raise ConfigurationError(f"hierarchy expects {spec.n_agents} agents, state has {initial.n}")
-    _check_group(scheme, initial.d, leader)
+    _check_group(scheme, initial.d)
+    leader = _number(leader, "leader center")
     record = _run(initial, [(
         steps, lambda c, s, t, rows: step_td(spec, c, s, initial.d, initial.b, leader, scheme), None
     )])

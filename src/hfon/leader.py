@@ -15,7 +15,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import ConfigurationError, _integer
+from .errors import ConfigurationError, _integer, _number
 from .engine import LeaderReference, LocalReference, ReferenceScheme, TrajectoryRecord, _initial_spread, _run
 from .opinions import NetworkState, neighbor_mask, neighborhood_sums
 
@@ -44,16 +44,14 @@ def group_update(centers, sigmas, d, b, leader_center, scheme, rows=None):
     return new_centers, new_sigmas
 
 
-def _check_group(scheme: ReferenceScheme, d: np.ndarray, leader: float | None):
-    """A group run's preconditions, in this order; leader None stands for a moving leader."""
+def _check_group(scheme: ReferenceScheme, d: np.ndarray):
+    """A group run's scheme and threshold preconditions, in this order; the run checks its leader after them."""
     if not isinstance(scheme, (LocalReference, LeaderReference)):
         raise ConfigurationError(
             "leader-follower groups accept only the local or leader reference scheme"
         )
     if np.any(d >= 1.0):
         raise ConfigurationError("follower thresholds d must lie in [0, 1) inside a group")
-    if leader is not None and not np.isfinite(leader):
-        raise ConfigurationError("leader center must be finite")
 
 
 def step_blfg(centers, sigmas, d, b, leader_center: float, scheme: ReferenceScheme, rows=None):
@@ -76,15 +74,13 @@ def run_blfg(
     predictors assume a constant leader.
     """
     moving = callable(leader)
-    _check_group(scheme, initial.d, None if moving else leader)
+    _check_group(scheme, initial.d)
+    if not moving:
+        leader = _number(leader, "leader center")
 
     def step(centers, sigmas, t: int, rows):
-        value = leader
-        if moving:
-            value = leader(t)
-            if not np.isfinite(value):
-                raise ConfigurationError(f"leader center must be finite at t={t}, got {value!r}")
-        return step_blfg(centers, sigmas, initial.d, initial.b, float(value), scheme, rows)
+        value = _number(leader(t), f"leader center at t={t}") if moving else leader
+        return step_blfg(centers, sigmas, initial.d, initial.b, value, scheme, rows)
 
     # a moving leader changes the step at any t
     return _run(initial, [(steps, step, (initial.d, initial.b))], still=not moving)
@@ -113,8 +109,7 @@ def detect_consensus_time(record: TrajectoryRecord, tol: float | None = None) ->
         return None
     if tol is None:
         tol = 1e-9 * max(1.0, _initial_spread(record))
-    if not (np.isfinite(tol) and tol >= 0.0):
-        raise ValueError("tol must be finite and >= 0")
+    tol = _number(tol, "tol", ">= 0")
     center_spread = record.centers.max(axis=1) - record.centers.min(axis=1)
     sigma_spread = record.sigmas.max(axis=1) - record.sigmas.min(axis=1)
     agree = (center_spread <= tol) & (sigma_spread <= tol)
@@ -180,8 +175,7 @@ def steps_to_error_fraction(n: int, epsilon: float) -> float:
     log(epsilon) / (log n - log(n+1)); epsilon must lie strictly inside (0, 1).
     """
     _integer(n, "n", 1)
-    if not (np.isfinite(epsilon) and 0.0 < epsilon < 1.0):
-        raise ValueError("epsilon must lie strictly between 0 and 1")
+    epsilon = _number(epsilon, "epsilon", "in (0, 1)")
     log_ratio = math.log(n) - math.log(n + 1)
     if log_ratio == 0.0:
         raise ValueError(f"n = {n} is too large: log(n) - log(n + 1) rounds to 0")

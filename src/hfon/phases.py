@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, _integer, _number
+from .errors import ConfigurationError, _integer, _number, _shown
 from .engine import (
     LocalReference,
     TrajectoryRecord,
@@ -33,10 +33,15 @@ class Phase:
     steps: int
 
     def __post_init__(self):
-        object.__setattr__(self, "d", _number(self.d, "key 'd'"))
-        if not (np.isfinite(self.d) and 0.0 <= self.d <= 1.0):
-            raise ConfigurationError("phase threshold d must lie in [0, 1]")
+        object.__setattr__(self, "d", _number(self.d, "key 'd'", "in [0, 1]"))
         _integer(self.steps, "phase steps", 0)
+
+
+def _phase_list(phases) -> tuple[Phase, ...]:
+    """phases as a tuple if it is a non-empty list or tuple of Phase: the schedule run_bu runs."""
+    if not (isinstance(phases, (list, tuple)) and phases and all(isinstance(p, Phase) for p in phases)):
+        raise ConfigurationError(f"key 'phases' must be a non-empty list of Phase, got {_shown(phases)}")
+    return tuple(phases)
 
 
 def run_bu(initial: NetworkState, phases: Sequence[Phase]) -> TrajectoryRecord:
@@ -46,8 +51,7 @@ def run_bu(initial: NetworkState, phases: Sequence[Phase]) -> TrajectoryRecord:
     always use the local reference scheme.  The first state of each phase is
     exactly the last state of the previous one.
     """
-    if len(phases) == 0:
-        raise ConfigurationError("a schedule needs at least one phase")
+    phases = _phase_list(phases)
     scheme = LocalReference()
 
     def segment(phase: Phase):
@@ -55,7 +59,7 @@ def run_bu(initial: NetworkState, phases: Sequence[Phase]) -> TrajectoryRecord:
         return phase.steps, lambda c, s, t, rows: step_bcfon(c, s, d, initial.b, scheme, t, rows), (d, initial.b)
 
     record = _run(initial, [segment(phase) for phase in phases])
-    record.phases = tuple(phases)
+    record.phases = phases
     return record
 
 

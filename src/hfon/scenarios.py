@@ -21,7 +21,7 @@ from .engine import LeaderReference, LocalReference, TrajectoryRecord, run_bcfon
 from .hierarchy import HierarchySpec, run_td
 from .leader import run_blfg
 from .opinions import NetworkState
-from .phases import Phase, run_bu
+from .phases import Phase, _phase_list, run_bu
 
 SCHEMA_VERSION = 1
 
@@ -79,14 +79,12 @@ class InitialSpec:
         if self.centers not in ("ramp", "uniform"):
             raise ConfigurationError("initial centers must be 'ramp' or 'uniform'")
         for key in ("low", "high") if isinstance(self.sigma, str) else ("low", "high", "sigma"):
-            object.__setattr__(self, key, _number(getattr(self, key), f"key 'initial.{key}'"))
-        if not (np.isfinite(self.low) and np.isfinite(self.high) and self.low <= self.high):
+            within = ">= 0" if key == "sigma" else ""
+            object.__setattr__(self, key, _number(getattr(self, key), f"key 'initial.{key}'", within))
+        if not self.low <= self.high:
             raise ConfigurationError("initial range must satisfy low <= high")
-        if isinstance(self.sigma, str):
-            if self.sigma != "uniform":
-                raise ConfigurationError("initial sigma must be a number or 'uniform'")
-        elif not (np.isfinite(self.sigma) and self.sigma >= 0.0):
-            raise ConfigurationError("initial sigma must be non-negative")
+        if isinstance(self.sigma, str) and self.sigma != "uniform":
+            raise ConfigurationError(f"key 'initial.sigma' must be a number or 'uniform', got {_shown(self.sigma)}")
 
     @property
     def needs_seed(self) -> bool:
@@ -138,12 +136,12 @@ class ScenarioConfig:
     seed: int | None = None
 
     def __post_init__(self):
-        # each value's type, numbers stored as floats; every kind reads name, kind and b, so
+        # each value's type and range, numbers stored as floats; every kind reads name, kind and b, so
         # None is refused there as any other wrong type
-        for key, read in (("name", _string), ("kind", _string), ("scheme", _string), ("b", _number),
-                          ("d", _number), ("leader", _number), ("seed", _seed)):
+        for key, read, *within in (("name", _string), ("kind", _string), ("scheme", _string), ("b", _number, "> 0"),
+                                   ("d", _number, "in [0, 1]"), ("leader", _number, ""), ("seed", _seed)):
             if getattr(self, key) is not None or key in ("name", "kind", "b"):
-                object.__setattr__(self, key, read(getattr(self, key), f"key {key!r}"))
+                object.__setattr__(self, key, read(getattr(self, key), f"key {key!r}", *within))
         if not isinstance(self.initial, InitialSpec):
             raise ConfigurationError(f"key 'initial' must be an InitialSpec, got {_shown(self.initial)}")
         # the name becomes the stem of both output files, which must land inside --out
@@ -165,10 +163,7 @@ class ScenarioConfig:
         if self.group_sizes is not None:
             object.__setattr__(self, "group_sizes", self._spec.group_sizes)
         if self.phases is not None:
-            phases = self.phases
-            if not (isinstance(phases, (list, tuple)) and phases and all(isinstance(p, Phase) for p in phases)):
-                raise ConfigurationError(f"key 'phases' must be a non-empty list of Phase, got {_shown(phases)}")
-            object.__setattr__(self, "phases", tuple(phases))
+            object.__setattr__(self, "phases", _phase_list(self.phases))
         if self.scheme is not None and self.scheme not in _SCHEMES:
             raise ConfigurationError("scheme must be 'local' or 'leader'")
         if self.kind == "bcfon" and self.scheme not in (None, "local"):
@@ -176,10 +171,6 @@ class ScenarioConfig:
         for key, low in (("n", 1), ("steps", 0)):
             if getattr(self, key) is not None:
                 _integer(getattr(self, key), f"key {key!r}", low)
-        if self.d is not None and not (0.0 <= self.d <= 1.0):
-            raise ConfigurationError("threshold d must lie in [0, 1]")
-        if not (np.isfinite(self.b) and self.b > 0.0):
-            raise ConfigurationError("uncertainty gain b must be positive")
         agents = self._spec.n_agents if self.kind == "topdown" else self.n
         steps = sum(p.steps for p in self.phases) if self.kind == "bottomup" else self.steps
         if (steps + 1) * agents > _MAX_RECORDED:
@@ -289,8 +280,8 @@ def _phases(value):
     if not isinstance(value, list):
         return value
     rows = [_object(row, f"phases[{k}]", ("d", "steps"), ("d", "steps")) for k, row in enumerate(value)]
-    return [Phase(d=_number(row["d"], f"key 'phases[{k}].d'"), steps=_integer(row["steps"], f"key 'phases[{k}].steps'"))
-            for k, row in enumerate(rows)]
+    return [Phase(d=_number(row["d"], f"key 'phases[{k}].d'", "in [0, 1]"),
+                  steps=_integer(row["steps"], f"key 'phases[{k}].steps'")) for k, row in enumerate(rows)]
 
 
 def _scenario_from_dict(doc: dict, fallback_name: str) -> ScenarioConfig:

@@ -137,6 +137,7 @@ def _initial(**overrides):
         (lambda: _initial(low=[5.0]), "initial.low"),
         (lambda: _initial(high="25"), "initial.high"),
         (lambda: _initial(sigma=[1.0]), "initial.sigma"),
+        (lambda: _initial(sigma="x"), "initial.sigma"),
         (lambda: hfon.Phase(d=True, steps=2), "d"),
         (lambda: hfon.Phase(d="0.5", steps=2), "d"),
     ],

@@ -279,7 +279,20 @@ class TestRunCommand:
         assert f'"leader": {literal}' in Path(src).read_text()
         out = tmp_path / "out"
         assert main(["run", src, "--out", str(out)]) == 1
-        assert capsys.readouterr().err == "error: leader center must be finite\n"
+        assert capsys.readouterr().err == f"error: key 'leader' must be finite, got {leader!r}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, literal, message", [
+        ("d", "1.5", "key 'd' must be finite and in [0, 1], got 1.5"),
+        ("b", "0", "key 'b' must be finite and > 0, got 0"),
+        ("leader", "1e999", "key 'leader' must be finite, got inf"),
+    ])
+    def test_out_of_range_number_names_its_key(self, tmp_path, capsys, key, literal, message):
+        src = tmp_path / "scenario.json"
+        src.write_text(json.dumps(scenario_doc(**{key: "VALUE"})).replace('"VALUE"', literal), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["run", str(src), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_unknown_builtin_name(self, tmp_path, capsys):
@@ -454,7 +467,7 @@ class TestPredictCommand:
     @pytest.mark.parametrize("flags, message", [
         (["--center", "1", "--leader", "2", "--b", "1", "--sigma", "-1e-3"], "--sigma must be finite and >= 0"),
         (["--center", "1", "--leader", "2", "--sigma", "1", "--b", "-1e-3"], "--b must be finite and > 0"),
-        (["--epsilon", "-1e-3"], "epsilon must lie strictly between 0 and 1"),
+        (["--epsilon", "-1e-3"], "epsilon must be finite and in (0, 1), got -0.001"),
         (["--center", "-inf", "--leader", "2"], "--center must be finite"),
     ])
     def test_negative_exponent_values_meet_their_range_check(self, capsys, flags, message):

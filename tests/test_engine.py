@@ -55,6 +55,15 @@ class TestStep:
             with pytest.raises(ConfigurationError):
                 run_bcfon(state, steps, LeaderReference())
 
+    @pytest.mark.parametrize("scheme, shown", [("local", "'local'"), (None, "None"), (LocalReference, "<class")])
+    def test_a_scheme_that_is_not_one_refused(self, scheme, shown):
+        # refused by name before any step, not as a partition the step would not take
+        state = NetworkState([0.0, 1.0], [1.0, 1.0], 0.5, 0.5)
+        for steps in (0, 3):
+            with pytest.raises(ConfigurationError, match=f"^a flat network takes LocalReference\\(\\) or an "
+                                                         f"ExternalReference, got {re.escape(shown)}"):
+                run_bcfon(state, steps, scheme)
+
     def test_external_reference(self):
         state = NetworkState([0.0, 4.0], [1.0, 1.0], 0.99, 0.5)
         centers, sigmas = step(state, ExternalReference(lambda t, i: float(t + i)), t=3)
@@ -195,7 +204,7 @@ class TestRun:
 
     @pytest.mark.parametrize("leader, error, message", [
         (0.8e308, ValueError, r"step 3 -> 4 overflowed"),
-        (1.0, ConfigurationError, r"leader center must be finite at t=5"),
+        (1.0, ConfigurationError, r"leader center at t=5 must be finite, got nan"),
     ])
     def test_overflow_is_reported_before_a_later_step_fails(self, leader, error, message):
         # the leader turns NaN at t = 5; an overflow at step 3 is the earlier failure

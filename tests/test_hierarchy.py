@@ -107,7 +107,7 @@ class TestStepping:
     def test_run_refuses_a_non_finite_leader(self, leader):
         # checked once, at run entry, with run_blfg's message
         for steps in (0, 3):
-            with pytest.raises(ConfigurationError, match="^leader center must be finite$"):
+            with pytest.raises(ConfigurationError, match=f"^leader center must be finite, got {leader!r}$"):
                 run_td(*tiny_tree(), steps, LocalReference(), leader)
 
     @pytest.mark.parametrize("scheme", [LocalReference(), LeaderReference()])

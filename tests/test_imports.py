@@ -2,8 +2,8 @@
 
 An import line may keep an unused name on purpose by carrying `# noqa: F401`;
 the package's __init__ imports only to re-export and is not checked.  Only
-errors.py may call isinstance(x, bool): every other module checks a count
-through errors._integer.
+errors.py may call isinstance(x, bool) or spell out "must be finite": every other
+module checks a count through errors._integer and a number through errors._number.
 """
 
 import ast
@@ -63,3 +63,19 @@ def test_only_errors_checks_for_bool(path):
 def test_the_scan_finds_a_bool_check():
     source = "def f(n):\n    if isinstance(n, bool) or isinstance(n, (bool, int)):\n        pass\n    isinstance(n, int)\n"
     assert bool_checks(source) == [2, 2]
+
+
+def finite_phrases(source: str) -> list[int]:
+    """Lines of the source's string constants, f-string parts included, that contain "must be finite"."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and "must be finite" in node.value]
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "errors.py"], ids=lambda p: p.name)
+def test_only_errors_states_the_number_rule(path):
+    assert finite_phrases(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_scan_finds_a_number_check():
+    source = 'def f(x, t):\n    """x must be finite"""\n    raise ValueError(f"x at {t} must be finite, got {x}")\n'
+    assert finite_phrases(source) == [2, 3]

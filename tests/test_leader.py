@@ -103,7 +103,7 @@ class TestRun:
         state = NetworkState([0.0], [1.0], 0.5, 0.1)
         for leader in (float("inf"), float("nan")):
             for steps in (0, 3):
-                with pytest.raises(ConfigurationError, match=r"^leader center must be finite$"):
+                with pytest.raises(ConfigurationError, match=f"^leader center must be finite, got {leader!r}$"):
                     run_blfg(state, steps, LocalReference(), leader)
 
     def test_moving_leader_checked_at_every_step(self):
@@ -113,7 +113,7 @@ class TestRun:
             return 10.0 if t < 2 else float("nan")
 
         assert run_blfg(state, 2, LocalReference(), leader).n_samples == 3
-        with pytest.raises(ConfigurationError, match=r"leader center must be finite at t=2, got nan"):
+        with pytest.raises(ConfigurationError, match=r"^leader center at t=2 must be finite, got nan$"):
             run_blfg(state, 3, LocalReference(), leader)
 
     def test_state_d_and_b_are_stepped(self):

@@ -236,6 +236,17 @@ class TestBuildSummary:
         # spread0 = 13, so the target window is 0.13 wide
         assert summary["steps_to_target"] == 4
 
+    def test_exact_consensus_at_the_last_step_gives_no_checks(self):
+        # the centers agree after one step, the sigmas only after two: exact consensus is the last
+        # row, so no step after it is left to compare with the closed forms
+        config = ScenarioConfig(name="last", kind="blfg", n=3, steps=2, d=0.0, b=0.01, scheme="leader",
+                                leader=10.0, initial=InitialSpec("ramp", 5.0, 25.0, 1.0))
+        run = execute_scenario(config)
+        assert np.ptp(run.record.sigmas[1]) > 0.0 and np.ptp(run.record.sigmas[2]) == 0.0
+        summary = build_summary(run)
+        assert summary["consensus"]["t_N"] == 2
+        assert summary["predictor_checks"] == []
+
     def test_blfg_summary_leader_scheme(self):
         run = pair_run("leader")
         summary = build_summary(run)

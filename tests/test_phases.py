@@ -10,6 +10,7 @@ from hfon import (
     InitialSpec,
     NetworkState,
     Phase,
+    ScenarioConfig,
     detect_consensus_partition,
     phase_summary,
     run_bcfon,
@@ -31,8 +32,19 @@ class TestScheduleValidation:
             Phase(d=0.5, steps=2.0)
 
     def test_empty_schedule_refused(self):
-        with pytest.raises(ConfigurationError, match="at least one phase"):
+        with pytest.raises(ConfigurationError, match=r"^key 'phases' must be a non-empty list of Phase, got \(\)$"):
             run_bu(NetworkState([1.0], [1.0], 0.5, 0.5), ())
+
+    @pytest.mark.parametrize("phases, shown", [
+        ([0.5], r"\[0\.5\]"), ([(0.5, 2)], r"\[\(0\.5, 2\)\]"), (0.5, r"0\.5"),
+    ])
+    def test_run_bu_and_a_scenario_share_the_phase_list_rule(self, phases, shown):
+        message = rf"^key 'phases' must be a non-empty list of Phase, got {shown}$"
+        with pytest.raises(ConfigurationError, match=message):
+            run_bu(NetworkState([1.0], [1.0], 0.5, 0.5), phases)
+        with pytest.raises(ConfigurationError, match=message):
+            ScenarioConfig(name="x", kind="bottomup", n=1, b=0.5, phases=phases,
+                           initial=InitialSpec(centers="ramp", low=0.0, high=1.0, sigma=1.0))
 
 
 class TestRunBu:
