@@ -14,7 +14,7 @@ from pathlib import Path
 from .errors import ConfigurationError, _integer, _number
 from .engine import _default_gap
 from .leader import predict_center, predict_sigma_leader_ref, predict_sigma_limit, steps_to_error_fraction
-from .output import build_summary, read_trajectory_csv, write_summary_json, write_trajectory_csv
+from .output import _FLOAT_FORMAT, build_summary, read_trajectory_csv, write_summary_json, write_trajectory_csv
 from .phases import _cluster_report
 from .scenarios import builtin_scenarios, execute_scenario, parse_scenario
 
@@ -120,10 +120,6 @@ def _run_command(args) -> int:
     return 0
 
 
-def _fmt(x: float) -> str:
-    return "%.17g" % x
-
-
 # each optional predict flag is used only together with the flags it maps to
 _PREDICT_NEEDS = {
     "--center": ("--leader",),
@@ -138,7 +134,8 @@ def _predict_command(args) -> int:
     """Closed-form predictions only, no simulation; every flag and every prediction is checked
     before any line is printed."""
     n, center, sigma, leader, b, t = args.n, args.center, args.sigma, args.leader, args.b, args.t_offset
-    _check_flags(("--center", center, ""), ("--leader", leader, ""), ("--sigma", sigma, ">= 0"), ("--b", b, "> 0"))
+    _check_flags(("--epsilon", args.epsilon, "in (0, 1)"), ("--center", center, ""), ("--leader", leader, ""),
+                 ("--sigma", sigma, ">= 0"), ("--b", b, "> 0"))
     if t is not None:
         _integer(t, "--t-offset", 0)
     given = {"--center": center, "--leader": leader, "--t-offset": t, "--sigma": sigma, "--b": b}
@@ -150,8 +147,8 @@ def _predict_command(args) -> int:
     given.update({"--n": n, "--epsilon": args.epsilon})
     track = ("--center", "--leader", "--n", "--t-offset")
     # (label, flags behind the value, formula); --sigma comes only with --center
-    predictions = [(f"steps_to_error_fraction(n={n}, epsilon={_fmt(args.epsilon)})", ("--n", "--epsilon"),
-                    lambda: steps_to_error_fraction(n, args.epsilon))]
+    predictions = [(f"steps_to_error_fraction(n={n}, epsilon={_FLOAT_FORMAT % args.epsilon})",
+                    ("--n", "--epsilon"), lambda: steps_to_error_fraction(n, args.epsilon))]
     if center is not None:
         predictions.append((f"predicted_center(t_offset={t})", track, lambda: predict_center(center, leader, n, t)))
     if sigma is not None:
@@ -169,7 +166,7 @@ def _predict_command(args) -> int:
         if isinstance(value, ArithmeticError) or not math.isfinite(value):
             used = ", ".join(f"{flag} {given[flag]!r}" for flag in inputs if given[flag] is not None)
             raise ConfigurationError(f"{label.split('(')[0]} is not finite ({value}) for {used}")
-        lines.append(f"{label}: {_fmt(value)}")
+        lines.append(f"{label}: {_FLOAT_FORMAT % value}")
     print("\n".join(lines))
     return 0
 

@@ -133,67 +133,67 @@ def _one_pair_join(n: int, levels, groups, text=str):
 def _read_canonical(raw: bytes, ends: np.ndarray) -> TrajectoryRecord | None:
     """The record whose stride-1 CSV is exactly raw, or None; may raise on what no writer writes.
 
-    ends are raw's LF positions.  Step 0 ends where the next row for agent 0
-    begins; t is parsed at each step's first row.  A partial step, bytes
-    after the last LF, a row longer than the writer's longest or a step head
-    not for agent 0 declines raw before any row is parsed.  A step that ends
-    in its first row's pair holds that pair if it is the writer's one join of
-    the pair's parsed value.  The pair texts of all other steps are parsed,
-    each distinct text once, and those steps must equal their _render_blocks
-    rendering.  With no NaN and strictly increasing times, the checked parse
-    returns the same record.
+    ends are raw's LF positions; step 0 ends where the next row for agent 0
+    begins.  Each step is guessed to keep the step before's classes of rows
+    with equal pair texts (one class for step 0), and must equal its rendering
+    from each class's first row, or else from every row; its classes then
+    follow its texts.  Each distinct text is parsed once and must be the
+    writer's text of its value.  With no NaN and strictly increasing times,
+    the checked parse returns the same record.
     """
     rows = ends.size - 1  # ends[0] ends the header
     step_1 = _STEP_HEAD.search(raw, int(ends[1]))
     n = rows if step_1 is None else int(np.searchsorted(ends, step_1.start()))
     steps, rest = divmod(rows, n)
-    # whole steps, nothing after the last LF, and no row longer than the writer writes
+    # whole steps, nothing after the last LF, and no row longer than the writer writes: declined unparsed
     if rest or ends[-1] != len(raw) - 1 or int(np.diff(ends).max()) > _MAX_ROW:
         return None
     starts = (ends[::n] + 1).tolist()  # step k is raw[starts[k]:starts[k + 1]]
-    times, heads, single = [0] * steps, [b""] * steps, np.zeros(steps, dtype=bool)
-    for k in reversed(range(steps)):  # last first: a file sorted by agent fails at its last row
-        t, agent, _, _, center, sigma = raw[starts[k]:raw.index(b"\n", starts[k])].split(b",")
-        if agent != b"0":  # a step starts at agent 0
-            return None
-        times[k] = int(t)
-        heads[k] = (b"%d," % times[k], center + b"," + sigma + b"\n")  # its first row's prefix and pair
-        single[k] = raw.endswith(b"," + heads[k][1], starts[k], starts[k + 1])  # and its last row's pair
     first = [row.split(b",") for row in raw[starts[0]:starts[1] - 1].split(b"\n")]
     levels, groups = (np.array([int(f[j]) for f in first], dtype=np.intp) if first[0][2] else None for j in (2, 3))
     addresses, join = _one_pair_join(n, levels, groups, str.encode)
-    centers, sigmas, pair_format = np.empty((steps, n)), np.empty((steps, n)), _PAIR_FORMAT.encode()
+    skip = [len(a) for a in addresses]  # from a row's start to its pair text, less its t prefix
 
-    def parse(texts):  # one (center, sigma) row per text; no loadtxt call for none, as it would warn
-        text = b"".join(texts)
-        if not text:
-            return np.empty((0, 2))
-        return np.loadtxt(io.BytesIO(text), dtype=np.float64, delimiter=",", comments=None, ndmin=2)
+    def render(k, prefix, heads, inverse):  # the pair texts of the classes' first rows, and step k from them
+        texts = [raw[ends.item(k * n + i) + 1 + len(prefix) + skip[i]:ends.item(k * n + i + 1) + 1] for i in heads]
+        if len(texts) == 1:
+            return texts, join(prefix, texts[0])
+        return texts, prefix + prefix.join(map(bytes.__add__, addresses, [texts[c] for c in inverse]))
 
-    ks = np.flatnonzero(single).tolist()
-    for k, (center, sigma) in zip(ks, parse(heads[k][1] for k in ks).tolist()):
-        centers[k], sigmas[k] = center, sigma
-        single[k] = raw.startswith(join(heads[k][0], pair_format % (center, sigma)), starts[k])
-    skip = np.array([len(a) for a in addresses])  # from a row's start to its pair text, less its t prefix
-    ks = np.flatnonzero(~single).tolist()
-    texts, ids = {}, []  # each distinct pair text of those steps to its id, and each of their rows' id
-    for k in ks:  # step by step, so no temporary grows with the file
-        row = ends[k * n:(k + 1) * n + 1] + 1  # where each row of step k starts, then where the step ends
-        ids += [texts.setdefault(raw[a:b], len(texts))
-                for a, b in zip((row[:-1] + len(heads[k][0]) + skip).tolist(), row[1:].tolist())]
-    centers[ks], sigmas[ks] = parse(texts)[ids].reshape(len(ks), n, 2).transpose(2, 0, 1)
-    times = np.array(times, dtype=np.intp)
-    if np.isnan(centers).any() or np.isnan(sigmas).any() or (times[1:] <= times[:-1]).any():
+    times, ids, spans = [0] * steps, {}, []  # ids: each distinct pair text's id
+    heads, inverse, everyone = [0], [0] * n, range(n)  # the guess: each class's first row, and each row's class
+    for k in range(steps):
+        times[k] = int(raw[starts[k]:raw.index(b",", starts[k])])
+        prefix = b"%d," % times[k]
+        for heads, inverse in ((heads, inverse), (everyone, everyone)):  # the guess, then each row a class
+            texts, step = render(k, prefix, heads, inverse)
+            if raw.startswith(step, starts[k]):
+                break
+        else:
+            return None
+        if k == 0 or heads is everyone or len(set(texts)) < len(texts):  # new classes, one per distinct text
+            classes = {}
+            inverse = [classes.setdefault(texts[c], len(classes)) for c in inverse]
+            texts, heads = list(classes), np.unique(inverse, return_index=True)[1].tolist()
+            spans.append((k, inverse, []))  # a run of steps from k with these classes: each step's class text ids
+        spans[-1][2].append([ids.setdefault(text, len(ids)) for text in texts])
+    text = b"".join(ids)
+    # one comma in each written pair text, so each two-field line is one text's; loadtxt warns on line ends alone
+    if text.count(b",") != len(ids):
         return None
-    record = TrajectoryRecord(times=times, centers=centers, sigmas=sigmas, levels=levels, groups=groups)
-    edges = np.flatnonzero(np.diff(np.concatenate([[False], ~single, [False]]))).tolist()
-    for a, b in zip(edges[::2], edges[1::2]):  # each span of steps with several pairs
-        at = starts[a]
-        for block in map(str.encode, _render_blocks(record, list(range(a, b)))):
-            if not raw.startswith(block, at):
-                return None
-            at += len(block)
-    return record
+    values = np.loadtxt(io.BytesIO(text), dtype=np.float64, delimiter=",", comments=None, ndmin=2)
+    pair_format = _PAIR_FORMAT.encode()
+    if any(pair_format % (center, sigma) != text for (center, sigma), text in zip(values.tolist(), ids)):
+        return None
+    times = np.array(times, dtype=np.intp)
+    if np.isnan(values).any() or (times[1:] <= times[:-1]).any():
+        return None
+    centers, sigmas = np.empty((steps, n)), np.empty((steps, n))
+    for k, inverse, span in spans:
+        pairs = values[np.array(span)]  # (steps of the span, classes, 2)
+        for j, out in enumerate((centers, sigmas)):  # "clip" (no class is out of range) writes out unbuffered
+            np.take(pairs[:, :, j], inverse, axis=1, out=out[k:k + len(span)], mode="clip")
+    return TrajectoryRecord(times=times, centers=centers, sigmas=sigmas, levels=levels, groups=groups)
 
 
 def _check_layout(raw: bytes, buf: np.ndarray, ends: np.ndarray) -> bool:
@@ -282,9 +282,8 @@ def read_trajectory_csv(path) -> TrajectoryRecord:
     if len(raw) == len(_HEADER_LINE):
         raise ValueError("trajectory file has no data rows")
     buf = np.frombuffer(raw, dtype=np.uint8)
-    # line k + 1 ends at ends[k]; a file over 1 MiB is scanned 1 MiB at a time, so no mask its size is held
-    ends = np.flatnonzero(buf == ord("\n")) if buf.size <= 2**20 else np.concatenate(
-        [np.flatnonzero(buf[i:i + 2**20] == ord("\n")) + i for i in range(0, buf.size, 2**20)])
+    # line k + 1 ends at ends[k]; the file is scanned 1 MiB at a time, so no mask its size is held
+    ends = np.concatenate([np.flatnonzero(buf[i:i + 2**20] == ord("\n")) + i for i in range(0, buf.size, 2**20)])
     with suppress(ValueError, OverflowError, IndexError):  # e.g. a row of too few fields or a t past int64
         if (record := _read_canonical(raw, ends)) is not None:
             return record

@@ -467,7 +467,7 @@ class TestPredictCommand:
     @pytest.mark.parametrize("flags, message", [
         (["--center", "1", "--leader", "2", "--b", "1", "--sigma", "-1e-3"], "--sigma must be finite and >= 0"),
         (["--center", "1", "--leader", "2", "--sigma", "1", "--b", "-1e-3"], "--b must be finite and > 0"),
-        (["--epsilon", "-1e-3"], "epsilon must be finite and in (0, 1), got -0.001"),
+        (["--epsilon", "-1e-3"], "--epsilon must be finite and in (0, 1), got -0.001"),
         (["--center", "-inf", "--leader", "2"], "--center must be finite"),
     ])
     def test_negative_exponent_values_meet_their_range_check(self, capsys, flags, message):

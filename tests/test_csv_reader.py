@@ -19,7 +19,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hfon.output
@@ -599,10 +599,17 @@ CANONICAL_MUTATIONS = {
     # read alike by the checked parse, but not as the writer writes them
     "single pair written 1.50": (lambda raw: _step_rows(raw, 3, 1, lambda rows: [_set_fields(r, {4: b"1.50"})
                                                                                  for r in rows]), None),
+    # the step renders from its rows' texts, but its last row's text is not the writer's
+    "last row of a single-pair step written 1.50": (lambda raw: _step_rows(raw, 3, 1, lambda rows: rows[:2] + [
+        _set_fields(rows[2], {4: b"1.50"})]), None),
     "agent written 01 in step 0": (lambda raw: _step_rows(raw, 3, 0, lambda rows: [rows[0], _set_fields(
         rows[1], {1: b"01"}), rows[2]]), None),
     "center written 1.0 in step 0": (lambda raw: _step_rows(raw, 3, 0, lambda rows: [_set_fields(
         rows[0], {4: b"1.0"})] + rows[1:]), None),
+    # every row renders as the writer's with an empty pair text, which holds only its line end
+    "center and sigma cut from every row": (lambda raw: b"\n".join(raw.split(b"\n")[:1] + [
+        b",".join(r.split(b",")[:4]) + b"," for r in raw.split(b"\n")[1:-1]] + [b""]),
+                                            "line 2: expected 6 fields, got 5"),
     # rows no longer a whole number of steps, each step still starting at agent 0's row
     "a row missing from the last step": (lambda raw: _step_rows(raw, 3, 5, lambda rows: rows[:2]),
                                          "trajectory file is missing some (t, agent) rows"),
@@ -657,13 +664,17 @@ class TestCanonicalPath:
         write_trajectory_csv(builtin_runs[name], path, stride=stride)
         assert assert_read_as_checked(path)
 
-    def test_each_distinct_pair_text_of_a_step_parsed_once(self, work_dir, monkeypatch, builtin_runs):
-        record = builtin_runs["example1-local"]
-        path = work_dir / "example1-local.csv"
-        write_trajectory_csv(record, path)
-        # a single-pair step parses its first row; any other step each of its distinct pairs
-        bits = zip(record.centers.view(np.uint64).tolist(), record.sigmas.view(np.uint64).tolist())
-        distinct = sum(len(set(zip(*step))) for step in bits)
+    @pytest.mark.parametrize("name, stride", [
+        ("example1-local", 1), ("example2-4level-leader", 10), ("example3", 1)])
+    def test_each_distinct_pair_text_of_a_step_parsed_once(self, work_dir, monkeypatch, builtin_runs, name, stride):
+        run = builtin_runs[name]
+        keep = sorted({*range(0, run.n_samples, stride), run.n_samples - 1})
+        record = TrajectoryRecord(run.times[keep], run.centers[keep], run.sigmas[keep], run.levels, run.groups)
+        path = work_dir / f"{name}-{stride}.csv"
+        write_trajectory_csv(run, path, stride=stride)
+        # each distinct (center, sigma) text of the file is parsed once, whichever steps hold it
+        distinct = len(set(zip(record.centers.view(np.uint64).ravel().tolist(),
+                               record.sigmas.view(np.uint64).ravel().tolist())))
         loadtxt, parsed = np.loadtxt, []
 
         def counting(*args, **kwargs):
@@ -675,7 +686,7 @@ class TestCanonicalPath:
         with canonical_reads() as taken:
             assert_same_record(read_trajectory_csv(path), record)
         assert taken == [True]
-        assert sum(parsed) <= distinct < record.centers.size // 10
+        assert sum(parsed) == distinct < record.centers.size // 10
 
     def test_rows_swapped_in_every_step_declined(self, work_dir):
         # each step is one join of the same addresses, but not of the writer's: agent 2's row comes first
@@ -706,6 +717,8 @@ class TestCanonicalPath:
 
         @settings(max_examples=200, deadline=None)
         @given(record=written_records(), stride=st.integers(1, 3))
+        # step 1 splits step 0's one class into two pair texts of equal length
+        @example(record=TrajectoryRecord(np.arange(2), np.array([[1.0, 1.0], [1.0, 2.0]]), np.ones((2, 2))), stride=1)
         def check(record, stride):
             write_trajectory_csv(record, path, stride=stride)
             keep = sorted({*range(0, record.n_samples, stride), record.n_samples - 1})
